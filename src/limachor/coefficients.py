@@ -67,6 +67,10 @@ class CouplingVector:
                 f"expected {self.N // 2} couplings for N={self.N}, "
                 f"got {self.kappas.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(self.kappas))
+        if bad.size:
+            raise ValueError("couplings must be finite, got " + ", ".join(
+                f"kappa_{ell + 1}={self.kappas[ell]}" for ell in bad))
 
     def kappa(self, ell: int) -> float:
         """Coupling for separation ell, 1-based."""
@@ -175,8 +179,8 @@ def solve_couplings(N: int, p: int, free=None) -> CouplingVector:
         (0, 0) to solver accuracy.
 
     Raises:
-        ValueError: If (p, N) is inadmissible, or the tail length is
-            not floor(N/2) - 2.
+        ValueError: If (p, N) is inadmissible, or the tail is not
+            floor(N/2) - 2 finite values.
     """
     decision = is_admissible(p, N)
     if not decision.admissible:
@@ -191,6 +195,8 @@ def solve_couplings(N: int, p: int, free=None) -> CouplingVector:
             f"free tail must supply kappa_3..kappa_{n} "
             f"({n - 2} values), got {tail.shape}"
         )
+    if not np.all(np.isfinite(tail)):
+        raise ValueError(f"free tail must be finite, got {tail.tolist()}")
     mat = build_matrix(N, p).entries
     reduced = _rhs(p) - (mat[:, 2:] @ tail if n > 2 else 0.0)
     k1, k2 = _solve2(mat[:, :2], reduced)

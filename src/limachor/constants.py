@@ -105,11 +105,23 @@ class PartialSumReport:
         }
 
 
-def _potential_energy(positions: np.ndarray, pair: np.ndarray) -> float:
-    diff = positions[:, None, :] - positions[None, :, :]
-    sq = np.einsum("jlc,jlc->jl", diff, diff)
-    # Each unordered pair appears twice in the full double sum.
-    return 0.25 * float(np.einsum("jl,jl->", pair, sq))
+def _conserved(pos: np.ndarray, vel: np.ndarray, pair: np.ndarray):
+    """First moment, angular momentum, inertia, kinetic and potential energy per sample.
+
+    ``pos`` and ``vel`` are (S, N, 2); each quantity comes back with
+    leading dimension S.  The potential, half the sum over unordered
+    pairs of kappa_jl |q_j - q_l|^2, is evaluated as the Laplacian
+    quadratic form 1/2 sum_c q_c^T (D - K) q_c, D = diag(row sums of K),
+    so memory stays O(S*N).
+    """
+    laplacian = np.diag(pair.sum(axis=1)) - pair
+    g = pos.sum(axis=1)
+    c = np.einsum("sk,sk->s", pos[:, :, 0], vel[:, :, 1]) \
+        - np.einsum("sk,sk->s", pos[:, :, 1], vel[:, :, 0])
+    inertia = np.einsum("skc,skc->s", pos, pos)
+    kinetic = 0.5 * np.einsum("skc,skc->s", vel, vel)
+    potential = 0.5 * np.einsum("skc,skc->s", pos, np.matmul(laplacian, pos))
+    return g, c, inertia, kinetic, potential
 
 
 def measure(state: SystemState, couplings: CouplingVector) -> ConservedReport:
@@ -122,13 +134,10 @@ def measure(state: SystemState, couplings: CouplingVector) -> ConservedReport:
         raise ValueError(
             f"couplings sized for N={couplings.N}, state has {state.n_bodies}"
         )
-    pos, vel = state.positions, state.velocities
-    g = pos.sum(axis=0)
-    c = float(np.sum(pos[:, 0] * vel[:, 1] - pos[:, 1] * vel[:, 0]))
-    inertia = float(np.sum(pos * pos))
-    kinetic = 0.5 * float(np.sum(vel * vel))
-    potential = _potential_energy(pos, couplings.pair_matrix())
-    return ConservedReport(g, c, inertia, kinetic, potential)
+    g, c, inertia, kinetic, potential = _conserved(
+        state.positions[None], state.velocities[None], couplings.pair_matrix())
+    return ConservedReport(g[0], float(c[0]), float(inertia[0]),
+                           float(kinetic[0]), float(potential[0]))
 
 
 def closed_form_constants(config: ChoreoConfig) -> ConservedReport:
@@ -219,14 +228,11 @@ def partial_sums(config: ChoreoConfig, m: int, n: int, ell: int,
     p = config.curve.p
     state = state_at(config, t)
     idx = ell + n * np.arange(m)
-    pos, vel = state.positions[idx], state.velocities[idx]
-
-    g = pos.sum(axis=0)
-    inertia = float(np.sum(pos * pos))
-    ang = float(np.sum(pos[:, 0] * vel[:, 1] - pos[:, 1] * vel[:, 0]))
-    kin = 0.5 * float(np.sum(vel * vel))
-    diff = pos[:, None, :] - pos[None, :, :]
-    pair_sq = 0.5 * float(np.einsum("jlc,jlc->", diff, diff))
+    # Unit coupling between every pair of the orbit: its potential is
+    # half the sum of squared separations.
+    g, ang, inertia, kin, half_pair_sq = _conserved(
+        state.positions[None, idx], state.velocities[None, idx],
+        np.ones((m, m)) - np.eye(m))
 
     first_moment_full = (n * p) % config.N == 0
     subgroup_constant = (n * (p - 1)) % config.N != 0
@@ -244,11 +250,11 @@ def partial_sums(config: ChoreoConfig, m: int, n: int, ell: int,
         )
     return PartialSumReport(
         m=m, n=n, ell=ell, t=t,
-        first_moment=g,
-        moment_of_inertia=inertia,
-        angular_momentum=ang,
-        kinetic=kin,
-        pair_sq_sum=pair_sq,
+        first_moment=g[0],
+        moment_of_inertia=float(inertia[0]),
+        angular_momentum=float(ang[0]),
+        kinetic=float(kin[0]),
+        pair_sq_sum=2.0 * float(half_pair_sq[0]),
         subgroup_constant=subgroup_constant,
         first_moment_full=first_moment_full,
         predicted=predicted,
@@ -265,25 +271,15 @@ def drift_report(traj: Trajectory, couplings: CouplingVector) -> ConservedReport
     Raises:
         ValueError: If the trajectory is empty or sizes disagree.
     """
-    if not traj.samples:
+    if traj.t.size == 0:
         raise ValueError("cannot measure drift of an empty trajectory")
-    n = traj.samples[0].n_bodies
+    n = traj.q.shape[1]
     if couplings.N != n:
         raise ValueError(
             f"couplings sized for N={couplings.N}, trajectory has {n} bodies"
         )
-    pos = np.stack([s.positions for s in traj.samples])   # (S, N, 2)
-    vel = np.stack([s.velocities for s in traj.samples])
-    pair = couplings.pair_matrix()
-
-    g = pos.sum(axis=1)
-    c = np.einsum("sk,sk->s", pos[:, :, 0], vel[:, :, 1]) \
-        - np.einsum("sk,sk->s", pos[:, :, 1], vel[:, :, 0])
-    inertia = np.einsum("skc,skc->s", pos, pos)
-    kinetic = 0.5 * np.einsum("skc,skc->s", vel, vel)
-    diff = pos[:, :, None, :] - pos[:, None, :, :]
-    sq = np.einsum("sjlc,sjlc->sjl", diff, diff)
-    potential = 0.25 * np.einsum("sjl,jl->s", sq, pair)
+    g, c, inertia, kinetic, potential = _conserved(traj.q, traj.v,
+                                                   couplings.pair_matrix())
     energy = kinetic + potential
 
     drift = {
@@ -304,10 +300,8 @@ def inertia_rate_max(traj: Trajectory) -> float:
     A solved choreography keeps this at integrator-noise level despite
     not being a relative equilibrium.
     """
-    if len(traj.samples) < 3:
+    if traj.t.size < 3:
         raise ValueError("need at least 3 samples for a centered difference")
-    times = traj.times()
-    inertia = np.array([float(np.sum(s.positions * s.positions))
-                        for s in traj.samples])
-    rates = (inertia[2:] - inertia[:-2]) / (times[2:] - times[:-2])
+    inertia = np.einsum("skc,skc->s", traj.q, traj.q)
+    rates = (inertia[2:] - inertia[:-2]) / (traj.t[2:] - traj.t[:-2])
     return float(np.max(np.abs(rates)))

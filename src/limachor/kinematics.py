@@ -30,6 +30,9 @@ class CurveParams:
     p: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(
+                f"curve amplitudes must be finite, got a={self.a}, b={self.b}")
         if self.a == 0 or self.b == 0:
             raise ValueError("curve requires a != 0 and b != 0")
         if self.p in (-1, 0, 1):
@@ -70,19 +73,61 @@ class SystemState:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
-    """Ordered states at strictly increasing times.
+    """States at strictly increasing times, stored as arrays.
 
-    ``config`` is the analytic configuration the samples came from, or
-    None for integrator output that is no longer tied to the curve.
+    ``t`` has shape (S,); ``q`` and ``v`` have shape (S, N, 2) and hold
+    every body's position and velocity at every sample.  ``config`` is
+    the analytic configuration the samples came from, or None for
+    integrator output that is no longer tied to the curve.
+
+    ``Trajectory(states, config)`` stacks a list of SystemState;
+    producers that already hold arrays use ``Trajectory.from_arrays``.
     """
 
-    samples: list[SystemState]
+    t: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
     config: ChoreoConfig | None = None
 
+    def __init__(self, samples: list[SystemState],
+                 config: ChoreoConfig | None = None):
+        shape = (len(samples), samples[0].n_bodies if samples else 0, 2)
+        self._fill(np.array([s.t for s in samples], dtype=float),
+                   np.array([s.positions for s in samples]).reshape(shape),
+                   np.array([s.velocities for s in samples]).reshape(shape),
+                   config)
+
+    @classmethod
+    def from_arrays(cls, t: np.ndarray, q: np.ndarray, v: np.ndarray,
+                    config: ChoreoConfig | None = None) -> Trajectory:
+        """Wrap sample arrays without copying.
+
+        Raises:
+            ValueError: If the shapes are not (S,), (S, N, 2), (S, N, 2).
+        """
+        traj = cls.__new__(cls)
+        traj._fill(t, q, v, config)
+        return traj
+
+    def _fill(self, t, q, v, config):
+        if (t.ndim != 1 or q.ndim != 3 or q.shape[0] != t.size or q.shape[2] != 2
+                or v.shape != q.shape):
+            raise ValueError(
+                f"trajectory arrays must be (S,), (S, N, 2), (S, N, 2); got "
+                f"{t.shape}, {q.shape}, {v.shape}")
+        for name, value in (("t", t), ("q", q), ("v", v), ("config", config)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def samples(self) -> list[SystemState]:
+        """One SystemState per sample, viewing the arrays."""
+        return [SystemState(t, q, v)
+                for t, q, v in zip(self.t.tolist(), self.q, self.v)]
+
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return self.t
 
 
 def _angle(theta: float) -> float:
@@ -210,17 +255,22 @@ def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
     itself is sampled (default) or left open.
 
     Raises:
-        ValueError: If t1 <= t0 or count < 2.
+        ValueError: If t0 or t1 is not finite, t1 <= t0, or count < 2.
     """
-    if t1 <= t0:
-        raise ValueError(f"bad range: t1={t1} must exceed t0={t0}")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError(f"bad range: t1={t1} must exceed t0={t0}, both finite")
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
     if include_end:
         times = np.linspace(t0, t1, count)
     else:
         times = t0 + (t1 - t0) * np.arange(count) / count
-    return Trajectory([state_at(config, float(t)) for t in times], config)
+    q = np.empty((count, config.N, 2))
+    v = np.empty((count, config.N, 2))
+    for i, t in enumerate(times.tolist()):
+        state = state_at(config, t)
+        q[i], v[i] = state.positions, state.velocities
+    return Trajectory.from_arrays(times, q, v, config)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -230,10 +280,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     shortest representation that round-trips exactly.
     """
     lines = ["t,body,x,y,vx,vy"]
-    for state in traj.samples:
-        for k in range(state.n_bodies):
-            row = (float(state.t), float(state.positions[k, 0]),
-                   float(state.positions[k, 1]), float(state.velocities[k, 0]),
-                   float(state.velocities[k, 1]))
-            lines.append(f"{row[0]!r},{k},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]!r}")
+    # One sample's floats at a time: listing the whole trajectory at once
+    # would hold a Python float object per coordinate.
+    for t, q, v in zip(traj.t.tolist(), traj.q, traj.v):
+        for k, ((x, y), (vx, vy)) in enumerate(zip(q.tolist(), v.tolist())):
+            lines.append(f"{t!r},{k},{x!r},{y!r},{vx!r},{vy!r}")
     return "\n".join(lines) + "\n"

@@ -2,8 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from limachor import cli
+from util import admissible_pairs
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +147,59 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--N", "4", "--p", "5")
         assert code == 2
         assert json.loads(err)["admissible"] is False
+
+    @pytest.mark.parametrize("flag", ["--a", "--b", "--dt", "--tail"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify", "--N", "6", "--p", "2",
+                                 flag, value)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_amplitude_emits_no_report(self, capsys):
+        # a^2 overflows: the drifts are NaN, which JSON cannot carry.
+        code, out, err = run_cli(capsys, "verify", "--N", "4", "--p", "2",
+                                 "--a", "1e200", "--dt", str(math.tau / 512),
+                                 "--steps", "512")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_non_finite_tolerance_fails_its_gate(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--N", "4", "--p", "2",
+                               "--dt", str(math.tau / 512), "--steps", "512",
+                               "--tol-spectral", "nan")
+        assert code == 3
+        assert json.loads(out)["failures"] == ["spectral"]
+
+    def test_vanishing_angular_momentum_is_not_a_drift_failure(self, capsys):
+        # a^2 = -p b^2: the closed-form angular momentum is exactly zero.
+        code, out, _ = run_cli(capsys, "verify", "--N", "4", "--p", "-2",
+                               "--a", "1.4142135623730951", "--b", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["failures"] == []
+        assert payload["relative_drift"]["c"] <= 1e-8
+
+    # run_cli drains capsys on every call, so sharing it across examples is safe.
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pair=st.sampled_from([(p, n) for p, n in admissible_pairs(7, 12) if p > 0]),
+           b=st.floats(0.5, 2.0), sign_a=st.sampled_from([1.0, -1.0]),
+           ratio=st.one_of(st.floats(0.5, 2.0), st.just(None)))
+    def test_verdict_symmetric_in_p(self, capsys, pair, b, sign_a, ratio):
+        p, n = pair
+        # ratio None puts a on a^2 = p b^2, where c vanishes for -p.
+        a = sign_a * (math.sqrt(p) * b if ratio is None else ratio * b)
+        verdicts = []
+        for signed_p in (p, -p):
+            code, out, _ = run_cli(capsys, "verify", "--N", str(n),
+                                   "--p", str(signed_p), "--a", repr(a),
+                                   "--b", repr(b))
+            verdicts.append((code, json.loads(out)["failures"]))
+        assert verdicts[0] == verdicts[1]
 
 
 class TestCollideCommand:

@@ -127,6 +127,13 @@ class TestSolveCouplings:
         with pytest.raises(ValueError, match="free tail"):
             solve_couplings(6, 2, [0.0, 0.0])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_couplings_rejected(self, value):
+        with pytest.raises(ValueError, match="free tail must be finite"):
+            solve_couplings(6, 2, [value])
+        with pytest.raises(ValueError, match="kappa_2="):
+            CouplingVector(4, [1.0, value])
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-50, 50), st.floats(-50, 50))
     def test_head_is_affine_in_tail(self, u, v):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.constants import (
@@ -23,6 +25,14 @@ from limachor.kinematics import (
     state_at,
 )
 from util import admissible_pairs
+
+
+def pairwise_potential(positions, pair):
+    """Reference: 1/4 sum over ordered pairs of kappa_jl |q_j - q_l|^2,
+    with the absolute-value sum of the same terms as its scale."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    terms = pair * np.einsum("jlc,jlc->jl", diff, diff)
+    return 0.25 * terms.sum(), 0.25 * np.abs(terms).sum()
 
 
 def factorizations(n):
@@ -58,6 +68,25 @@ class TestMeasure:
         state = SystemState(0.0, np.zeros((6, 2)), np.zeros((6, 2)))
         with pytest.raises(ValueError):
             measure(state, CouplingVector(4, [1.0, -0.5]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_potential_matches_pairwise_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 40))
+        couplings = CouplingVector(n, rng.normal(size=n // 2))
+        states = [SystemState(0.0, rng.normal(size=(n, 2), scale=3.0),
+                              rng.normal(size=(n, 2))) for _ in range(5)]
+        # Mixed-sign couplings can cancel the sum itself, so the error is
+        # measured against the sum of the terms' magnitudes.
+        reference = [pairwise_potential(s.positions, couplings.pair_matrix())
+                     for s in states]
+        for state, (value, scale) in zip(states, reference):
+            assert abs(measure(state, couplings).potential - value) <= 1e-12 * scale
+        report = drift_report(Trajectory(states), couplings)
+        values = [value for value, _ in reference]
+        want = max(abs(v - values[0]) for v in values)
+        assert abs(report.drift["V"] - want) <= 2e-12 * max(s for _, s in reference)
 
 
 class TestClosedFormConstants:
@@ -224,6 +253,21 @@ class TestDriftReport:
         report = drift_report(traj, couplings)
         assert report.drift["c"] <= 1e-7
         assert report.drift["I"] > 0.01   # the motion has left the curve
+
+    def test_memory_is_linear_in_samples_times_bodies(self):
+        # A pairwise-difference tensor for 257 samples of 256 bodies alone
+        # would take 257 * 256 * 256 * 2 * 8 B, about 270 MB.
+        config = make_config(256, 3, 1.2, 0.7)
+        couplings = solve_couplings(256, 3)
+        traj = sample_trajectory(config, 0.0, math.tau, 257)
+        tracemalloc.start()
+        try:
+            report = drift_report(traj, couplings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert report.drift["V"] <= 1e-10 * report.potential
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,61 @@ def solved_spec(N, p):
     return build_interaction(N, solve_couplings(N, p))
 
 
+def staged_rk4(initial, spec, dt, steps):
+    """Reference: the textbook four-stage RK4 on direct pairwise forces.
+
+    Returns the stacked (steps + 1, 2N, 2) states, positions first.
+    """
+    kmat = spec.pair_matrix
+    row_sum = spec.pair_row_sum[:, None]
+
+    def force(q):
+        return kmat @ q - row_sum * q
+
+    pos = initial.positions.copy()
+    vel = initial.velocities.copy()
+    states = [np.concatenate([pos, vel])]
+    for _ in range(steps):
+        k1p = vel
+        k1v = force(pos)
+        k2p = vel + 0.5 * dt * k1v
+        k2v = force(pos + 0.5 * dt * k1p)
+        k3p = vel + 0.5 * dt * k2v
+        k3v = force(pos + 0.5 * dt * k2p)
+        k4p = vel + dt * k3v
+        k4v = force(pos + dt * k3p)
+        pos = pos + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        vel = vel + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        states.append(np.concatenate([pos, vel]))
+    return np.array(states)
+
+
+def _solved_case():
+    config = make_config(6, 2, 1.2, 0.7)
+    return initial_state(config), solved_spec(6, 2), math.tau / 8192
+
+
+def _perturbed_case():
+    initial, spec, dt = _solved_case()
+    rng = np.random.default_rng(11)
+    return (SystemState(0.0,
+                        initial.positions + rng.normal(size=(6, 2), scale=0.1),
+                        initial.velocities + rng.normal(size=(6, 2), scale=0.1)),
+            spec, dt)
+
+
+def _free_case():
+    rng = np.random.default_rng(7)
+    return (SystemState(0.0, rng.normal(size=(4, 2)), rng.normal(size=(4, 2))),
+            build_interaction(4, CouplingVector(4, [0.0, 0.0])), 0.01)
+
+
+def _hyperbolic_case():
+    rng = np.random.default_rng(3)
+    return (SystemState(0.0, rng.normal(size=(4, 2)), rng.normal(size=(4, 2))),
+            build_interaction(4, CouplingVector(4, [-1.0, 0.0])), 0.5 / 4096)
+
+
 class TestBuildInteraction:
     def test_four_body_spectrum(self):
         spec = build_interaction(4, CouplingVector(4, [1.0, -0.5]))
@@ -137,6 +192,25 @@ class TestRk4:
         state = SystemState(0.0, np.zeros((4, 2)), np.zeros((4, 2)))
         traj = rk4_integrate(state, spec, 0.25, 4)
         assert traj.times() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("case", [_solved_case, _perturbed_case,
+                                      _free_case, _hyperbolic_case])
+    def test_matches_staged_reference(self, case):
+        initial, spec, dt = case()
+        steps = 2048
+        reference = staged_rk4(initial, spec, dt, steps)
+        traj = rk4_integrate(initial, spec, dt, steps)
+        got = np.concatenate([traj.q, traj.v], axis=1)
+        gap = np.max(np.abs(got - reference), axis=(1, 2))
+        scale = np.max(np.abs(reference), axis=(1, 2))
+        assert np.all(gap <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, dt):
+        spec = build_interaction(4, CouplingVector(4, [0.0, 0.0]))
+        state = SystemState(0.0, np.zeros((4, 2)), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="dt"):
+            rk4_integrate(state, spec, dt, 10)
 
     def test_bad_step_rejected(self):
         spec = build_interaction(4, CouplingVector(4, [0.0, 0.0]))
