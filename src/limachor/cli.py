@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,23 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_VERIFY_FAILED = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved CLI invocation."""
-
-    command: str
-    N: int = 0
-    p: int = 0
-    a: float = 1.2
-    b: float = 1.0
-    tail: tuple[float, ...] | None = None
-    dt: float = DEFAULT_DT
-    steps: int = DEFAULT_STEPS
-    grid: int = DEFAULT_GRID
-    out: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 class _UsageError(Exception):
@@ -86,106 +68,104 @@ def _reject(decision: admissibility.AdmissibilityDecision) -> int:
     return EXIT_INADMISSIBLE
 
 
-def _config(run: RunConfig) -> kinematics.ChoreoConfig:
-    return kinematics.make_config(run.N, run.p, run.a, run.b)
+def _config(args: argparse.Namespace) -> kinematics.ChoreoConfig:
+    return kinematics.make_config(args.N, args.p, args.a, args.b)
 
 
-def _solve(run: RunConfig) -> coefficients.CouplingVector:
-    free = None if run.tail is None else np.array(run.tail)
-    return coefficients.solve_couplings(run.N, run.p, free)
+def _solve(args: argparse.Namespace) -> coefficients.CouplingVector:
+    free = None if args.tail is None else np.array(args.tail)
+    return coefficients.solve_couplings(args.N, args.p, free)
 
 
-def _cmd_admissible(run: RunConfig) -> int:
-    if run.extra.get("restricted"):
-        decision = admissibility.is_admissible_restricted(run.p, run.N)
+def _cmd_admissible(args: argparse.Namespace) -> int:
+    if args.restricted:
+        decision = admissibility.is_admissible_restricted(args.p, args.N)
     else:
-        decision = admissibility.is_admissible(run.p, run.N)
-    _emit(_dumps(decision.to_json_dict()), run.out)
+        decision = admissibility.is_admissible(args.p, args.N)
+    _emit(_dumps(decision.to_json_dict()), args.out)
     if not decision.admissible:
         sys.stderr.write(_dumps(decision.to_json_dict()))
         return EXIT_INADMISSIBLE
     return EXIT_OK
 
 
-def _cmd_scan(run: RunConfig) -> int:
-    if abs(run.p) < 2:
-        return _reject(admissibility.is_admissible(run.p, 4))
-    max_n = run.extra["max_n"]
+def _cmd_scan(args: argparse.Namespace) -> int:
+    if abs(args.p) < 2:
+        return _reject(admissibility.is_admissible(args.p, 4))
     payload = {
-        "p": run.p,
-        "max_N": max_n,
-        "blockset": admissibility.divisor_blockset(run.p),
-        "admissible_N": admissibility.admissible_span(run.p, max_n),
+        "p": args.p,
+        "max_N": args.max_n,
+        "blockset": admissibility.divisor_blockset(args.p),
+        "admissible_N": admissibility.admissible_span(args.p, args.max_n),
     }
-    _emit(_dumps(payload), run.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK
 
 
-def _cmd_coeffs(run: RunConfig) -> int:
-    decision = admissibility.is_admissible(run.p, run.N)
+def _cmd_coeffs(args: argparse.Namespace) -> int:
+    decision = admissibility.is_admissible(args.p, args.N)
     if not decision.admissible:
         return _reject(decision)
-    couplings = _solve(run)
+    couplings = _solve(args)
     payload = {
-        "N": run.N,
-        "p": run.p,
+        "N": args.N,
+        "p": args.p,
         "kappa": couplings.as_dict(),
-        "residual": list(coefficients.residual(run.N, run.p, couplings)),
-        "det_Mt": coefficients.leading_det(run.N, run.p),
+        "residual": list(coefficients.residual(args.N, args.p, couplings)),
+        "det_Mt": coefficients.leading_det(args.N, args.p),
     }
-    _emit(_dumps(payload), run.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK
 
 
-def _cmd_restricted(run: RunConfig) -> int:
-    decision = admissibility.is_admissible_restricted(run.p, run.N)
+def _cmd_restricted(args: argparse.Namespace) -> int:
+    decision = admissibility.is_admissible_restricted(args.p, args.N)
     if not decision.admissible:
         return _reject(decision)
-    pair = coefficients.solve_restricted(run.N, run.p)
-    expanded = pair.expand(run.N)
+    pair = coefficients.solve_restricted(args.N, args.p)
+    expanded = pair.expand(args.N)
     payload = {
-        "N": run.N,
-        "p": run.p,
+        "N": args.N,
+        "p": args.p,
         "kappa_o": pair.kappa_o,
         "kappa_e": pair.kappa_e,
         "kappa": expanded.as_dict(),
-        "residual": list(coefficients.residual(run.N, run.p, expanded)),
+        "residual": list(coefficients.residual(args.N, args.p, expanded)),
     }
-    _emit(_dumps(payload), run.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK
 
 
-def _cmd_simulate(run: RunConfig) -> int:
-    decision = admissibility.is_admissible(run.p, run.N)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    decision = admissibility.is_admissible(args.p, args.N)
     if not decision.admissible:
         return _reject(decision)
-    config = _config(run)
-    couplings = _solve(run)
-    horizon = run.dt * run.steps
-    if run.extra.get("engine") == "rk4":
-        spec = dynamics.build_interaction(run.N, couplings)
+    config = _config(args)
+    couplings = _solve(args)
+    horizon = args.dt * args.steps
+    if args.engine == "rk4":
+        spec = dynamics.build_interaction(args.N, couplings)
         traj = dynamics.rk4_integrate(kinematics.initial_state(config),
-                                      spec, run.dt, run.steps)
+                                      spec, args.dt, args.steps)
     else:
-        traj = kinematics.sample_trajectory(config, 0.0, horizon, run.steps + 1)
-    _emit(kinematics.trajectory_csv(traj), run.out)
+        traj = kinematics.sample_trajectory(config, 0.0, horizon, args.steps + 1)
+    _emit(kinematics.trajectory_csv(traj), args.out)
     return EXIT_OK
 
 
-def _cmd_verify(run: RunConfig) -> int:
-    decision = admissibility.is_admissible(run.p, run.N)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    decision = admissibility.is_admissible(args.p, args.N)
     if not decision.admissible:
         return _reject(decision)
-    config = _config(run)
-    couplings = _solve(run)
-    tol = run.extra
+    config = _config(args)
+    couplings = _solve(args)
 
     residual_max = kinematics.eom_residual(
-        config, couplings, kinematics.certification_grid(run.grid))
+        config, couplings, kinematics.certification_grid(args.grid))
 
-    spec = dynamics.build_interaction(run.N, couplings)
+    spec = dynamics.build_interaction(args.N, couplings)
     init = kinematics.initial_state(config)
-    traj = dynamics.rk4_integrate(init, spec, run.dt, run.steps)
+    traj = dynamics.rk4_integrate(init, spec, args.dt, args.steps)
     t_end = float(traj.t[-1])
     analytic_end = kinematics.state_at(config, t_end)
     rk4_error = float(np.max(np.linalg.norm(
@@ -203,7 +183,7 @@ def _cmd_verify(run: RunConfig) -> int:
     # The closed form of c, N (a^2 + p b^2), vanishes on a^2 = -p b^2,
     # so c drift is scaled by N (a^2 + |p| b^2), which bounds |c| and
     # never vanishes.
-    c_scale = run.N * (run.a * run.a + abs(run.p) * run.b * run.b)
+    c_scale = args.N * (args.a * args.a + abs(args.p) * args.b * args.b)
     relative_drift = {"c": report.drift["c"] / c_scale}
     for key in ("I", "K", "V"):
         relative_drift[key] = report.drift[key] / abs(baseline[key])
@@ -211,22 +191,22 @@ def _cmd_verify(run: RunConfig) -> int:
     inertia_rate = constants.inertia_rate_max(traj)
 
     gates = [
-        ("residual", residual_max, tol["tol_residual"]),
-        ("rk4", rk4_error, tol["tol_rk4"]),
-        ("spectral", spectral_error, tol["tol_spectral"]),
-        ("drift:g", report.drift["g"], tol["tol_drift"]),
+        ("residual", residual_max, args.tol_residual),
+        ("rk4", rk4_error, args.tol_rk4),
+        ("spectral", spectral_error, args.tol_spectral),
+        ("drift:g", report.drift["g"], args.tol_drift),
     ]
-    gates += [(f"drift:{key}", value, tol["tol_drift"])
+    gates += [(f"drift:{key}", value, args.tol_drift)
               for key, value in relative_drift.items()]
-    gates.append(("inertia_rate", inertia_rate, tol["tol_inertia_rate"]))
+    gates.append(("inertia_rate", inertia_rate, args.tol_inertia_rate))
     # Written so that a NaN value or tolerance fails the gate.
     failures = [name for name, value, limit in gates if not value <= limit]
 
     payload = {
-        "N": run.N,
-        "p": run.p,
-        "a": run.a,
-        "b": run.b,
+        "N": args.N,
+        "p": args.p,
+        "a": args.a,
+        "b": args.b,
         "kappa": couplings.as_dict(),
         "residual_max": residual_max,
         "rk4_final_error": rk4_error,
@@ -237,36 +217,36 @@ def _cmd_verify(run: RunConfig) -> int:
         "ok": not failures,
         "failures": failures,
     }
-    _emit(_dumps(payload), run.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
-def _cmd_collide(run: RunConfig) -> int:
-    config = _config(run)
+def _cmd_collide(args: argparse.Namespace) -> int:
+    config = _config(args)
     report = collisions.has_collision(config)
-    ratios = collisions.collision_ratios(run.N, run.p)
+    ratios = collisions.collision_ratios(args.N, args.p)
     payload = {
         "collides": report.collides,
         "ratios": [{"k": r.k, "ratio": r.ratio} for r in ratios],
         "witnesses": [w.to_json_dict() for w in report.witnesses],
         "suspects": report.suspects,
     }
-    _emit(_dumps(payload), run.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK
 
 
-def _cmd_constants(run: RunConfig) -> int:
-    decision = admissibility.is_admissible(run.p, run.N)
+def _cmd_constants(args: argparse.Namespace) -> int:
+    decision = admissibility.is_admissible(args.p, args.N)
     if not decision.admissible:
         return _reject(decision)
-    config = _config(run)
-    couplings = _solve(run)
-    traj = kinematics.sample_trajectory(config, 0.0, math.tau, run.grid + 1)
+    config = _config(args)
+    couplings = _solve(args)
+    traj = kinematics.sample_trajectory(config, 0.0, math.tau, args.grid + 1)
     measured = constants.drift_report(traj, couplings)
     payload = measured.to_json_dict()
     payload["closed_form"] = constants.closed_form_constants(config).to_json_dict()
     payload["potential_from_parts"] = constants.potential_from_parts(config, couplings)
-    _emit(_dumps(payload), run.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK
 
 
@@ -352,27 +332,6 @@ _HANDLERS = {
 }
 
 
-def _to_run_config(args: argparse.Namespace) -> RunConfig:
-    extra = {}
-    for key in ("restricted", "max_n", "engine", "tol_residual", "tol_rk4",
-                "tol_spectral", "tol_drift", "tol_inertia_rate"):
-        if hasattr(args, key):
-            extra[key] = getattr(args, key)
-    return RunConfig(
-        command=args.command,
-        N=getattr(args, "N", 0),
-        p=getattr(args, "p", 0),
-        a=getattr(args, "a", 1.2),
-        b=getattr(args, "b", 1.0),
-        tail=None if getattr(args, "tail", None) is None else tuple(args.tail),
-        dt=getattr(args, "dt", DEFAULT_DT),
-        steps=getattr(args, "steps", DEFAULT_STEPS),
-        grid=getattr(args, "grid", DEFAULT_GRID),
-        out=getattr(args, "out", None),
-        extra=extra,
-    )
-
-
 def run(argv) -> int:
     """Execute one CLI invocation and return its exit code."""
     parser = build_parser()
@@ -385,7 +344,7 @@ def run(argv) -> int:
     except SystemExit as err:  # --help
         return int(err.code or 0)
     try:
-        return _HANDLERS[args.command](_to_run_config(args))
+        return _HANDLERS[args.command](args)
     except (ValueError, IndexError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE

@@ -16,15 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from limachor.kinematics import ChoreoConfig, body_state
+from limachor.kinematics import ChoreoConfig, bodies_at
 
-# A configuration this close to the ratio locus is examined by the
-# refined oracle; it is certified as colliding only below CERTIFY_TOL,
-# otherwise flagged as suspect.
+# Relative to |a| + |b|: a configuration this close to the ratio locus
+# is examined by the refined oracle; it is certified as colliding only
+# below CERTIFY_TOL, otherwise flagged as suspect.
 SUSPECT_TOL = 1e-8
 CERTIFY_TOL = 1e-10
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,8 @@ class CollisionWitness:
 class CollisionReport:
     """Collision verdict with witnesses sorted by separation then time.
 
-    ``suspects`` lists separations that sit within SUSPECT_TOL of the
-    collision locus without being certified by the oracle.
+    ``suspects`` lists separations that sit within SUSPECT_TOL * (|a| + |b|)
+    of the collision locus without being certified by the oracle.
     """
 
     collides: bool
@@ -121,13 +119,9 @@ def _pair_amplitudes(config: ChoreoConfig, k: int) -> tuple[float, float]:
 
 
 def _pair_sq_dist(config: ChoreoConfig, k: int, ts: np.ndarray) -> np.ndarray:
-    """Squared distance between bodies 0 and k, straight from the curve."""
-    a, b, p = config.curve.a, config.curve.b, config.curve.p
-    shift = math.tau * k / config.N
-    dx = (a * (np.cos(ts) - np.cos(ts + shift))
-          + b * (np.cos(p * ts) - np.cos(p * (ts + shift))))
-    dy = (a * (np.sin(ts) - np.sin(ts + shift))
-          + b * (np.sin(p * ts) - np.sin(p * (ts + shift))))
+    """Squared distance between bodies 0 and k at times ts."""
+    pos = bodies_at(config, np.array([0, k]), ts[:, None])[0]
+    dx, dy = (pos[:, 0] - pos[:, 1]).T
     return dx * dx + dy * dy
 
 
@@ -135,9 +129,13 @@ def min_pair_distance(config: ChoreoConfig, k: int,
                       grid_size: int = 1024) -> PairMinimum:
     """Numeric minimum of |q_0(t) - q_k(t)| over t in [0, 2*pi).
 
-    Dense sampling followed by golden-section refinement of the squared
-    distance, to 1e-12 in t.  This oracle is independent of the
-    analytic collision predicate.
+    Samples the squared distance on a uniform grid, then repeatedly
+    resamples one grid step either side of the best sample on a grid
+    32 times finer, until the step is at most 1e-12 in t.  The squared
+    distance is a trigonometric polynomial of degree |p| + 1, smooth on
+    the scale of the grid, so its minimum lies within a step of the best
+    sample.  This oracle is independent of the analytic collision
+    predicate.
 
     Raises:
         ValueError: If grid_size < 8.
@@ -148,23 +146,16 @@ def min_pair_distance(config: ChoreoConfig, k: int,
     if not 1 <= k <= config.N - 1:
         raise IndexError(f"separation {k} outside [1, {config.N - 1}]")
     ts = np.linspace(0.0, math.tau, grid_size, endpoint=False)
-    sq = _pair_sq_dist(config, k, ts)
-    best = int(np.argmin(sq))
-    h = math.tau / grid_size
-    lo, hi = ts[best] - h, ts[best] + h
-
-    def f(t: float) -> float:
-        return float(_pair_sq_dist(config, k, np.array([t]))[0])
-
-    while hi - lo > 1e-12:
-        c = hi - _GOLDEN * (hi - lo)
-        d = lo + _GOLDEN * (hi - lo)
-        if f(c) < f(d):
-            hi = d
-        else:
-            lo = c
-    t_min = 0.5 * (lo + hi)
-    return PairMinimum(math.sqrt(max(f(t_min), 0.0)), t_min % math.tau)
+    step = math.tau / grid_size
+    while True:
+        sq = _pair_sq_dist(config, k, ts)
+        best = int(np.argmin(sq))
+        if step <= 1e-12:
+            break
+        ts = ts[best] + np.linspace(-step, step, 65)
+        step /= 32
+    return PairMinimum(math.sqrt(max(float(sq[best]), 0.0)),
+                       float(ts[best]) % math.tau)
 
 
 def _witnesses_for(config: ChoreoConfig, k: int) -> list[CollisionWitness]:
@@ -175,35 +166,37 @@ def _witnesses_for(config: ChoreoConfig, k: int) -> list[CollisionWitness]:
     # difference anti-align: (p-1) t + pi (p-1) k / N = phase0 mod 2*pi.
     phase0 = math.pi if first * second > 0 else 0.0
     base = (phase0 - math.pi * (p - 1) * k / n) / (p - 1)
+    roots = (base + math.tau * np.arange(abs(p - 1)) / (p - 1)) % math.tau
+    # Bodies j and j + k meet 2*pi*j/N earlier than bodies 0 and k.
+    js = np.arange(n)
+    times = (roots[:, None] - math.tau * js / n) % math.tau
+    pairs = np.stack((js, (js + k) % n), axis=-1)
+    pos = bodies_at(config, pairs, times[:, :, None])[0]
     events = []
-    for r in range(abs(p - 1)):
-        t_root = (base + math.tau * r / (p - 1)) % math.tau
-        for j in range(n):
-            t_j = (t_root - math.tau * j / n) % math.tau
-            pair = (j, (j + k) % n)
-            pos_1, _ = body_state(config, pair[0], t_j)
-            pos_2, _ = body_state(config, pair[1], t_j)
+    for t_row, pos_row in zip(times.tolist(), pos):
+        for j, (t_j, (pos_1, pos_2)) in enumerate(zip(t_row, pos_row)):
             events.append(CollisionWitness(
                 k=k,
                 t_star=t_j,
-                bodies=pair,
+                bodies=(j, (j + k) % n),
                 point=0.5 * (pos_1 + pos_2),
                 min_distance=float(np.linalg.norm(pos_1 - pos_2)),
             ))
     return events
 
 
-def has_collision(config: ChoreoConfig,
-                  suspect_tol: float = SUSPECT_TOL,
-                  certify_tol: float = CERTIFY_TOL) -> CollisionReport:
+def has_collision(config: ChoreoConfig) -> CollisionReport:
     """Decide whether the choreography collides, with explicit witnesses.
 
     A separation k is a candidate when the two phasor magnitudes of
-    q_0 - q_k agree to within ``suspect_tol``; candidates are certified
-    by the refined numeric oracle at ``certify_tol`` and expanded into
-    the full set of colliding body pairs.  Candidates the oracle cannot
-    certify are reported as suspects.
+    q_0 - q_k agree to within SUSPECT_TOL * (|a| + |b|); candidates are
+    certified by the refined numeric oracle at CERTIFY_TOL * (|a| + |b|)
+    and expanded into the full set of colliding body pairs.  Candidates
+    the oracle cannot certify are reported as suspects.  Both tolerances
+    scale with the curve, so the verdict does not depend on its size.
     """
+    scale = abs(config.curve.a) + abs(config.curve.b)
+    suspect_tol, certify_tol = SUSPECT_TOL * scale, CERTIFY_TOL * scale
     witnesses: list[CollisionWitness] = []
     suspects: list[int] = []
     for k in range(1, config.N):

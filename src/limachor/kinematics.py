@@ -2,7 +2,8 @@
 
 The shared orbit is a(cos t, sin t) + b(cos pt, sin pt); body k runs
 the same curve with its parameter advanced by 2*pi*k/N.  Positions,
-velocities and accelerations are exact trigonometric expressions, and
+velocities and accelerations are exact trigonometric expressions, all
+computed by one array evaluator over any grid of bodies and times, and
 the equations-of-motion residual measures how well a given coupling
 vector reproduces those accelerations.
 """
@@ -53,6 +54,13 @@ class ChoreoConfig:
     def __post_init__(self):
         if self.N < 4:
             raise ValueError(f"need at least 4 bodies, got N={self.N}")
+        a, b, p = self.curve.a, self.curve.b, self.curve.p
+        # N (a^2 + p^2 b^2) is twice the closed-form kinetic energy; where
+        # it overflows, so do the conserved quantities computed from it.
+        if not math.isfinite(self.N * (a * a + p * p * b * b)):
+            raise ValueError(
+                f"curve amplitudes a={a}, b={b} too large: N (a^2 + p^2 b^2) "
+                f"overflows for p={p}, N={self.N}")
 
 
 def make_config(N: int, p: int, a: float = 1.2, b: float = 1.0) -> ChoreoConfig:
@@ -130,29 +138,46 @@ class Trajectory:
         return self.t
 
 
-def _angle(theta: float) -> float:
-    if abs(theta) > _REDUCE_ABOVE:
-        return math.remainder(theta, math.tau)
+def _angle(theta: np.ndarray) -> np.ndarray:
+    big = np.abs(theta) > _REDUCE_ABOVE
+    if big.any():
+        theta = np.array(theta)
+        theta[big] = [math.remainder(x, math.tau) for x in theta[big].tolist()]
     return theta
 
 
-def _derivatives(curve: CurveParams, theta: float):
-    """Position, velocity, acceleration of the curve at parameter theta."""
+def _derivatives(curve: CurveParams, theta):
+    """Position, velocity, acceleration of the curve at parameters theta.
+
+    The only evaluator of the curve.  ``theta`` is an array (or a
+    scalar); each result has shape ``theta.shape + (2,)``.
+    """
     a, b, p = curve.a, curve.b, curve.p
     t1 = _angle(theta)
     tp = _angle(p * theta)
-    c1, s1 = math.cos(t1), math.sin(t1)
-    cp, sp = math.cos(tp), math.sin(tp)
-    pos = np.array([a * c1 + b * cp, a * s1 + b * sp])
-    vel = np.array([-a * s1 - p * b * sp, a * c1 + p * b * cp])
-    acc = np.array([-a * c1 - p * p * b * cp, -a * s1 - p * p * b * sp])
+    c1, s1 = np.cos(t1), np.sin(t1)
+    cp, sp = np.cos(tp), np.sin(tp)
+    pos = np.stack((a * c1 + b * cp, a * s1 + b * sp), axis=-1)
+    vel = np.stack((-a * s1 - p * b * sp, a * c1 + p * b * cp), axis=-1)
+    acc = np.stack((-a * c1 - p * p * b * cp, -a * s1 - p * p * b * sp), axis=-1)
     return pos, vel, acc
 
 
-def _phase(t: float, k: int, N: int) -> float:
+def _phase(t, k, N: int):
     # Same operation order on every path, so the k-shift identity holds
     # bit-for-bit.
     return t + (math.tau * k) / N
+
+
+def bodies_at(config: ChoreoConfig, k, t):
+    """Position, velocity, acceleration of body k at time t, elementwise.
+
+    ``k`` and ``t`` broadcast against each other, and each result has
+    shape ``broadcast(k, t).shape + (2,)``; e.g. ``k = np.arange(N)``
+    and ``t`` of shape (S, 1) give (S, N, 2).  Indices are not checked:
+    every k must lie in [0, N).
+    """
+    return _derivatives(config.curve, _phase(t, k, config.N))
 
 
 def curve_point(curve: CurveParams, t: float) -> np.ndarray:
@@ -168,7 +193,7 @@ def body_state(config: ChoreoConfig, k: int, t: float):
     """
     if not 0 <= k < config.N:
         raise IndexError(f"body index {k} outside [0, {config.N})")
-    pos, vel, _ = _derivatives(config.curve, _phase(t, k, config.N))
+    pos, vel, _ = bodies_at(config, k, t)
     return pos, vel
 
 
@@ -180,23 +205,12 @@ def analytic_accel(config: ChoreoConfig, k: int, t: float) -> np.ndarray:
     """
     if not 0 <= k < config.N:
         raise IndexError(f"body index {k} outside [0, {config.N})")
-    return _derivatives(config.curve, _phase(t, k, config.N))[2]
-
-
-def _full_state(config: ChoreoConfig, t: float):
-    """Stacked positions, velocities and accelerations of all bodies."""
-    n = config.N
-    pos = np.empty((n, 2))
-    vel = np.empty((n, 2))
-    acc = np.empty((n, 2))
-    for k in range(n):
-        pos[k], vel[k], acc[k] = _derivatives(config.curve, _phase(t, k, n))
-    return pos, vel, acc
+    return bodies_at(config, k, t)[2]
 
 
 def state_at(config: ChoreoConfig, t: float) -> SystemState:
     """Analytic state of the whole system at time t."""
-    pos, vel, _ = _full_state(config, t)
+    pos, vel, _ = bodies_at(config, np.arange(config.N), t)
     return SystemState(t, pos, vel)
 
 
@@ -239,12 +253,9 @@ def eom_residual(config: ChoreoConfig, couplings: CouplingVector,
     grid = certification_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     kmat = couplings.pair_matrix()
     row_sum = kmat.sum(axis=1)
-    worst = 0.0
-    for t in grid:
-        pos, _, acc = _full_state(config, float(t))
-        force = kmat @ pos - row_sum[:, None] * pos
-        worst = max(worst, float(np.max(np.linalg.norm(acc - force, axis=1))))
-    return worst
+    pos, _, acc = bodies_at(config, np.arange(config.N), grid[:, None])
+    force = np.matmul(kmat, pos) - row_sum[:, None] * pos
+    return float(np.max(np.linalg.norm(acc - force, axis=-1), initial=0.0))
 
 
 def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
@@ -265,11 +276,7 @@ def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
         times = np.linspace(t0, t1, count)
     else:
         times = t0 + (t1 - t0) * np.arange(count) / count
-    q = np.empty((count, config.N, 2))
-    v = np.empty((count, config.N, 2))
-    for i, t in enumerate(times.tolist()):
-        state = state_at(config, t)
-        q[i], v[i] = state.positions, state.velocities
+    q, v, _ = bodies_at(config, np.arange(config.N), times[:, None])
     return Trajectory.from_arrays(times, q, v, config)
 
 

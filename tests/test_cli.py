@@ -157,15 +157,17 @@ class TestVerifyCommand:
         assert out == ""
         assert "finite" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_amplitude_emits_no_report(self, capsys):
-        # a^2 overflows: the drifts are NaN, which JSON cannot carry.
+        # a^2 overflows: rejected at the input, before numpy computes
+        # (and warns about) infinite or NaN drifts.
         code, out, err = run_cli(capsys, "verify", "--N", "4", "--p", "2",
                                  "--a", "1e200", "--dt", str(math.tau / 512),
                                  "--steps", "512")
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+        assert "a=1e+200" in err
 
     def test_non_finite_tolerance_fails_its_gate(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--N", "4", "--p", "2",
@@ -218,6 +220,16 @@ class TestCollideCommand:
         payload = json.loads(out)
         assert payload["collides"] is False
         assert payload["ratios"]
+
+    @pytest.mark.parametrize("argv, collides", [
+        (("--N", "6", "--p", "2", "--a", "1e6", "--b", "1e6"), True),
+        (("--N", "4", "--p", "2", "--a", "1e-12", "--b", "1e-12"), False),
+    ])
+    def test_verdict_independent_of_amplitude_scale(self, capsys, argv, collides):
+        # Same a/b as the unit-scale hit and miss above.
+        code, out, _ = run_cli(capsys, "collide", *argv)
+        assert code == 0
+        assert json.loads(out)["collides"] is collides
 
 
 class TestConstantsCommand:

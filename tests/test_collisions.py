@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from limachor.collisions import (
     collision_ratios,
@@ -22,6 +22,14 @@ def pair_distance_closed_form(config, k, t):
     value = (a * (1 - w) * cmath.exp(1j * t)
              + b * (1 - wp) * cmath.exp(1j * p * t))
     return abs(value)
+
+
+def relative_gaps(config):
+    """|A_k - B_k| / (|a| + |b|) for every separation k, from the phasor form."""
+    a, b, p, n = config.curve.a, config.curve.b, config.curve.p, config.N
+    return [abs(abs(a * (1 - cmath.exp(1j * math.tau * k / n)))
+                - abs(b * (1 - cmath.exp(1j * math.tau * p * k / n))))
+            / (abs(a) + abs(b)) for k in range(1, n)]
 
 
 class TestCollisionRatios:
@@ -93,6 +101,33 @@ class TestHasCollision:
         assert not report.collides
         assert report.suspects == [1, 3]
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(4, 12), p_mag=st.integers(2, 7), p_sign=st.sampled_from([1, -1]),
+           k_index=st.integers(0, 10), kind=st.sampled_from(["on", "near", "off"]),
+           b=st.floats(0.5, 2.0), sign_a=st.sampled_from([1.0, -1.0]),
+           off_ratio=st.floats(0.1, 10.0), exponent=st.floats(-12.0, 6.0))
+    def test_verdict_invariant_under_scale_and_p_sign(
+            self, n, p_mag, p_sign, k_index, kind, b, sign_a, off_ratio, exponent):
+        p = p_sign * p_mag
+        ks = [k for k in range(1, n) if (p * k) % n]
+        assume(ks)
+        k = ks[k_index % len(ks)]
+        ratio = abs(math.sin(math.pi * p * k / n) / math.sin(math.pi * k / n))
+        if kind == "off":
+            ratio = off_ratio
+        elif kind == "near":
+            ratio += 1e-9 * (ratio + 1.0) / (2.0 * math.sin(math.pi * k / n))
+        config = make_config(n, p, sign_a * ratio * b, b)
+        # Keep clear of the two tolerance edges, where roundoff may decide.
+        assume(not any(5e-11 <= g <= 2e-10 or 5e-9 <= g <= 2e-8
+                       for g in relative_gaps(config)))
+        scale = 10.0 ** exponent
+        base = has_collision(config)
+        scaled = has_collision(make_config(n, p, scale * config.curve.a, scale * b))
+        assert (scaled.collides, scaled.suspects, len(scaled.witnesses)) == \
+            (base.collides, base.suspects, len(base.witnesses))
+        assert has_collision(make_config(n, -p, config.curve.a, b)).collides == base.collides
+
     def test_predicate_agrees_with_oracle(self):
         for p, n in admissible_pairs(5, 10):
             for ab in (0.5, 1.0, math.sqrt(2), 2.0):
@@ -124,6 +159,18 @@ class TestMinPairDistance:
                 expected = abs(a_mag - b_mag)
                 got = min_pair_distance(config, k, 512).min_distance
                 assert got == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_matches_complex_form_at_scale(self, scale):
+        for p, n, a, b in [(2, 5, 1.3, 0.8), (-3, 8, 1.3, 0.8), (2, 6, 1.0, 1.0)]:
+            config = make_config(n, p, a * scale, b * scale)
+            size = (abs(a) + abs(b)) * scale
+            for k, gap in zip(range(1, n), relative_gaps(config)):
+                result = min_pair_distance(config, k)
+                assert result.min_distance == pytest.approx(
+                    pair_distance_closed_form(config, k, result.argmin_t),
+                    abs=1e-12 * size)
+                assert result.min_distance == pytest.approx(gap * size, abs=1e-9 * size)
 
     def test_bad_grid_rejected(self):
         config = make_config(4, 2)

@@ -20,6 +20,42 @@ from limachor.kinematics import (
 from util import admissible_pairs
 
 
+def reference_derivatives(curve, theta):
+    """The scalar curve evaluator, one parameter at a time with math.cos/sin.
+
+    The array evaluator keeps its operation order, so it must match this
+    bit for bit.
+    """
+    a, b, p = curve.a, curve.b, curve.p
+
+    def angle(x):
+        return math.remainder(x, math.tau) if abs(x) > 1e6 else x
+
+    t1, tp = angle(theta), angle(p * theta)
+    c1, s1 = math.cos(t1), math.sin(t1)
+    cp, sp = math.cos(tp), math.sin(tp)
+    pos = np.array([a * c1 + b * cp, a * s1 + b * sp])
+    vel = np.array([-a * s1 - p * b * sp, a * c1 + p * b * cp])
+    acc = np.array([-a * c1 - p * p * b * cp, -a * s1 - p * p * b * sp])
+    return pos, vel, acc
+
+
+def reference_body(config, k, t):
+    return reference_derivatives(config.curve, t + (math.tau * k) / config.N)
+
+
+def reference_bodies(config, t):
+    """(N, 2) positions, velocities, accelerations, one body at a time."""
+    rows = [reference_body(config, k, t) for k in range(config.N)]
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+REFERENCE_CONFIGS = [make_config(4, 2, 1.2, 1.0), make_config(7, -3, 0.3, -2.5),
+                     make_config(12, 9, -1e3, 1e-3), make_config(64, 5, 1.7, 0.2)]
+# Both sides of the 1e6 angle reduction, for t and for p * t.
+REFERENCE_TIMES = [0.0, 0.37, -5.1, 1e6 / 9, 1e6 / 5, 999_999.9, 2e6 * math.pi, -7.7e7]
+
+
 class TestCurveParams:
     def test_rejects_zero_amplitudes(self):
         with pytest.raises(ValueError):
@@ -204,3 +240,34 @@ class TestTrajectoryCsv:
         assert float(x) == traj.samples[0].positions[0, 0]
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0 and last[1] == "3"
+
+
+class TestArrayEvaluatorMatchesScalarReference:
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
+    def test_state_at(self, config):
+        for t in REFERENCE_TIMES:
+            state = state_at(config, t)
+            pos, vel, _ = reference_bodies(config, t)
+            assert np.array_equal(state.positions, pos)
+            assert np.array_equal(state.velocities, vel)
+
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
+    def test_every_sample_trajectory_row(self, config):
+        edge = 1e6 / abs(config.curve.p)
+        for t0, t1 in ((0.0, math.tau), (edge - 2.0, edge + 2.0),
+                       (1e6 - 2.0, 1e6 + 2.0), (-3e7, -3e7 + 3.0)):
+            traj = sample_trajectory(config, t0, t1, 17)
+            for t, q, v in zip(traj.t.tolist(), traj.q, traj.v):
+                pos, vel, _ = reference_bodies(config, t)
+                assert np.array_equal(q, pos)
+                assert np.array_equal(v, vel)
+
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
+    def test_body_state_and_analytic_accel(self, config):
+        for t in REFERENCE_TIMES:
+            for k in (0, 1, config.N - 1):
+                pos, vel, acc = reference_body(config, k, t)
+                got_pos, got_vel = body_state(config, k, t)
+                assert np.array_equal(got_pos, pos)
+                assert np.array_equal(got_vel, vel)
+                assert np.array_equal(analytic_accel(config, k, t), acc)
