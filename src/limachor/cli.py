@@ -190,15 +190,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     relative_drift["E"] = report.drift["E"] / abs(baseline["K"] + baseline["V"])
     inertia_rate = constants.inertia_rate_max(traj)
 
+    # Tolerances are relative, so the verdict does not depend on the
+    # amplitude scale: positions and accelerations scale like |a| + |b|,
+    # and I like its closed form N (a^2 + b^2).
+    scale = abs(args.a) + abs(args.b)
+    inertia_scale = args.N * (args.a * args.a + args.b * args.b)
     gates = [
-        ("residual", residual_max, args.tol_residual),
-        ("rk4", rk4_error, args.tol_rk4),
-        ("spectral", spectral_error, args.tol_spectral),
-        ("drift:g", report.drift["g"], args.tol_drift),
+        ("residual", residual_max, args.tol_residual * scale),
+        ("rk4", rk4_error, args.tol_rk4 * scale),
+        ("spectral", spectral_error, args.tol_spectral * scale),
+        ("drift:g", report.drift["g"], args.tol_drift * scale),
     ]
     gates += [(f"drift:{key}", value, args.tol_drift)
               for key, value in relative_drift.items()]
-    gates.append(("inertia_rate", inertia_rate, args.tol_inertia_rate))
+    gates.append(("inertia_rate", inertia_rate,
+                  args.tol_inertia_rate * inertia_scale))
     # Written so that a NaN value or tolerance fails the gate.
     failures = [name for name, value, limit in gates if not value <= limit]
 

@@ -44,18 +44,16 @@ class InteractionSpec:
 
 def _stiffness_spectrum(N: int, kappas: np.ndarray) -> np.ndarray:
     n = N // 2
-    lam = np.zeros(N)
-    for m in range(n + 1):
-        total = 0.0
-        for ell in range(1, n + 1):
-            # The diametral bond of even N has no mirror partner, so it
-            # enters once instead of twice.
-            weight = 1.0 if (N % 2 == 0 and ell == n) else 2.0
-            total += kappas[ell - 1] * weight * (1.0 - math.cos(math.tau * ell * m / N))
-        lam[m] = total
-        if 0 < m < N - m:
-            lam[N - m] = total
-    return lam
+    m = np.arange(n + 1)
+    half = np.zeros(n + 1)
+    for ell in range(1, n + 1):
+        # The diametral bond of even N has no mirror partner, so it
+        # enters once instead of twice.
+        weight = 1.0 if (N % 2 == 0 and ell == n) else 2.0
+        half += kappas[ell - 1] * weight * (1.0 - np.cos(math.tau * ell * m / N))
+    # Mode m mirrors mode N - m.
+    k = np.arange(N)
+    return half[np.minimum(k, N - k)]
 
 
 def _real_mode_basis(N: int, lam: np.ndarray):

@@ -280,16 +280,39 @@ def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
     return Trajectory.from_arrays(times, q, v, config)
 
 
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every float in ``values``, as an object array of its shape.
+
+    Each distinct value is formatted once: a choreography samples the
+    same curve points many times over.  Bit patterns, not values, decide
+    what is distinct, because -0.0 == 0.0 while their reprs differ.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.frompyfunc(float.__repr__, 1, 1)(bits.view(np.float64))
+    return text[inverse.reshape(values.shape)]
+
+
+def _sample_blocks(traj: Trajectory) -> list[str]:
+    """The CSV rows of each sample, one string per sample."""
+    n_samples, n_bodies = traj.q.shape[:2]
+    coords = np.concatenate((traj.q, traj.v), axis=2).reshape(n_samples, 4 * n_bodies)
+    # A sample's block is its time joined between these pieces, which
+    # carry the body index and the four coordinate slots of each row.
+    pieces = [""] + [f",{k},%s,%s,%s,%s\n" for k in range(n_bodies)]
+    return [repr(t).join(pieces) % tuple(row.tolist())
+            for t, row in zip(traj.t.tolist(), _reprs(coords))]
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV: t,body,x,y,vx,vy.
 
-    One row per (sample, body), sorted by t then body.  Floats use the
-    shortest representation that round-trips exactly.
+    One row per (sample, body), sorted by t then body.  Coordinates are
+    formatted as float64 in the shortest representation that round-trips
+    exactly.  Each distinct value is formatted once, so an analytic
+    choreography, which repeats its curve points, costs one ``repr`` per
+    distinct float rather than one per coordinate.  Memory is O(S*N):
+    every coordinate's text is held until the samples' blocks are
+    formatted, and freed before they are joined.
     """
-    lines = ["t,body,x,y,vx,vy"]
-    # One sample's floats at a time: listing the whole trajectory at once
-    # would hold a Python float object per coordinate.
-    for t, q, v in zip(traj.t.tolist(), traj.q, traj.v):
-        for k, ((x, y), (vx, vy)) in enumerate(zip(q.tolist(), v.tolist())):
-            lines.append(f"{t!r},{k},{x!r},{y!r},{vx!r},{vy!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(["t,body,x,y,vx,vy\n"] + _sample_blocks(traj))

@@ -203,6 +203,33 @@ class TestVerifyCommand:
             verdicts.append((code, json.loads(out)["failures"]))
         assert verdicts[0] == verdicts[1]
 
+    @pytest.mark.parametrize("amplitude", ["1e3", "1e4", "1e-6"])
+    def test_large_and_small_amplitudes_pass(self, capsys, amplitude):
+        # The inertia rate grows like a^2 + b^2: 4.9e-6 at a = b = 1e3.
+        code, out, _ = run_cli(capsys, "verify", "--N", "4", "--p", "2",
+                               "--a", amplitude, "--b", amplitude)
+        assert code == 0
+        assert json.loads(out)["failures"] == []
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pair=st.sampled_from(admissible_pairs(7, 12)),
+           a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0),
+           sign_a=st.sampled_from([1.0, -1.0]), sign_b=st.sampled_from([1.0, -1.0]),
+           exponent=st.floats(-6.0, 6.0))
+    def test_verdict_independent_of_amplitude_scale(self, capsys, pair, a, b,
+                                                    sign_a, sign_b, exponent):
+        p, n = pair
+        a, b = sign_a * a, sign_b * b
+        s = 10.0 ** exponent
+        verdicts = []
+        for amp_a, amp_b in ((a, b), (s * a, s * b)):
+            # --a=VALUE: argparse takes "-5e-05" for a flag, not a number.
+            code, out, _ = run_cli(capsys, "verify", "--N", str(n), "--p", str(p),
+                                   f"--a={amp_a!r}", f"--b={amp_b!r}")
+            verdicts.append((code, json.loads(out)["failures"]))
+        assert verdicts[0] == verdicts[1]
+
 
 class TestCollideCommand:
     def test_known_collision(self, capsys):

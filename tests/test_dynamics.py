@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.dynamics import (
+    _stiffness_spectrum,
     accel,
     build_interaction,
     rk4_integrate,
@@ -52,6 +54,21 @@ def staged_rk4(initial, spec, dt, steps):
         vel = vel + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         states.append(np.concatenate([pos, vel]))
     return np.array(states)
+
+
+def reference_stiffness_spectrum(N, kappas):
+    """The double loop over modes m and bond lengths ell, one cosine at a time."""
+    n = N // 2
+    lam = np.zeros(N)
+    for m in range(n + 1):
+        total = 0.0
+        for ell in range(1, n + 1):
+            weight = 1.0 if (N % 2 == 0 and ell == n) else 2.0
+            total += kappas[ell - 1] * weight * (1.0 - math.cos(math.tau * ell * m / N))
+        lam[m] = total
+        if 0 < m < N - m:
+            lam[N - m] = total
+    return lam
 
 
 def _solved_case():
@@ -117,6 +134,38 @@ class TestBuildInteraction:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             build_interaction(6, CouplingVector(4, [1.0, -0.5]))
+
+    @pytest.mark.parametrize("N, p", [(4, 2), (5, 2), (12, 5), (64, 7), (256, 5)])
+    def test_spectrum_matches_double_loop(self, N, p):
+        rng = np.random.default_rng(N)
+        tail = rng.normal(size=N // 2 - 2)
+        for kappas in (solve_couplings(N, p).kappas,
+                       solve_couplings(N, p, tail).kappas):
+            got = _stiffness_spectrum(N, kappas)
+            want = reference_stiffness_spectrum(N, kappas)
+            # Relative to the terms' magnitudes: modes can cancel to ~0.
+            scale = 4.0 * np.abs(kappas).sum()
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+            assert got[0] == 0.0
+            assert np.array_equal(got[1:], got[1:][::-1])
+
+
+class TestEnginesShareNoData:
+    # Their agreement is the oracle, so neither may read the other's data.
+    def test_rk4_never_reads_the_eigenbasis(self):
+        initial, spec, dt = _solved_case()
+        blind = dataclasses.replace(
+            spec, mode_stiffness=np.full(6, np.nan),
+            mode_basis=np.full((6, 6), np.nan), basis_stiffness=np.full(6, np.nan))
+        assert np.array_equal(rk4_integrate(initial, blind, dt, 64).q,
+                              rk4_integrate(initial, spec, dt, 64).q)
+
+    def test_spectral_never_reads_the_pair_matrix(self):
+        initial, spec, _ = _solved_case()
+        blind = dataclasses.replace(spec, pair_matrix=np.full((6, 6), np.nan),
+                                    pair_row_sum=np.full(6, np.nan))
+        assert np.array_equal(spectral_propagate(initial, blind, 1.3).positions,
+                              spectral_propagate(initial, spec, 1.3).positions)
 
 
 class TestAccel:

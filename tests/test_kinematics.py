@@ -1,12 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from limachor.coefficients import CouplingVector, solve_couplings
+from limachor.dynamics import build_interaction, rk4_integrate
 from limachor.kinematics import (
     ChoreoConfig,
     CurveParams,
+    Trajectory,
     analytic_accel,
     body_state,
     curve_point,
@@ -48,6 +53,43 @@ def reference_bodies(config, t):
     """(N, 2) positions, velocities, accelerations, one body at a time."""
     rows = [reference_body(config, k, t) for k in range(config.N)]
     return tuple(np.array(column) for column in zip(*rows))
+
+
+def reference_csv(traj):
+    """The per-row formatter: one f-string with five reprs per (sample, body).
+
+    The distinct-value formatter must reproduce it byte for byte.
+    """
+    lines = ["t,body,x,y,vx,vy"]
+    for t, q, v in zip(traj.t.tolist(), traj.q, traj.v):
+        for k, ((x, y), (vx, vy)) in enumerate(zip(q.tolist(), v.tolist())):
+            lines.append(f"{t!r},{k},{x!r},{y!r},{vx!r},{vy!r}")
+    return "\n".join(lines) + "\n"
+
+
+def rk4_export(N, steps):
+    """RK4 output over one period, where almost no coordinate repeats."""
+    config = make_config(N, 5, 1.3, -0.7)
+    spec = build_interaction(N, solve_couplings(N, 5))
+    return rk4_integrate(initial_state(config), spec, math.tau / steps, steps)
+
+
+# Signed zeros, the smallest subnormal, both sides of repr's switch to
+# exponent notation (1e16 and 1e-05) and the largest finite magnitudes.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-05,
+               0.0001, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def float_trajectories(draw):
+    shape = (draw(st.integers(0, 6)), draw(st.integers(0, 5)), 2)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    # Drawing from a short list too makes repeats (and -0.0 beside 0.0) common.
+    pool = st.one_of(finite, st.sampled_from(EDGE_FLOATS))
+    t = draw(arrays(np.float64, shape[:1], elements=pool))
+    q = draw(arrays(np.float64, shape, elements=pool))
+    v = draw(arrays(np.float64, shape, elements=pool))
+    return Trajectory.from_arrays(t, q, v)
 
 
 REFERENCE_CONFIGS = [make_config(4, 2, 1.2, 1.0), make_config(7, -3, 0.3, -2.5),
@@ -240,6 +282,49 @@ class TestTrajectoryCsv:
         assert float(x) == traj.samples[0].positions[0, 0]
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0 and last[1] == "3"
+
+
+class TestTrajectoryCsvMatchesReference:
+    def test_full_period_export_with_repeats(self):
+        # 129 samples of one period at N = 256: most coordinates repeat.
+        traj = sample_trajectory(make_config(256, 5, 1.3, -0.7), 0.0,
+                                 math.tau, 129)
+        assert np.unique(np.concatenate((traj.q, traj.v))).size < 4000
+        assert trajectory_csv(traj) == reference_csv(traj)
+
+    def test_rk4_output_without_repeats(self):
+        traj = rk4_export(16, 64)
+        assert trajectory_csv(traj) == reference_csv(traj)
+
+    def test_edge_floats(self):
+        values = np.array(EDGE_FLOATS * 4).reshape(5, 4, 2)
+        traj = Trajectory.from_arrays(np.array([-0.0, 0.0, 5e-324, 1e-05, 1e16]),
+                                      values, values[::-1].copy())
+        csv = trajectory_csv(traj)
+        assert csv == reference_csv(traj)
+        assert "-0.0,0,0.0,-0.0," in csv
+
+    def test_empty_trajectory(self):
+        traj = Trajectory([])
+        assert trajectory_csv(traj) == reference_csv(traj) == "t,body,x,y,vx,vy\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(traj=float_trajectories())
+    def test_any_finite_floats(self, traj):
+        assert trajectory_csv(traj) == reference_csv(traj)
+
+    def test_peak_memory_stays_linear(self):
+        # RK4 at N = 256 over 128 steps: ~132k distinct coordinates, whose
+        # strings are all held until the sample blocks are built.
+        traj = rk4_export(256, 128)
+        tracemalloc.start()
+        try:
+            csv = trajectory_csv(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert csv.count("\n") == 1 + 129 * 256
+        assert peak < 32e6
 
 
 class TestArrayEvaluatorMatchesScalarReference:
