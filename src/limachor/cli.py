@@ -12,8 +12,10 @@ randomized.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -36,6 +38,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads -1.5 as a value but -5e-05 as a
+        # flag; accept the exponent form too.  Subparsers are _Parsers.
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+|\d*\.\d+)(?:[eE][+-]?\d+)?$")
+
     # argparse exits with code 2 on bad flags; that code is reserved for
     # inadmissible inputs here, so route parse errors through exit 1.
     def error(self, message):
@@ -338,9 +347,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import, and shared by every run():
+    # parsing leaves no state on the parser.
+    return build_parser()
+
+
 def run(argv) -> int:
     """Execute one CLI invocation and return its exit code."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:

@@ -271,6 +271,54 @@ class TestConstantsCommand:
         assert all(v <= 1e-10 for v in payload["drift"].values())
 
 
+class TestUnstableRk4Step:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--N", "8", "--p", "3", "--steps", "2000", "--dt", "0.9",
+         "--engine", "rk4"),
+        ("verify", "--N", "8", "--p", "3", "--steps", "2000", "--dt", "0.9"),
+    ])
+    def test_overflow_is_usage_error_naming_dt(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "dt=0.9" in err
+
+
+class TestNegativeExponentValues:
+    def test_exponent_amplitude_is_a_value_not_a_flag(self, capsys):
+        base = ("verify", "--N", "4", "--p", "2",
+                "--dt", str(math.tau / 512), "--steps", "512")
+        code, spaced, _ = run_cli(capsys, *base, "--b", "-5e-05")
+        assert code == 0
+        _, joined, _ = run_cli(capsys, *base, "--b=-5e-05")
+        assert spaced == joined
+        assert json.loads(spaced)["b"] == -5e-05
+
+    def test_exponent_tail_parses(self, capsys):
+        code, out, _ = run_cli(capsys, "coeffs", "--N", "6", "--p", "2",
+                               "--tail", "-1e-3")
+        assert code == 0
+        assert json.loads(out)["kappa"]["3"] == -1e-3
+
+
+class TestParserReuse:
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_runs_do_not_leak_into_each_other(self, capsys):
+        verify = ("verify", "--N", "5", "--p", "2", "--b", "-0.5",
+                  "--dt", str(math.tau / 512), "--steps", "512")
+        collide = ("collide", "--N", "6", "--p", "2", "--a", "1", "--b", "1")
+        first = run_cli(capsys, *verify)
+        collided = run_cli(capsys, *collide)
+        assert run_cli(capsys, *verify) == first
+        assert run_cli(capsys, "verify", "--N", "5", "--b")[0] == 1
+        assert run_cli(capsys, *verify) == first
+        assert run_cli(capsys, *collide) == collided
+        assert first[0] == 0 and collided[0] == 0
+
+
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "admissible", "--p", "2")

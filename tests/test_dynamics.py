@@ -254,6 +254,35 @@ class TestRk4:
         scale = np.max(np.abs(reference), axis=(1, 2))
         assert np.all(gap <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("N, p", [(4, 2), (7, 2), (12, 5), (64, 7)])
+    @pytest.mark.parametrize("steps", [1, 2, 63, 64, 65, 128, 129, 1000])
+    def test_block_boundaries_match_staged_reference(self, steps, N, p,
+                                                     perturbed):
+        # Samples past the first 64 come from 64-sample blocks, so runs
+        # that end inside, on and just past a block edge all count.
+        initial = initial_state(make_config(N, p, 1.2, 0.7))
+        if perturbed:
+            rng = np.random.default_rng(N)
+            initial = SystemState(
+                0.0, initial.positions + rng.normal(size=(N, 2), scale=0.1),
+                initial.velocities + rng.normal(size=(N, 2), scale=0.1))
+        spec, dt = solved_spec(N, p), math.tau / 8192
+        reference = staged_rk4(initial, spec, dt, steps)
+        traj = rk4_integrate(initial, spec, dt, steps)
+        assert traj.q.shape == traj.v.shape == (steps + 1, N, 2)
+        assert np.array_equal(traj.t, initial.t + np.arange(steps + 1) * dt)
+        got = np.concatenate([traj.q, traj.v], axis=1)
+        gap = np.max(np.abs(got - reference), axis=(1, 2))
+        scale = np.max(np.abs(reference), axis=(1, 2))
+        assert np.all(gap <= 1e-12 * scale)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unstable_step_raises_instead_of_returning_nan(self):
+        initial = initial_state(make_config(8, 3, 1.2, 1.0))
+        with pytest.raises(ValueError, match="dt=0.9"):
+            rk4_integrate(initial, solved_spec(8, 3), 0.9, 2000)
+
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_step_rejected(self, dt):
         spec = build_interaction(4, CouplingVector(4, [0.0, 0.0]))
