@@ -87,14 +87,15 @@ def collision_ratios(N: int, p: int) -> list[CollisionRatio]:
     For each separation k the dangerous quotient is
     +- sin(pi p k / N) / sin(pi k / N); exact zeros are excluded (they
     would require a = 0) and values repeated across separations are
-    deduplicated, keeping the smallest k.  At most 2(N - 1) values.
+    deduplicated, keeping the smallest k.  Separation N - k mirrors k
+    exactly, so only k <= N/2 is evaluated.  At most 2(N - 1) values.
     """
     if N < 4:
         raise ValueError(f"need N >= 4, got {N}")
     if p in (-1, 0, 1):
         raise ValueError(f"p={p} does not define a limacon; need |p| >= 2")
     found: list[CollisionRatio] = []
-    for k in range(1, N):
+    for k in range(1, N // 2 + 1):
         if (p * k) % N == 0:
             continue  # sine vanishes exactly: no finite a/b
         magnitude = abs(math.sin(math.pi * p * k / N) / math.sin(math.pi * k / N))

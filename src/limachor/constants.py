@@ -261,6 +261,7 @@ def partial_sums(config: ChoreoConfig, m: int, n: int, ell: int,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def drift_report(traj: Trajectory, couplings: CouplingVector) -> ConservedReport:
     """Largest excursion of each conserved quantity along a trajectory.
 
@@ -269,7 +270,7 @@ def drift_report(traj: Trajectory, couplings: CouplingVector) -> ConservedReport
     alike.  Total energy drift is reported under key "E".
 
     Raises:
-        ValueError: If the trajectory is empty or sizes disagree.
+        ValueError: If the trajectory is empty, sizes disagree or a quantity overflows.
     """
     if traj.t.size == 0:
         raise ValueError("cannot measure drift of an empty trajectory")
@@ -290,18 +291,30 @@ def drift_report(traj: Trajectory, couplings: CouplingVector) -> ConservedReport
         "V": float(np.max(np.abs(potential - potential[0]))),
         "E": float(np.max(np.abs(energy - energy[0]))),
     }
+    # A drift spans every sample, so it is finite iff its quantity is.
+    if bad := [key for key, value in drift.items() if not math.isfinite(value)]:
+        raise ValueError(f"conserved quantities {', '.join(bad)} overflow "
+                         f"float64 on t in [{traj.t[0]}, {traj.t[-1]}]")
     return ConservedReport(g[0], float(c[0]), float(inertia[0]),
                            float(kinetic[0]), float(potential[0]), drift)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inertia_rate_max(traj: Trajectory) -> float:
     """Largest centered-difference time derivative of the moment of inertia.
 
     A solved choreography keeps this at integrator-noise level despite
     not being a relative equilibrium.
+
+    Raises:
+        ValueError: With fewer than 3 samples, or if a rate overflows.
     """
     if traj.t.size < 3:
         raise ValueError("need at least 3 samples for a centered difference")
     inertia = np.einsum("skc,skc->s", traj.q, traj.q)
     rates = (inertia[2:] - inertia[:-2]) / (traj.t[2:] - traj.t[:-2])
-    return float(np.max(np.abs(rates)))
+    rate_max = float(np.max(np.abs(rates)))
+    if not math.isfinite(rate_max):
+        raise ValueError(f"moment of inertia rate overflows float64 on t in "
+                         f"[{traj.t[0]}, {traj.t[-1]}]")
+    return rate_max

@@ -177,9 +177,15 @@ def rk4_integrate(initial: SystemState, spec: InteractionSpec,
             f"outgrows float64")
     t = initial.t + np.arange(steps + 1) * dt
     state = y.transpose(0, 2, 1)
-    return Trajectory.from_arrays(t, state[:, :n], state[:, n:])
+    return Trajectory(t, state[:, :n], state[:, n:])
 
 
+def _overflow(t: float, lam: np.ndarray) -> ValueError:
+    return ValueError(f"spectral propagation to t={t} overflows float64: "
+                      f"mode stiffness {lam.min()} is unstable")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def spectral_propagate(initial: SystemState, spec: InteractionSpec,
                        t: float) -> SystemState:
     """Exact propagation by time t through the circulant eigenbasis.
@@ -191,7 +197,7 @@ def spectral_propagate(initial: SystemState, spec: InteractionSpec,
     roundoff.
 
     Raises:
-        ValueError: On a dimension mismatch.
+        ValueError: On a dimension mismatch, or if an unstable mode overflows by t.
     """
     if initial.n_bodies != spec.N:
         raise ValueError(
@@ -215,11 +221,17 @@ def spectral_propagate(initial: SystemState, spec: InteractionSpec,
             sin_f[i] = math.sin(w * t) / w
         elif lm < 0.0:
             mu = math.sqrt(-lm)
-            cos_f[i] = math.cosh(mu * t)
-            sin_f[i] = math.sinh(mu * t) / mu
+            try:
+                cos_f[i] = math.cosh(mu * t)
+                sin_f[i] = math.sinh(mu * t) / mu
+            except OverflowError:
+                raise _overflow(t, lam) from None
         else:
             cos_f[i] = 1.0
             sin_f[i] = t
     new_aq = cos_f[:, None] * aq + sin_f[:, None] * av
     new_av = (-lam * sin_f)[:, None] * aq + cos_f[:, None] * av
-    return SystemState(initial.t + t, basis @ new_aq, basis @ new_av)
+    positions, velocities = basis @ new_aq, basis @ new_av
+    if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
+        raise _overflow(t, lam)
+    return SystemState(initial.t + t, positions, velocities)

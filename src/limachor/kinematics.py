@@ -81,61 +81,26 @@ class SystemState:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States at strictly increasing times, stored as arrays.
 
     ``t`` has shape (S,); ``q`` and ``v`` have shape (S, N, 2) and hold
-    every body's position and velocity at every sample.  ``config`` is
-    the analytic configuration the samples came from, or None for
-    integrator output that is no longer tied to the curve.
-
-    ``Trajectory(states, config)`` stacks a list of SystemState;
-    producers that already hold arrays use ``Trajectory.from_arrays``.
+    every body's position and velocity at every sample.  Other shapes
+    raise ValueError.
     """
 
     t: np.ndarray
     q: np.ndarray
     v: np.ndarray
-    config: ChoreoConfig | None = None
 
-    def __init__(self, samples: list[SystemState],
-                 config: ChoreoConfig | None = None):
-        shape = (len(samples), samples[0].n_bodies if samples else 0, 2)
-        self._fill(np.array([s.t for s in samples], dtype=float),
-                   np.array([s.positions for s in samples]).reshape(shape),
-                   np.array([s.velocities for s in samples]).reshape(shape),
-                   config)
-
-    @classmethod
-    def from_arrays(cls, t: np.ndarray, q: np.ndarray, v: np.ndarray,
-                    config: ChoreoConfig | None = None) -> Trajectory:
-        """Wrap sample arrays without copying.
-
-        Raises:
-            ValueError: If the shapes are not (S,), (S, N, 2), (S, N, 2).
-        """
-        traj = cls.__new__(cls)
-        traj._fill(t, q, v, config)
-        return traj
-
-    def _fill(self, t, q, v, config):
+    def __post_init__(self):
+        t, q, v = self.t, self.q, self.v
         if (t.ndim != 1 or q.ndim != 3 or q.shape[0] != t.size or q.shape[2] != 2
                 or v.shape != q.shape):
             raise ValueError(
                 f"trajectory arrays must be (S,), (S, N, 2), (S, N, 2); got "
                 f"{t.shape}, {q.shape}, {v.shape}")
-        for name, value in (("t", t), ("q", q), ("v", v), ("config", config)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def samples(self) -> list[SystemState]:
-        """One SystemState per sample, viewing the arrays."""
-        return [SystemState(t, q, v)
-                for t, q, v in zip(self.t.tolist(), self.q, self.v)]
-
-    def times(self) -> np.ndarray:
-        return self.t
 
 
 def _angle(theta: np.ndarray) -> np.ndarray:
@@ -277,7 +242,7 @@ def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
     else:
         times = t0 + (t1 - t0) * np.arange(count) / count
     q, v, _ = bodies_at(config, np.arange(config.N), times[:, None])
-    return Trajectory.from_arrays(times, q, v, config)
+    return Trajectory(times, q, v)
 
 
 def _reprs(values: np.ndarray) -> np.ndarray:

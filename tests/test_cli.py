@@ -285,6 +285,37 @@ class TestUnstableRk4Step:
         assert "dt=0.9" in err
 
 
+class TestGridBelowOne:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--N", "4", "--p", "2", "--grid", "0"),
+        ("verify", "--N", "4", "--p", "2", "--grid", "-3"),
+        ("constants", "--N", "4", "--p", "2", "--grid", "0"),
+    ])
+    def test_is_usage_error_naming_grid(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "argument --grid:" in err
+
+
+class TestUnstableFreeTail:
+    # Mode 3 of N = 6, p = 2 with kappa_3 = -50 has stiffness -294.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("steps, named", [
+        ("8300", "t=41.5"),   # the spectral engine's cosh overflows
+        ("8000", "t in [0.0, 40.0]"),   # RK4 stays finite, its squares do not
+    ])
+    def test_overflow_is_usage_error_naming_input(self, capsys, steps, named):
+        code, out, err = run_cli(capsys, "verify", "--N", "6", "--p", "2",
+                                 "--tail", "-50", "--dt", "0.005",
+                                 "--steps", steps)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert named in err
+
+
 class TestNegativeExponentValues:
     def test_exponent_amplitude_is_a_value_not_a_flag(self, capsys):
         base = ("verify", "--N", "4", "--p", "2",

@@ -53,6 +53,27 @@ class TestCollisionRatios:
                 for p in (mag, -mag):
                     assert len(collision_ratios(n, p)) <= 2 * (n - 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 599), mag=st.integers(2, 12), sign=st.sampled_from([1, -1]))
+    def test_bound_mirror_and_distinct_entries(self, n, mag, sign):
+        ratios = collision_ratios(n, sign * mag)
+        assert len(ratios) <= 2 * (n - 1)
+        assert all(r.k <= n / 2 for r in ratios)
+        values = sorted(r.ratio for r in ratios)
+        for low, high in zip(values, values[1:]):
+            assert high - low > 1e-9 * max(abs(low), abs(high))
+
+    def test_mirror_duplicates_dropped_at_370_11(self):
+        # 362 distinct values; separations k and N - k used to add two more.
+        assert len(collision_ratios(370, 11)) == 362
+
+    def test_mirror_of_first_separation_dropped_at_397_11(self):
+        # k = 396 gives |ratio| 10.986228537980477, 1.3e-12 away from k = 1.
+        ratios = collision_ratios(397, 11)
+        near = [(r.k, r.ratio) for r in ratios
+                if abs(abs(r.ratio) - 10.986228537979132) <= 1e-9]
+        assert near == [(1, -10.986228537979132), (1, 10.986228537979132)]
+
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             collision_ratios(3, 2)

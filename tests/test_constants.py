@@ -83,7 +83,10 @@ class TestMeasure:
                      for s in states]
         for state, (value, scale) in zip(states, reference):
             assert abs(measure(state, couplings).potential - value) <= 1e-12 * scale
-        report = drift_report(Trajectory(states), couplings)
+        traj = Trajectory(np.array([s.t for s in states]),
+                          np.stack([s.positions for s in states]),
+                          np.stack([s.velocities for s in states]))
+        report = drift_report(traj, couplings)
         values = [value for value, _ in reference]
         want = max(abs(v - values[0]) for v in values)
         assert abs(report.drift["V"] - want) <= 2e-12 * max(s for _, s in reference)
@@ -271,7 +274,9 @@ class TestDriftReport:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            drift_report(Trajectory([]), CouplingVector(4, [1.0, -0.5]))
+            drift_report(Trajectory(np.zeros(0), np.zeros((0, 0, 2)),
+                                    np.zeros((0, 0, 2))),
+                         CouplingVector(4, [1.0, -0.5]))
 
 
 class TestInertiaRate:
@@ -287,3 +292,22 @@ class TestInertiaRate:
         traj = sample_trajectory(config, 0.0, 1.0, 2)
         with pytest.raises(ValueError):
             inertia_rate_max(traj)
+
+
+class TestOverflowingTrajectory:
+    @staticmethod
+    def huge_trajectory():
+        # Finite coordinates whose squares are not.
+        t = np.arange(4) * 0.5
+        q = np.full((4, 4, 2), 1e200) * np.arange(1, 5)[:, None, None]
+        return Trajectory(t, q, q.copy())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_drift_report_names_quantities_and_times(self):
+        with pytest.raises(ValueError, match=r"I, K, V, E .*t in \[0\.0, 1\.5\]"):
+            drift_report(self.huge_trajectory(), CouplingVector(4, [1.0, -0.5]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inertia_rate_names_times(self):
+        with pytest.raises(ValueError, match=r"inertia rate overflows .*t in \[0\.0, 1\.5\]"):
+            inertia_rate_max(self.huge_trajectory())

@@ -208,18 +208,16 @@ class TestRk4:
         rng = np.random.default_rng(7)
         state = SystemState(0.0, rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
         traj = rk4_integrate(state, spec, 0.01, 100)
-        final = traj.samples[-1]
-        expected = state.positions + final.t * state.velocities
-        assert final.positions == pytest.approx(expected, abs=1e-12)
-        assert final.velocities == pytest.approx(state.velocities, abs=1e-14)
+        expected = state.positions + float(traj.t[-1]) * state.velocities
+        assert traj.q[-1] == pytest.approx(expected, abs=1e-12)
+        assert traj.v[-1] == pytest.approx(state.velocities, abs=1e-14)
 
     def test_tracks_analytic_choreography(self):
         config = make_config(4, 2, 1.2, 1.0)
         traj = rk4_integrate(initial_state(config), solved_spec(4, 2),
                              math.tau / 4096, 4096)
-        final = traj.samples[-1]
-        reference = state_at(config, final.t)
-        err = np.max(np.linalg.norm(final.positions - reference.positions, axis=1))
+        reference = state_at(config, float(traj.t[-1]))
+        err = np.max(np.linalg.norm(traj.q[-1] - reference.positions, axis=1))
         assert err <= 1e-8
 
     def test_fourth_order_convergence(self):
@@ -229,9 +227,9 @@ class TestRk4:
 
         def final_error(steps):
             traj = rk4_integrate(init, spec, math.tau / steps, steps)
-            ref = state_at(config, traj.samples[-1].t)
+            ref = state_at(config, float(traj.t[-1]))
             return np.max(np.linalg.norm(
-                traj.samples[-1].positions - ref.positions, axis=1))
+                traj.q[-1] - ref.positions, axis=1))
 
         ratio = final_error(256) / final_error(512)
         assert 12.0 <= ratio <= 20.0
@@ -240,7 +238,7 @@ class TestRk4:
         spec = build_interaction(4, CouplingVector(4, [0.0, 0.0]))
         state = SystemState(0.0, np.zeros((4, 2)), np.zeros((4, 2)))
         traj = rk4_integrate(state, spec, 0.25, 4)
-        assert traj.times() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert traj.t == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
     @pytest.mark.parametrize("case", [_solved_case, _perturbed_case,
                                       _free_case, _hyperbolic_case])
@@ -321,9 +319,9 @@ class TestSpectralPropagate:
         spec = solved_spec(4, 2)
         init = initial_state(config)
         traj = rk4_integrate(init, spec, math.tau / 8192, 8192)
-        spectral = spectral_propagate(init, spec, traj.samples[-1].t)
+        spectral = spectral_propagate(init, spec, float(traj.t[-1]))
         gap = np.max(np.linalg.norm(
-            spectral.positions - traj.samples[-1].positions, axis=1))
+            spectral.positions - traj.q[-1], axis=1))
         assert gap <= 1e-7
 
     def test_hyperbolic_branch_against_rk4(self):
@@ -336,8 +334,7 @@ class TestSpectralPropagate:
                            rng.normal(size=(4, 2)))
         traj = rk4_integrate(init, spec, 0.5 / 4096, 4096)
         out = spectral_propagate(init, spec, 0.5)
-        assert out.positions == pytest.approx(
-            traj.samples[-1].positions, abs=1e-9)
+        assert out.positions == pytest.approx(traj.q[-1], abs=1e-9)
 
     def test_perturbed_state_agreement_between_engines(self):
         # Perturbations leave the solution manifold; both engines must
@@ -350,9 +347,8 @@ class TestSpectralPropagate:
                            base.positions + rng.normal(size=(6, 2), scale=0.1),
                            base.velocities + rng.normal(size=(6, 2), scale=0.1))
         traj = rk4_integrate(init, spec, math.tau / 8192, 2048)
-        out = spectral_propagate(init, spec, traj.samples[-1].t)
-        assert out.positions == pytest.approx(
-            traj.samples[-1].positions, abs=1e-8)
+        out = spectral_propagate(init, spec, float(traj.t[-1]))
+        assert out.positions == pytest.approx(traj.q[-1], abs=1e-8)
 
     def test_engine_agreement_across_small_sweep(self):
         for p, n in admissible_pairs(4, 8):
@@ -363,3 +359,17 @@ class TestSpectralPropagate:
                 out = spectral_propagate(init, spec, t)
                 ref = state_at(config, t)
                 assert np.max(np.abs(out.positions - ref.positions)) <= 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t, amplitude", [
+        (400.0, 1.0),     # cosh(2 t) itself overflows
+        (300.0, 1e100),   # cosh(2 t) is finite, its product with the state is not
+    ])
+    def test_overflow_names_time_and_stiffness(self, t, amplitude):
+        # Repulsive nearest-neighbour coupling: the alternating mode has
+        # stiffness -4, so it grows like cosh(2 t).
+        spec = build_interaction(4, CouplingVector(4, [-1.0, 0.0]))
+        alternating = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        init = SystemState(0.0, amplitude * alternating, np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=rf"t={t}\b.*stiffness -4\.0"):
+            spectral_propagate(init, spec, t)

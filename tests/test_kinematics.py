@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -89,7 +90,7 @@ def float_trajectories(draw):
     t = draw(arrays(np.float64, shape[:1], elements=pool))
     q = draw(arrays(np.float64, shape, elements=pool))
     v = draw(arrays(np.float64, shape, elements=pool))
-    return Trajectory.from_arrays(t, q, v)
+    return Trajectory(t, q, v)
 
 
 REFERENCE_CONFIGS = [make_config(4, 2, 1.2, 1.0), make_config(7, -3, 0.3, -2.5),
@@ -245,12 +246,12 @@ class TestEomResidual:
 class TestSampleTrajectory:
     def test_endpoints_and_spacing(self):
         traj = sample_trajectory(make_config(4, 2), 0.0, math.tau, 3)
-        assert traj.times() == pytest.approx([0.0, math.pi, math.tau])
+        assert traj.t == pytest.approx([0.0, math.pi, math.tau])
 
     def test_open_right_grid(self):
         traj = sample_trajectory(make_config(4, 2), 0.0, math.tau, 4,
                                  include_end=False)
-        assert traj.times() == pytest.approx(
+        assert traj.t == pytest.approx(
             [0.0, math.tau / 4, math.tau / 2, 3 * math.tau / 4])
 
     def test_periodicity(self):
@@ -269,6 +270,25 @@ class TestSampleTrajectory:
             sample_trajectory(config, 0.0, 1.0, 1)
 
 
+class TestTrajectoryShapes:
+    @pytest.mark.parametrize("t, q, v", [
+        (np.zeros((3, 1)), np.zeros((3, 4, 2)), np.zeros((3, 4, 2))),  # t 2-D
+        (np.zeros(3), np.zeros((3, 8)), np.zeros((3, 8))),             # q 2-D
+        (np.zeros(3), np.zeros((3, 4, 3)), np.zeros((3, 4, 3))),       # not planar
+        (np.zeros(2), np.zeros((3, 4, 2)), np.zeros((3, 4, 2))),       # len(t) != S
+        (np.zeros(3), np.zeros((3, 4, 2)), np.zeros((3, 5, 2))),       # v != q
+    ], ids=["t-2d", "q-2d", "q-not-planar", "t-length", "v-shape"])
+    def test_malformed_arrays_rejected(self, t, q, v):
+        with pytest.raises(ValueError, match=r"must be \(S,\), \(S, N, 2\)"):
+            Trajectory(t, q, v)
+
+    def test_fields_are_the_arrays(self):
+        assert [f.name for f in dataclasses.fields(Trajectory)] == ["t", "q", "v"]
+        t, q, v = np.zeros(3), np.zeros((3, 4, 2)), np.ones((3, 4, 2))
+        traj = Trajectory(t, q, v)
+        assert traj.t is t and traj.q is q and traj.v is v
+
+
 class TestTrajectoryCsv:
     def test_layout_and_roundtrip(self):
         config = make_config(4, 2, 1.2, 1.0)
@@ -279,7 +299,7 @@ class TestTrajectoryCsv:
         # Rows ordered by t then body, floats round-trip exactly.
         t0, body, x, *_ = lines[1].split(",")
         assert float(t0) == 0.0 and body == "0"
-        assert float(x) == traj.samples[0].positions[0, 0]
+        assert float(x) == traj.q[0, 0, 0]
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0 and last[1] == "3"
 
@@ -298,14 +318,14 @@ class TestTrajectoryCsvMatchesReference:
 
     def test_edge_floats(self):
         values = np.array(EDGE_FLOATS * 4).reshape(5, 4, 2)
-        traj = Trajectory.from_arrays(np.array([-0.0, 0.0, 5e-324, 1e-05, 1e16]),
-                                      values, values[::-1].copy())
+        traj = Trajectory(np.array([-0.0, 0.0, 5e-324, 1e-05, 1e16]),
+                          values, values[::-1].copy())
         csv = trajectory_csv(traj)
         assert csv == reference_csv(traj)
         assert "-0.0,0,0.0,-0.0," in csv
 
     def test_empty_trajectory(self):
-        traj = Trajectory([])
+        traj = Trajectory(np.zeros(0), np.zeros((0, 0, 2)), np.zeros((0, 0, 2)))
         assert trajectory_csv(traj) == reference_csv(traj) == "t,body,x,y,vx,vy\n"
 
     @settings(max_examples=200, deadline=None)
