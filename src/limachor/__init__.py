@@ -3,11 +3,13 @@
 Decides which (p, N) pairs admit a choreography, solves for the force
 coefficients, evaluates the analytic motion, verifies it against
 independent dynamics engines and conserved-quantity closed forms, and
-analyzes collisions.
+analyzes collisions.  Entry points given an inadmissible (p, N) raise
+InadmissibleError, a ValueError that carries the decision.
 """
 
 from limachor.admissibility import (
     AdmissibilityDecision,
+    InadmissibleError,
     admissible_span,
     divisor_blockset,
     is_admissible,
@@ -67,5 +69,6 @@ from limachor.collisions import (
     has_collision,
     min_pair_distance,
 )
+from limachor.verification import verify
 
 __version__ = "0.1.0"

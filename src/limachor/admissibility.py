@@ -50,6 +50,18 @@ class AdmissibilityDecision:
         return out
 
 
+class InadmissibleError(ValueError):
+    """A (p, N) pair its criterion rejects; ``decision`` says why."""
+
+    def __init__(self, decision: AdmissibilityDecision):
+        pattern = ("" if decision.restricted_case is None
+                   else " under the alternating pattern")
+        super().__init__(
+            f"(p={decision.p}, N={decision.N}) is not admissible{pattern}: "
+            f"{', '.join(decision.violated_conditions)}")
+        self.decision = decision
+
+
 def _check_n(N: int) -> None:
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")

@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from limachor import admissibility, collisions, constants, dynamics, kinematics
-from limachor import coefficients
+from limachor import admissibility, coefficients, collisions, constants, dynamics
+from limachor import kinematics, verification
 
 DEFAULT_DT = math.tau / 8192
 DEFAULT_STEPS = 8192
@@ -64,19 +64,6 @@ def _dumps(payload) -> str:
                       allow_nan=False) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _reject(decision: admissibility.AdmissibilityDecision) -> int:
-    sys.stderr.write(_dumps(decision.to_json_dict()))
-    return EXIT_INADMISSIBLE
-
-
 def _config(args: argparse.Namespace) -> kinematics.ChoreoConfig:
     return kinematics.make_config(args.N, args.p, args.a, args.b)
 
@@ -86,190 +73,112 @@ def _solve(args: argparse.Namespace) -> coefficients.CouplingVector:
     return coefficients.solve_couplings(args.N, args.p, free)
 
 
-def _cmd_admissible(args: argparse.Namespace) -> int:
+# Each handler returns its payload (a JSON-ready dict, or CSV text) and
+# its exit code.  Solving comes before building the configuration, so an
+# inadmissible pair is reported ahead of a bad amplitude.
+
+
+def _cmd_admissible(args: argparse.Namespace):
     if args.restricted:
         decision = admissibility.is_admissible_restricted(args.p, args.N)
     else:
         decision = admissibility.is_admissible(args.p, args.N)
-    _emit(_dumps(decision.to_json_dict()), args.out)
-    if not decision.admissible:
-        sys.stderr.write(_dumps(decision.to_json_dict()))
-        return EXIT_INADMISSIBLE
-    return EXIT_OK
+    return decision.to_json_dict(), EXIT_OK if decision.admissible else EXIT_INADMISSIBLE
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace):
     if abs(args.p) < 2:
-        return _reject(admissibility.is_admissible(args.p, 4))
-    payload = {
+        raise admissibility.InadmissibleError(admissibility.is_admissible(args.p, 4))
+    return {
         "p": args.p,
         "max_N": args.max_n,
         "blockset": admissibility.divisor_blockset(args.p),
         "admissible_N": admissibility.admissible_span(args.p, args.max_n),
-    }
-    _emit(_dumps(payload), args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> int:
-    decision = admissibility.is_admissible(args.p, args.N)
-    if not decision.admissible:
-        return _reject(decision)
+def _cmd_coeffs(args: argparse.Namespace):
     couplings = _solve(args)
-    payload = {
+    return {
         "N": args.N,
         "p": args.p,
         "kappa": couplings.as_dict(),
         "residual": list(coefficients.residual(args.N, args.p, couplings)),
         "det_Mt": coefficients.leading_det(args.N, args.p),
-    }
-    _emit(_dumps(payload), args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_restricted(args: argparse.Namespace) -> int:
-    decision = admissibility.is_admissible_restricted(args.p, args.N)
-    if not decision.admissible:
-        return _reject(decision)
+def _cmd_restricted(args: argparse.Namespace):
     pair = coefficients.solve_restricted(args.N, args.p)
     expanded = pair.expand(args.N)
-    payload = {
+    return {
         "N": args.N,
         "p": args.p,
         "kappa_o": pair.kappa_o,
         "kappa_e": pair.kappa_e,
         "kappa": expanded.as_dict(),
         "residual": list(coefficients.residual(args.N, args.p, expanded)),
-    }
-    _emit(_dumps(payload), args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    decision = admissibility.is_admissible(args.p, args.N)
-    if not decision.admissible:
-        return _reject(decision)
-    config = _config(args)
+def _cmd_simulate(args: argparse.Namespace):
     couplings = _solve(args)
-    horizon = args.dt * args.steps
+    config = _config(args)
     if args.engine == "rk4":
         spec = dynamics.build_interaction(args.N, couplings)
         traj = dynamics.rk4_integrate(kinematics.initial_state(config),
                                       spec, args.dt, args.steps)
     else:
-        traj = kinematics.sample_trajectory(config, 0.0, horizon, args.steps + 1)
-    _emit(kinematics.trajectory_csv(traj), args.out)
-    return EXIT_OK
+        traj = kinematics.sample_trajectory(config, 0.0, args.dt * args.steps,
+                                            args.steps + 1)
+    return kinematics.trajectory_csv(traj), EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    decision = admissibility.is_admissible(args.p, args.N)
-    if not decision.admissible:
-        return _reject(decision)
-    config = _config(args)
+def _cmd_verify(args: argparse.Namespace):
     couplings = _solve(args)
-
-    residual_max = kinematics.eom_residual(
-        config, couplings, kinematics.certification_grid(args.grid))
-
-    spec = dynamics.build_interaction(args.N, couplings)
-    init = kinematics.initial_state(config)
-    traj = dynamics.rk4_integrate(init, spec, args.dt, args.steps)
-    probes = np.array([0.3, 1.7, 5.9, float(traj.t[-1])])
-    reference, _, _ = kinematics.bodies_at(config, np.arange(args.N), probes[:, None])
-    stacked = np.stack([dynamics.spectral_propagate(init, spec, t).positions
-                        for t in probes.tolist()])
-    # An error whose square overflows is inf and fails its gate.
-    with np.errstate(over="ignore"):
-        rk4_error = float(np.max(np.linalg.norm(traj.q[-1] - reference[-1], axis=-1)))
-        spectral_error = float(np.max(np.linalg.norm(stacked - reference, axis=-1)))
-
-    report = constants.drift_report(traj, couplings)
-    baseline = report.to_json_dict()
-    # The closed form of c, N (a^2 + p b^2), vanishes on a^2 = -p b^2,
-    # so c drift is scaled by N (a^2 + |p| b^2), which bounds |c| and
-    # never vanishes.
-    c_scale = args.N * (args.a * args.a + abs(args.p) * args.b * args.b)
-    relative_drift = {"c": report.drift["c"] / c_scale}
-    for key in ("I", "K", "V"):
-        relative_drift[key] = report.drift[key] / abs(baseline[key])
-    relative_drift["E"] = report.drift["E"] / abs(baseline["K"] + baseline["V"])
-    inertia_rate = constants.inertia_rate_max(traj)
-
-    # Tolerances are relative, so the verdict does not depend on the
-    # amplitude scale: positions and accelerations scale like |a| + |b|,
-    # and I like its closed form N (a^2 + b^2).
-    scale = abs(args.a) + abs(args.b)
-    inertia_scale = args.N * (args.a * args.a + args.b * args.b)
-    gates = [
-        ("residual", residual_max, args.tol_residual * scale),
-        ("rk4", rk4_error, args.tol_rk4 * scale),
-        ("spectral", spectral_error, args.tol_spectral * scale),
-        ("drift:g", report.drift["g"], args.tol_drift * scale),
-    ]
-    gates += [(f"drift:{key}", value, args.tol_drift)
-              for key, value in relative_drift.items()]
-    gates.append(("inertia_rate", inertia_rate,
-                  args.tol_inertia_rate * inertia_scale))
-    # Written so that a NaN value or tolerance fails the gate.
-    failures = [name for name, value, limit in gates if not value <= limit]
-
-    payload = {
-        "N": args.N,
-        "p": args.p,
-        "a": args.a,
-        "b": args.b,
-        "kappa": couplings.as_dict(),
-        "residual_max": residual_max,
-        "rk4_final_error": rk4_error,
-        "spectral_error": spectral_error,
-        "drift": report.drift,
-        "relative_drift": relative_drift,
-        "inertia_rate_max": inertia_rate,
-        "ok": not failures,
-        "failures": failures,
-    }
-    _emit(_dumps(payload), args.out)
-    return EXIT_OK if not failures else EXIT_VERIFY_FAILED
+    payload = verification.verify(
+        _config(args), couplings, args.dt, args.steps, args.grid,
+        residual=args.tol_residual, rk4=args.tol_rk4, spectral=args.tol_spectral,
+        drift=args.tol_drift, inertia_rate=args.tol_inertia_rate)
+    return payload, EXIT_OK if payload["ok"] else EXIT_VERIFY_FAILED
 
 
-def _cmd_collide(args: argparse.Namespace) -> int:
+def _cmd_collide(args: argparse.Namespace):
     config = _config(args)
     report = collisions.has_collision(config)
     ratios = collisions.collision_ratios(args.N, args.p)
-    payload = {
+    return {
         "collides": report.collides,
         "ratios": [{"k": r.k, "ratio": r.ratio} for r in ratios],
         "witnesses": [w.to_json_dict() for w in report.witnesses],
         "suspects": report.suspects,
-    }
-    _emit(_dumps(payload), args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_constants(args: argparse.Namespace) -> int:
-    decision = admissibility.is_admissible(args.p, args.N)
-    if not decision.admissible:
-        return _reject(decision)
-    config = _config(args)
+def _cmd_constants(args: argparse.Namespace):
     couplings = _solve(args)
+    config = _config(args)
     traj = kinematics.sample_trajectory(config, 0.0, math.tau, args.grid + 1)
-    measured = constants.drift_report(traj, couplings)
-    payload = measured.to_json_dict()
+    payload = constants.drift_report(traj, couplings).to_json_dict()
     payload["closed_form"] = constants.closed_form_constants(config).to_json_dict()
     payload["potential_from_parts"] = constants.potential_from_parts(config, couplings)
-    _emit(_dumps(payload), args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _grid_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 grid point, got {count}")
-    return count
+def _checked(kind, ok, need: str):
+    """Argparse type: ``kind(text)``, a usage error unless ``ok`` holds for it."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_pair_args(parser, with_curve=True):
@@ -291,6 +200,8 @@ def _add_tail_arg(parser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="limachor",
                      description="N-body choreographies on p-limacon curves")
+    grid = _checked(int, lambda n: n >= 1, "at least 1 grid point")
+    dt = _checked(float, lambda h: 0.0 < h < math.inf, "a finite step > 0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     cmd = sub.add_parser("admissible", help="decide whether (p, N) admits a choreography")
@@ -312,16 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("simulate", help="emit a trajectory as CSV")
     _add_pair_args(cmd)
     _add_tail_arg(cmd)
-    cmd.add_argument("--dt", type=float, default=DEFAULT_DT)
-    cmd.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+    cmd.add_argument("--dt", type=dt, default=DEFAULT_DT)
+    cmd.add_argument("--steps", type=_checked(int, lambda n: n >= 1, "at least 1 step"),
+                     default=DEFAULT_STEPS)
     cmd.add_argument("--engine", choices=("analytic", "rk4"), default="analytic")
 
     cmd = sub.add_parser("verify", help="full pipeline: solve, certify, integrate, drift")
     _add_pair_args(cmd)
     _add_tail_arg(cmd)
-    cmd.add_argument("--dt", type=float, default=DEFAULT_DT)
-    cmd.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    cmd.add_argument("--grid", type=_grid_count, default=DEFAULT_GRID)
+    cmd.add_argument("--dt", type=dt, default=DEFAULT_DT)
+    # The inertia rate is a centered difference over steps + 1 samples.
+    cmd.add_argument("--steps", type=_checked(int, lambda n: n >= 2, "at least 2 steps"),
+                     default=DEFAULT_STEPS)
+    cmd.add_argument("--grid", type=grid, default=DEFAULT_GRID)
     cmd.add_argument("--tol-residual", type=float, default=1e-10)
     cmd.add_argument("--tol-rk4", type=float, default=1e-6)
     cmd.add_argument("--tol-spectral", type=float, default=1e-9)
@@ -334,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("constants", help="conserved quantities and their drift")
     _add_pair_args(cmd)
     _add_tail_arg(cmd)
-    cmd.add_argument("--grid", type=_grid_count, default=DEFAULT_GRID)
+    cmd.add_argument("--grid", type=grid, default=DEFAULT_GRID)
 
     for sub_cmd in sub.choices.values():
         sub_cmd.add_argument("--out", default=None,
@@ -373,10 +287,22 @@ def run(argv) -> int:
     except SystemExit as err:  # --help
         return int(err.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        payload, code = _HANDLERS[args.command](args)
+        text = payload if isinstance(payload, str) else _dumps(payload)
+    except admissibility.InadmissibleError as err:
+        sys.stderr.write(_dumps(err.decision.to_json_dict()))
+        return EXIT_INADMISSIBLE
     except (ValueError, IndexError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    if code == EXIT_INADMISSIBLE:  # admissible: the decision goes to both streams
+        sys.stderr.write(text)
+    return code
 
 
 def main() -> None:

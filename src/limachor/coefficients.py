@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from limachor.admissibility import is_admissible, is_admissible_restricted
+from limachor.admissibility import InadmissibleError, is_admissible
+from limachor.admissibility import is_admissible_restricted
 
 _DET_FLOOR = 1e-12
 
@@ -179,15 +180,12 @@ def solve_couplings(N: int, p: int, free=None) -> CouplingVector:
         (0, 0) to solver accuracy.
 
     Raises:
-        ValueError: If (p, N) is inadmissible, or the tail is not
-            floor(N/2) - 2 finite values.
+        InadmissibleError: If (p, N) is inadmissible.
+        ValueError: If the tail is not floor(N/2) - 2 finite values.
     """
     decision = is_admissible(p, N)
     if not decision.admissible:
-        raise ValueError(
-            f"(p={p}, N={N}) is not admissible: "
-            f"{', '.join(decision.violated_conditions)}"
-        )
+        raise InadmissibleError(decision)
     n = N // 2
     tail = np.zeros(n - 2) if free is None else np.asarray(free, dtype=float)
     if tail.shape != (n - 2,):
@@ -224,16 +222,13 @@ def solve_restricted(N: int, p: int) -> RestrictedCoupling:
     system has full rank and is solved directly.
 
     Raises:
-        ValueError: If (p, N) is not admissible under the restriction
-            (for even N with p != N/2 mod N the folded system is
-            inconsistent).
+        InadmissibleError: If (p, N) is not admissible under the
+            restriction (for even N with p != N/2 mod N the folded
+            system is inconsistent).
     """
     decision = is_admissible_restricted(p, N)
     if not decision.admissible:
-        raise ValueError(
-            f"(p={p}, N={N}) is not admissible under the alternating "
-            f"pattern: {', '.join(decision.violated_conditions)}"
-        )
+        raise InadmissibleError(decision)
     if N % 2 == 0:
         return RestrictedCoupling(p * p / N, (2.0 - p * p) / N)
     ko, ke = _solve2(fold_matrix(N, p), _rhs(p))

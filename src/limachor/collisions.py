@@ -65,13 +65,6 @@ class CollisionReport:
     witnesses: list[CollisionWitness]
     suspects: list[int] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "collides": self.collides,
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
-            "suspects": list(self.suspects),
-        }
-
 
 @dataclass(frozen=True)
 class PairMinimum:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from limachor.admissibility import is_admissible
+from limachor.admissibility import InadmissibleError, is_admissible
 from limachor.coefficients import CouplingVector
 from limachor.kinematics import ChoreoConfig, SystemState, Trajectory, state_at
 
@@ -88,22 +88,6 @@ class PartialSumReport:
     first_moment_full: bool          # n*p == 0 mod N => |g| = |b|*m
     predicted: dict[str, float] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "ell": self.ell,
-            "t": self.t,
-            "g": [float(self.first_moment[0]), float(self.first_moment[1])],
-            "I": self.moment_of_inertia,
-            "c": self.angular_momentum,
-            "K": self.kinetic,
-            "pair_sq_sum": self.pair_sq_sum,
-            "subgroup_constant": self.subgroup_constant,
-            "first_moment_full": self.first_moment_full,
-            "predicted": dict(self.predicted),
-        }
-
 
 def _conserved(pos: np.ndarray, vel: np.ndarray, pair: np.ndarray):
     """First moment, angular momentum, inertia, kinetic and potential energy per sample.
@@ -147,15 +131,12 @@ def closed_form_constants(config: ChoreoConfig) -> ConservedReport:
     and K = V = (a^2 + p^2 b^2) N / 2.
 
     Raises:
-        ValueError: If (p, N) is inadmissible.
+        InadmissibleError: If (p, N) is inadmissible.
     """
     curve, n = config.curve, config.N
     decision = is_admissible(curve.p, n)
     if not decision.admissible:
-        raise ValueError(
-            f"(p={curve.p}, N={n}) is not admissible: "
-            f"{', '.join(decision.violated_conditions)}"
-        )
+        raise InadmissibleError(decision)
     a2, b2, p = curve.a ** 2, curve.b ** 2, curve.p
     energy = 0.5 * (a2 + p * p * b2) * n
     zero = {key: 0.0 for key in ("g", "c", "I", "K", "V", "E")}

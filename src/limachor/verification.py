@@ -1,0 +1,85 @@
+"""The verify pipeline: one solved system checked against every oracle.
+
+The analytic orbit is certified on a residual grid and compared with the
+RK4 and spectral engines; the RK4 trajectory's conserved quantities and
+inertia rate are measured.  Gates scale with the amplitudes, so the
+verdict does not depend on the curve's size.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from limachor import constants, dynamics, kinematics
+from limachor.coefficients import CouplingVector
+
+
+def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float,
+           steps: int, grid: int, *, residual: float, rk4: float, spectral: float,
+           drift: float, inertia_rate: float) -> dict:
+    """Check one solved system against every oracle; return the verify report.
+
+    The residual, RK4, spectral and ``drift:g`` tolerances are multiplied
+    by |a| + |b| and the inertia-rate tolerance by N (a^2 + b^2); the
+    other drifts are relative.  ``failures`` names the failed gates in
+    order, and ``ok`` is true when there are none.  A layer's ValueError
+    (bad input, or a quantity that overflows) propagates.
+    """
+    n, a, b, p = config.N, config.curve.a, config.curve.b, config.curve.p
+    residual_max = kinematics.eom_residual(
+        config, couplings, kinematics.certification_grid(grid))
+
+    spec = dynamics.build_interaction(n, couplings)
+    init = kinematics.initial_state(config)
+    traj = dynamics.rk4_integrate(init, spec, dt, steps)
+    probes = np.array([0.3, 1.7, 5.9, float(traj.t[-1])])
+    reference, _, _ = kinematics.bodies_at(config, np.arange(n), probes[:, None])
+    stacked = np.stack([dynamics.spectral_propagate(init, spec, t).positions
+                        for t in probes.tolist()])
+    # An error whose square overflows is inf and fails its gate.
+    with np.errstate(over="ignore"):
+        rk4_error = float(np.max(np.linalg.norm(traj.q[-1] - reference[-1], axis=-1)))
+        spectral_error = float(np.max(np.linalg.norm(stacked - reference, axis=-1)))
+
+    report = constants.drift_report(traj, couplings)
+    # The closed form of c, N (a^2 + p b^2), vanishes on a^2 = -p b^2,
+    # so c drift is scaled by N (a^2 + |p| b^2), which bounds |c| and
+    # never vanishes.
+    relative_drift = {
+        "c": report.drift["c"] / (n * (a * a + abs(p) * b * b)),
+        "I": report.drift["I"] / abs(report.moment_of_inertia),
+        "K": report.drift["K"] / abs(report.kinetic),
+        "V": report.drift["V"] / abs(report.potential),
+        "E": report.drift["E"] / abs(report.kinetic + report.potential),
+    }
+    inertia_rate_max = constants.inertia_rate_max(traj)
+
+    # Positions and accelerations scale like |a| + |b|, and I like its
+    # closed form N (a^2 + b^2).
+    scale = abs(a) + abs(b)
+    gates = [
+        ("residual", residual_max, residual * scale),
+        ("rk4", rk4_error, rk4 * scale),
+        ("spectral", spectral_error, spectral * scale),
+        ("drift:g", report.drift["g"], drift * scale),
+    ]
+    gates += [(f"drift:{key}", value, drift) for key, value in relative_drift.items()]
+    gates.append(("inertia_rate", inertia_rate_max, inertia_rate * (n * (a * a + b * b))))
+    # Written so that a NaN value or tolerance fails the gate.
+    failures = [name for name, value, limit in gates if not value <= limit]
+
+    return {
+        "N": n,
+        "p": p,
+        "a": a,
+        "b": b,
+        "kappa": couplings.as_dict(),
+        "residual_max": residual_max,
+        "rk4_final_error": rk4_error,
+        "spectral_error": spectral_error,
+        "drift": report.drift,
+        "relative_drift": relative_drift,
+        "inertia_rate_max": inertia_rate_max,
+        "ok": not failures,
+        "failures": failures,
+    }

@@ -4,7 +4,8 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from limachor import cli
+import limachor
+from limachor import admissibility, cli, coefficients, constants, dynamics, kinematics
 from util import admissible_pairs
 
 
@@ -361,3 +362,93 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
+
+
+class TestStepAndCountFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (("verify", "--N", "4", "--p", "2", "--steps", "1"), "--steps"),
+        (("verify", "--N", "4", "--p", "2", "--steps", "0"), "--steps"),
+        (("simulate", "--N", "4", "--p", "2", "--steps", "0"), "--steps"),
+        (("simulate", "--N", "4", "--p", "2", "--dt", "-1"), "--dt"),
+        (("simulate", "--N", "4", "--p", "2", "--dt", "0"), "--dt"),
+    ])
+    def test_is_usage_error_naming_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}:" in err
+
+    def test_smallest_counts_run(self, capsys):
+        assert run_cli(capsys, "verify", "--N", "4", "--p", "2", "--steps", "2")[0] == 0
+        code, out, _ = run_cli(capsys, "simulate", "--N", "4", "--p", "2",
+                               "--steps", "1", "--dt", "0.5")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 2 * 4
+
+
+class TestInadmissibleDecisionOnStderr:
+    @pytest.mark.parametrize("argv, tags", [
+        (("simulate", "--N", "4", "--p", "5"), ["P_MINUS_1_DIV_N"]),
+        (("constants", "--N", "6", "--p", "7"), ["P_MINUS_1_DIV_N"]),
+        (("verify", "--N", "3", "--p", "2", "--a", "0"), ["N_TOO_SMALL", "P_PLUS_1_DIV_N"]),
+    ])
+    def test_exits_two_with_decision(self, capsys, argv, tags):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"p": int(argv[4]), "N": int(argv[2]),
+                                   "admissible": False, "violated_conditions": tags}
+
+
+class TestLibraryVerify:
+    @pytest.mark.parametrize("tol_rk4", [1e-6, 0.0])
+    def test_matches_cli_stdout(self, capsys, tol_rk4):
+        code, out, _ = run_cli(capsys, "verify", "--N", "7", "--p", "-3",
+                               "--a", "0.8", "--b", "1.1", "--tail", "0.25",
+                               "--tol-rk4", repr(tol_rk4))
+        payload = limachor.verify(
+            limachor.make_config(7, -3, 0.8, 1.1), limachor.solve_couplings(7, -3, [0.25]),
+            cli.DEFAULT_DT, cli.DEFAULT_STEPS, cli.DEFAULT_GRID, residual=1e-10,
+            rk4=tol_rk4, spectral=1e-9, drift=1e-8, inertia_rate=1e-6)
+        assert code == (0 if payload["ok"] else 3)
+        assert payload["failures"] == ([] if tol_rk4 else ["rk4"])
+        assert json.loads(out) == payload
+        assert list(json.loads(out)) == list(payload)
+
+
+class TestVerifyCallsEveryLayer:
+    # The bench tracer times a layer by replacing its module attribute,
+    # so verify must look every layer up there at call time.
+    def test_each_layer_is_called_through_its_module(self, capsys, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+            key = f"{module.__name__.split('.')[-1]}.{name}"
+
+            def counted(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(kinematics, "eom_residual")
+        for name in ("build_interaction", "rk4_integrate", "spectral_propagate"):
+            count(dynamics, name)
+        count(constants, "drift_report")
+        count(constants, "inertia_rate_max")
+        # The admissibility decision is taken once, by the solver.
+        count(admissibility, "is_admissible")
+        count(coefficients, "is_admissible")
+        code, _, _ = run_cli(capsys, "verify", "--N", "5", "--p", "2",
+                             "--dt", str(math.tau / 512), "--steps", "512")
+        assert code == 0
+        assert calls == {
+            "kinematics.eom_residual": 1,
+            "dynamics.build_interaction": 1,
+            "dynamics.rk4_integrate": 1,
+            "dynamics.spectral_propagate": 4,
+            "constants.drift_report": 1,
+            "constants.inertia_rate_max": 1,
+            "coefficients.is_admissible": 1,
+        }

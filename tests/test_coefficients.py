@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limachor.admissibility import (
+    InadmissibleError,
+    is_admissible,
+    is_admissible_restricted,
+)
 from limachor.coefficients import (
     CouplingVector,
     build_matrix,
@@ -123,6 +128,12 @@ class TestSolveCouplings:
         with pytest.raises(ValueError, match="not admissible"):
             solve_couplings(4, 5, [])
 
+    def test_inadmissible_error_carries_decision(self):
+        with pytest.raises(InadmissibleError) as caught:
+            solve_couplings(4, 5, [])
+        assert caught.value.decision == is_admissible(5, 4)
+        assert str(caught.value) == "(p=5, N=4) is not admissible: P_MINUS_1_DIV_N"
+
     def test_wrong_tail_length(self):
         with pytest.raises(ValueError, match="free tail"):
             solve_couplings(6, 2, [0.0, 0.0])
@@ -195,6 +206,14 @@ class TestSolveRestricted:
     def test_even_inconsistent_case_rejected(self):
         with pytest.raises(ValueError, match="alternating"):
             solve_restricted(6, 2)
+
+    def test_inadmissible_error_carries_restricted_decision(self):
+        with pytest.raises(ValueError, match="not admissible") as caught:
+            solve_restricted(6, 2)
+        assert isinstance(caught.value, InadmissibleError)
+        assert caught.value.decision == is_admissible_restricted(2, 6)
+        assert str(caught.value) == ("(p=2, N=6) is not admissible under the "
+                                     "alternating pattern: RESTRICTED_PARITY")
 
     def test_expansion_solves_full_system(self):
         for p, n in admissible_pairs(9, 21):

@@ -158,6 +158,48 @@ class TestHasCollision:
                 assert has_collision(config).collides == (best <= 1e-8)
 
 
+class TestCollisionSymmetries:
+    # Each ratio r puts (a, b) = (r s, s) on the locus of its separation.
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 24), p_mag=st.integers(2, 9), p_sign=st.sampled_from([1, -1]),
+           s=st.floats(0.5, 2.0), s_sign=st.sampled_from([1.0, -1.0]))
+    def test_every_ratio_collides(self, n, p_mag, p_sign, s, s_sign):
+        p = p_sign * p_mag
+        for r in collision_ratios(n, p):
+            assert has_collision(make_config(n, p, r.ratio * s_sign * s, s_sign * s)).collides
+
+    # (a, b) -> (-a, -b) negates the curve at the same time, and
+    # (a, b) -> (-a, (-1)^p b) is the same curve half a period later.
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 24), p_mag=st.integers(2, 9), p_sign=st.sampled_from([1, -1]),
+           k_index=st.integers(0, 30), offset=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3]),
+           b=st.floats(0.5, 2.0), sign_a=st.sampled_from([1.0, -1.0]),
+           sign_b=st.sampled_from([1.0, -1.0]), mirror=st.booleans())
+    def test_report_follows_amplitude_sign_flips(
+            self, n, p_mag, p_sign, k_index, offset, b, sign_a, sign_b, mirror):
+        p = p_sign * p_mag
+        ratios = collision_ratios(n, p)
+        assume(ratios)
+        ratio = abs(ratios[k_index % len(ratios)].ratio) * (1.0 + offset)
+        a, b = sign_a * ratio * b, sign_b * b
+        base = has_collision(make_config(n, p, a, b))
+        if mirror:
+            flipped, shift, sign = make_config(n, p, -a, -b), 0.0, -1.0
+        else:
+            flipped, shift, sign = make_config(n, p, -a, (-1) ** p * b), math.pi, 1.0
+        other = has_collision(flipped)
+        assert (other.collides, other.suspects, len(other.witnesses)) == \
+            (base.collides, base.suspects, len(base.witnesses))
+        tol = 1e-12 * (abs(a) + abs(b))
+        unmatched = list(other.witnesses)
+        for w in base.witnesses:
+            match = [v for v in unmatched if v.k == w.k and v.bodies == w.bodies
+                     and abs(math.remainder(v.t_star + shift - w.t_star, math.tau)) <= 1e-12]
+            assert len(match) == 1
+            assert np.max(np.abs(match[0].point - sign * w.point)) <= tol
+            unmatched.remove(match[0])
+
+
 class TestMinPairDistance:
     def test_known_collision(self):
         result = min_pair_distance(make_config(6, 2, 1.0, 1.0), 2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limachor.admissibility import InadmissibleError, is_admissible
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.constants import (
     closed_form_constants,
@@ -111,6 +112,11 @@ class TestClosedFormConstants:
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError, match="not admissible"):
             closed_form_constants(make_config(4, 5))
+
+    def test_inadmissible_error_carries_decision(self):
+        with pytest.raises(InadmissibleError) as caught:
+            closed_form_constants(make_config(4, 5))
+        assert caught.value.decision == is_admissible(5, 4)
 
     def test_measured_matches_closed_form_at_many_times(self):
         for p, n in [(2, 4), (3, 7), (-4, 9), (5, 12)]:
