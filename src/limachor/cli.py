@@ -298,8 +298,13 @@ def run(argv) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            sys.stderr.write(f"error: cannot write --out {args.out}: "
+                             f"{err.strerror or err}\n")
+            return EXIT_USAGE
     if code == EXIT_INADMISSIBLE:  # admissible: the decision goes to both streams
         sys.stderr.write(text)
     return code

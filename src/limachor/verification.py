@@ -8,6 +8,8 @@ verdict does not depend on the curve's size.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from limachor import constants, dynamics, kinematics
@@ -22,8 +24,10 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
     The residual, RK4, spectral and ``drift:g`` tolerances are multiplied
     by |a| + |b| and the inertia-rate tolerance by N (a^2 + b^2); the
     other drifts are relative.  ``failures`` names the failed gates in
-    order, and ``ok`` is true when there are none.  A layer's ValueError
-    (bad input, or a quantity that overflows) propagates.
+    order, and ``ok`` is true when there are none.  ``t_end`` is the last
+    RK4 time and ``periods`` the number of orbit periods (tau) it covers.
+    A layer's ValueError (bad input, or a quantity that overflows)
+    propagates.
     """
     n, a, b, p = config.N, config.curve.a, config.curve.b, config.curve.p
     residual_max = kinematics.eom_residual(
@@ -32,7 +36,8 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
     spec = dynamics.build_interaction(n, couplings)
     init = kinematics.initial_state(config)
     traj = dynamics.rk4_integrate(init, spec, dt, steps)
-    probes = np.array([0.3, 1.7, 5.9, float(traj.t[-1])])
+    t_end = float(traj.t[-1])
+    probes = np.array([0.3, 1.7, 5.9, t_end])
     reference, _, _ = kinematics.bodies_at(config, np.arange(n), probes[:, None])
     stacked = np.stack([dynamics.spectral_propagate(init, spec, t).positions
                         for t in probes.tolist()])
@@ -76,6 +81,8 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
         "kappa": couplings.as_dict(),
         "residual_max": residual_max,
         "rk4_final_error": rk4_error,
+        "t_end": t_end,
+        "periods": t_end / math.tau,
         "spectral_error": spectral_error,
         "drift": report.drift,
         "relative_drift": relative_drift,

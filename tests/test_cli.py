@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -122,6 +126,17 @@ class TestSimulateCommand:
         assert out == ""
         assert target.read_text().startswith("t,body,x,y,vx,vy")
 
+    @pytest.mark.parametrize("name", ["missing/traj.csv", "."])
+    def test_unwritable_out_is_error_naming_path(self, capsys, tmp_path, name):
+        # A missing parent directory, and a directory in place of a file.
+        target = str(tmp_path / name)
+        code, out, err = run_cli(capsys, "simulate", "--N", "4", "--p", "2",
+                                 "--dt", "0.5", "--steps", "2", "--out", target)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target in err
+
 
 class TestVerifyCommand:
     def test_passing_run(self, capsys):
@@ -136,6 +151,23 @@ class TestVerifyCommand:
         assert payload["residual_max"] <= 1e-10
         assert payload["rk4_final_error"] <= 1e-6
         assert payload["spectral_error"] <= 1e-9
+
+    def test_default_horizon_is_one_period(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--N", "5", "--p", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["t_end"] == pytest.approx(math.tau, abs=1e-12)
+        assert abs(payload["periods"] - 1.0) <= 1e-12
+        keys = list(payload)
+        at = keys.index("rk4_final_error")
+        assert keys[at + 1:at + 3] == ["t_end", "periods"]
+
+    def test_short_horizon_is_reported(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--N", "4", "--p", "2", "--steps", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["t_end"] == 2 * cli.DEFAULT_DT
+        assert payload["periods"] < 1e-3
 
     def test_impossible_tolerance_exits_three(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--N", "4", "--p", "2",
@@ -452,3 +484,16 @@ class TestVerifyCallsEveryLayer:
             "constants.inertia_rate_max": 1,
             "coefficients.is_admissible": 1,
         }
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_run(self, capsys):
+        argv = ["admissible", "--N", "5", "--p", "2"]
+        src = str(Path(limachor.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "limachor", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert code == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from limachor.admissibility import InadmissibleError, is_admissible
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.constants import (
+    _conserved,
     closed_form_constants,
     drift_report,
     inertia_rate_max,
@@ -91,6 +92,59 @@ class TestMeasure:
         values = [value for value, _ in reference]
         want = max(abs(v - values[0]) for v in values)
         assert abs(report.drift["V"] - want) <= 2e-12 * max(s for _, s in reference)
+
+
+def conserved_reference(pos, vel, pair):
+    """Reference g, c, I, K, V per sample from explicit per-body terms,
+    each as (value, sum of the terms' magnitudes)."""
+    def summed(terms, axes):
+        return terms.sum(axis=axes), np.abs(terms).sum(axis=axes)
+
+    diff = pos[:, :, None, :] - pos[:, None, :, :]
+    pair_terms = 0.25 * pair * np.einsum("sjlc,sjlc->sjl", diff, diff)
+    return {
+        "g": summed(pos, 1),
+        "c": summed(pos[:, :, 0] * vel[:, :, 1] - pos[:, :, 1] * vel[:, :, 0], 1),
+        "I": summed(pos * pos, (1, 2)),
+        "K": summed(0.5 * vel * vel, (1, 2)),
+        "V": summed(pair_terms, (1, 2)),
+    }
+
+
+class TestBlockedKernel:
+    """The conserved-quantity kernel against explicit per-body sums.
+
+    The sample counts put 2S coordinate rows below, on, just past and
+    well past the kernel's 1024-row product blocks, so full and partial
+    last blocks are both covered.
+    """
+
+    SAMPLES = [2, 511, 512, 513, 1025, 8193]
+
+    def check(self, traj, couplings):
+        pair = couplings.pair_matrix()
+        got = dict(zip("gcIKV", _conserved(traj.q, traj.v, pair)))
+        for key, (value, scale) in conserved_reference(traj.q, traj.v, pair).items():
+            assert got[key].shape == value.shape
+            assert np.all(np.abs(got[key] - value) <= 1e-12 * scale), key
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("p, n, tail", [(2, 5, None), (-3, 7, [0.25]), (5, 12, None)])
+    def test_rk4_trajectory(self, samples, p, n, tail):
+        config = make_config(n, p, 1.2, 0.7)
+        couplings = solve_couplings(n, p, tail)
+        spec = build_interaction(n, couplings)
+        # RK4's q and v are strided views of its (S, 2, 2N) state array.
+        traj = rk4_integrate(initial_state(config), spec, math.tau / 8192, samples - 1)
+        assert not traj.q.flags.c_contiguous
+        self.check(traj, couplings)
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    def test_contiguous_trajectory(self, samples):
+        config = make_config(9, 4, 0.8, 1.3)
+        traj = sample_trajectory(config, 0.0, math.tau, samples)
+        assert traj.q.flags.c_contiguous
+        self.check(traj, solve_couplings(9, 4))
 
 
 class TestClosedFormConstants:
