@@ -16,7 +16,6 @@ from limachor.admissibility import (
     is_admissible_restricted,
 )
 from limachor.coefficients import (
-    CoefficientMatrix,
     CouplingVector,
     RestrictedCoupling,
     build_matrix,
@@ -32,9 +31,8 @@ from limachor.kinematics import (
     CurveParams,
     SystemState,
     Trajectory,
-    analytic_accel,
+    bodies_at,
     body_state,
-    curve_point,
     eom_residual,
     initial_state,
     make_config,

@@ -51,17 +51,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, default=_json_default,
-                      allow_nan=False) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _config(args: argparse.Namespace) -> kinematics.ChoreoConfig:
@@ -124,6 +115,9 @@ def _cmd_restricted(args: argparse.Namespace):
 def _cmd_simulate(args: argparse.Namespace):
     couplings = _solve(args)
     config = _config(args)
+    if not math.isfinite(args.dt * args.steps):
+        raise ValueError(f"horizon --dt * --steps = {args.dt} * {args.steps} "
+                         f"is not finite")
     if args.engine == "rk4":
         spec = dynamics.build_interaction(args.N, couplings)
         traj = dynamics.rk4_integrate(kinematics.initial_state(config),

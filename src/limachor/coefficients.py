@@ -26,31 +26,6 @@ _DET_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class CoefficientMatrix:
-    """The 2 x n balance matrix for (N, p), n = floor(N/2).
-
-    Column ell (1-based) holds 2(cos(2*pi*ell/N) - 1) in row 0 and
-    2(cos(2*pi*ell*p/N) - 1) in row 1, except that for even N the last
-    column carries half the generic value because the diametral bond
-    has no mirror partner.
-    """
-
-    N: int
-    p: int
-    entries: np.ndarray  # shape (2, n)
-
-    @property
-    def n(self) -> int:
-        return self.N // 2
-
-    def column(self, ell: int) -> np.ndarray:
-        """Column for coupling index ell, 1-based."""
-        if not 1 <= ell <= self.n:
-            raise IndexError(f"column index {ell} outside [1, {self.n}]")
-        return self.entries[:, ell - 1]
-
-
-@dataclass(frozen=True)
 class CouplingVector:
     """Cyclic coupling strengths kappa_1 .. kappa_n, n = floor(N/2).
 
@@ -118,8 +93,13 @@ def _rhs(p: int) -> np.ndarray:
     return np.array([-1.0, -float(p * p)])
 
 
-def build_matrix(N: int, p: int) -> CoefficientMatrix:
-    """Assemble the 2 x floor(N/2) balance matrix for (N, p).
+def build_matrix(N: int, p: int) -> np.ndarray:
+    """The 2 x n balance matrix for (N, p), n = floor(N/2), as a (2, n) array.
+
+    Column ell - 1 belongs to coupling kappa_ell: it holds
+    2(cos(2*pi*ell/N) - 1) in row 0 and 2(cos(2*pi*ell*p/N) - 1) in
+    row 1, except that for even N the last column carries half the
+    generic value because the diametral bond has no mirror partner.
 
     Raises:
         ValueError: If N < 4.
@@ -137,7 +117,7 @@ def build_matrix(N: int, p: int) -> CoefficientMatrix:
             entries[0, ell - 1] = 2.0 * (math.cos(math.tau * ell / N) - 1.0)
             # abs(p) keeps the p -> -p symmetry bit-exact.
             entries[1, ell - 1] = 2.0 * (math.cos(math.tau * ell * abs(p) / N) - 1.0)
-    return CoefficientMatrix(N, p, entries)
+    return entries
 
 
 def leading_det(N: int, p: int) -> float:
@@ -149,7 +129,7 @@ def leading_det(N: int, p: int) -> float:
     for N = 4 the second column is the halved diametral one and only
     the direct determinant applies.
     """
-    m = build_matrix(N, p).entries
+    m = build_matrix(N, p)
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
@@ -195,7 +175,7 @@ def solve_couplings(N: int, p: int, free=None) -> CouplingVector:
         )
     if not np.all(np.isfinite(tail)):
         raise ValueError(f"free tail must be finite, got {tail.tolist()}")
-    mat = build_matrix(N, p).entries
+    mat = build_matrix(N, p)
     reduced = _rhs(p) - (mat[:, 2:] @ tail if n > 2 else 0.0)
     k1, k2 = _solve2(mat[:, :2], reduced)
     return CouplingVector(N, np.concatenate(([k1, k2], tail)))
@@ -207,7 +187,7 @@ def fold_matrix(N: int, p: int) -> np.ndarray:
     Odd columns sum into the first output column, even columns into the
     second; rows of the result always sum to -N when N does not divide p.
     """
-    entries = build_matrix(N, p).entries
+    entries = build_matrix(N, p)
     folded = np.zeros((2, 2))
     for ell in range(1, N // 2 + 1):
         folded[:, (ell - 1) % 2] += entries[:, ell - 1]
@@ -261,5 +241,5 @@ def residual(N: int, p: int, couplings: CouplingVector) -> tuple[float, float]:
         raise ValueError(
             f"coupling vector is for N={couplings.N}, expected N={N}"
         )
-    defect = build_matrix(N, p).entries @ couplings.kappas - _rhs(p)
+    defect = build_matrix(N, p) @ couplings.kappas - _rhs(p)
     return float(defect[0]), float(defect[1])

@@ -16,13 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from limachor.kinematics import ChoreoConfig, bodies_at
+from limachor.kinematics import ChoreoConfig, bodies_at, make_config
 
 # Relative to |a| + |b|: a configuration this close to the ratio locus
 # is examined by the refined oracle; it is certified as colliding only
 # below CERTIFY_TOL, otherwise flagged as suspect.
 SUSPECT_TOL = 1e-8
 CERTIFY_TOL = 1e-10
+
+# Coarse samples per period in min_pair_distance's first pass.
+_PAIR_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,14 @@ def collision_ratios(N: int, p: int) -> list[CollisionRatio]:
         raise ValueError(f"need N >= 4, got {N}")
     if p in (-1, 0, 1):
         raise ValueError(f"p={p} does not define a limacon; need |p| >= 2")
+    # With a = b = 1 the pair amplitudes are the two sines themselves.
+    unit = make_config(N, p, 1.0, 1.0)
     found: list[CollisionRatio] = []
     for k in range(1, N // 2 + 1):
-        if (p * k) % N == 0:
+        first, second = _pair_amplitudes(unit, k)
+        if second == 0.0:
             continue  # sine vanishes exactly: no finite a/b
-        magnitude = abs(math.sin(math.pi * p * k / N) / math.sin(math.pi * k / N))
+        magnitude = abs(second / first)
         for value in (magnitude, -magnitude):
             if not any(abs(value - r.ratio) <= 1e-12 for r in found):
                 found.append(CollisionRatio(k, value))
@@ -119,8 +125,7 @@ def _pair_sq_dist(config: ChoreoConfig, k: int, ts: np.ndarray) -> np.ndarray:
     return dx * dx + dy * dy
 
 
-def min_pair_distance(config: ChoreoConfig, k: int,
-                      grid_size: int = 1024) -> PairMinimum:
+def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
     """Numeric minimum of |q_0(t) - q_k(t)| over t in [0, 2*pi).
 
     Samples the squared distance on a uniform grid, then repeatedly
@@ -132,15 +137,12 @@ def min_pair_distance(config: ChoreoConfig, k: int,
     predicate.
 
     Raises:
-        ValueError: If grid_size < 8.
         IndexError: If k is outside [1, N-1].
     """
-    if grid_size < 8:
-        raise ValueError(f"grid_size must be at least 8, got {grid_size}")
     if not 1 <= k <= config.N - 1:
         raise IndexError(f"separation {k} outside [1, {config.N - 1}]")
-    ts = np.linspace(0.0, math.tau, grid_size, endpoint=False)
-    step = math.tau / grid_size
+    ts = np.linspace(0.0, math.tau, _PAIR_GRID, endpoint=False)
+    step = math.tau / _PAIR_GRID
     while True:
         sq = _pair_sq_dist(config, k, ts)
         best = int(np.argmin(sq))

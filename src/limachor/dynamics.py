@@ -38,7 +38,6 @@ class InteractionSpec:
     """
 
     N: int
-    couplings: CouplingVector
     mode_stiffness: np.ndarray    # (N,)
     pair_matrix: np.ndarray       # (N, N)
     pair_row_sum: np.ndarray      # (N,)
@@ -97,7 +96,7 @@ def build_interaction(N: int, couplings: CouplingVector) -> InteractionSpec:
     lam = _stiffness_spectrum(N, couplings.kappas)
     pair = couplings.pair_matrix()
     basis, stiff = _real_mode_basis(N, lam)
-    return InteractionSpec(N, couplings, lam, pair, pair.sum(axis=1), basis, stiff)
+    return InteractionSpec(N, lam, pair, pair.sum(axis=1), basis, stiff)
 
 
 def accel(state: SystemState, spec: InteractionSpec) -> np.ndarray:

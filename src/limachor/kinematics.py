@@ -145,11 +145,6 @@ def bodies_at(config: ChoreoConfig, k, t):
     return _derivatives(config.curve, _phase(t, k, config.N))
 
 
-def curve_point(curve: CurveParams, t: float) -> np.ndarray:
-    """Point of the curve at parameter t."""
-    return _derivatives(curve, t)[0]
-
-
 def body_state(config: ChoreoConfig, k: int, t: float):
     """Position and velocity of body k at time t.
 
@@ -160,17 +155,6 @@ def body_state(config: ChoreoConfig, k: int, t: float):
         raise IndexError(f"body index {k} outside [0, {config.N})")
     pos, vel, _ = bodies_at(config, k, t)
     return pos, vel
-
-
-def analytic_accel(config: ChoreoConfig, k: int, t: float) -> np.ndarray:
-    """Exact acceleration of body k at time t.
-
-    Raises:
-        IndexError: If k is not in [0, N).
-    """
-    if not 0 <= k < config.N:
-        raise IndexError(f"body index {k} outside [0, {config.N})")
-    return bodies_at(config, k, t)[2]
 
 
 def state_at(config: ChoreoConfig, t: float) -> SystemState:
@@ -224,11 +208,8 @@ def eom_residual(config: ChoreoConfig, couplings: CouplingVector,
 
 
 def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
-                      count: int, include_end: bool = True) -> Trajectory:
-    """Uniform analytic samples of the choreography on [t0, t1].
-
-    The grid is closed on the left; ``include_end`` controls whether t1
-    itself is sampled (default) or left open.
+                      count: int) -> Trajectory:
+    """Uniform analytic samples on [t0, t1], both ends included.
 
     Raises:
         ValueError: If t0 or t1 is not finite, t1 <= t0, or count < 2.
@@ -237,10 +218,7 @@ def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
         raise ValueError(f"bad range: t1={t1} must exceed t0={t0}, both finite")
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
-    if include_end:
-        times = np.linspace(t0, t1, count)
-    else:
-        times = t0 + (t1 - t0) * np.arange(count) / count
+    times = np.linspace(t0, t1, count)
     q, v, _ = bodies_at(config, np.arange(config.N), times[:, None])
     return Trajectory(times, q, v)
 

@@ -223,7 +223,7 @@ def test_criterion_6_conserved_quantities(systems, solved, rk4_runs):
 def test_criterion_7_necessity_witnesses():
     # (p + 1)/N integral: the balance system has no solution; even the
     # least-squares best couplings leave a macroscopic defect.
-    entries = build_matrix(4, 5).entries
+    entries = build_matrix(4, 5)
     best, *_ = np.linalg.lstsq(entries, np.array([-1.0, -25.0]), rcond=None)
     config = make_config(4, 5, 1.2, 1.0)
     assert eom_residual(config, CouplingVector(4, best)) > 0.01
@@ -268,7 +268,7 @@ def test_criterion_8_collisions():
                 for ab in (0.5, 1.0, math.sqrt(2.0), 2.0):
                     config = make_config(n, p, ab, 1.0)
                     oracle = min(
-                        min_pair_distance(config, k, 256).min_distance
+                        min_pair_distance(config, k).min_distance
                         for k in range(1, n))
                     assert has_collision(config).collides == (oracle <= 1e-8)
                     checked += 1

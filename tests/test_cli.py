@@ -318,6 +318,19 @@ class TestUnstableRk4Step:
         assert "dt=0.9" in err
 
 
+class TestOverflowingHorizon:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("engine", ["analytic", "rk4"])
+    def test_is_usage_error_naming_dt_and_steps(self, capsys, engine):
+        code, out, err = run_cli(capsys, "simulate", "--N", "4", "--p", "2",
+                                 "--dt", "1e308", "--steps", "8",
+                                 "--engine", engine)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "--dt" in err and "--steps" in err
+
+
 class TestGridBelowOne:
     @pytest.mark.parametrize("argv", [
         ("verify", "--N", "4", "--p", "2", "--grid", "0"),

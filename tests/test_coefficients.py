@@ -31,16 +31,16 @@ def closed_form_det(N, p):
 
 class TestBuildMatrix:
     def test_n4_p2(self):
-        entries = build_matrix(4, 2).entries
+        entries = build_matrix(4, 2)
         assert entries == pytest.approx(np.array([[-2.0, -2.0], [-4.0, 0.0]]))
 
     def test_n6_p3(self):
-        entries = build_matrix(6, 3).entries
+        entries = build_matrix(6, 3)
         expected = np.array([[-1.0, -3.0, -2.0], [-4.0, 0.0, -2.0]])
         assert entries == pytest.approx(expected, abs=1e-14)
 
     def test_n5_p2(self):
-        entries = build_matrix(5, 2).entries
+        entries = build_matrix(5, 2)
         c72 = 2 * (math.cos(math.radians(72)) - 1)
         c144 = 2 * (math.cos(math.radians(144)) - 1)
         expected = np.array([[c72, c144], [c144, c72]])
@@ -50,7 +50,7 @@ class TestBuildMatrix:
 
     def test_entries_bounded(self):
         for p, n in admissible_pairs(9, 20):
-            entries = build_matrix(n, p).entries
+            entries = build_matrix(n, p)
             assert np.all(entries <= 1e-15)
             assert np.all(entries >= -4.0 - 1e-15)
 
@@ -58,11 +58,8 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             build_matrix(3, 2)
 
-    def test_column_accessor(self):
-        mat = build_matrix(6, 2)
-        assert mat.column(3) == pytest.approx([-2.0, 0.0])
-        with pytest.raises(IndexError):
-            mat.column(4)
+    def test_diametral_column(self):
+        assert build_matrix(6, 2)[:, 2] == pytest.approx([-2.0, 0.0])
 
 
 class TestLeadingDet:
@@ -158,10 +155,10 @@ class TestSolveCouplings:
 
 class TestFoldMatrix:
     def test_n4_equals_full_matrix(self):
-        assert np.array_equal(fold_matrix(4, 2), build_matrix(4, 2).entries)
+        assert np.array_equal(fold_matrix(4, 2), build_matrix(4, 2))
 
     def test_n5_equals_full_matrix(self):
-        assert np.array_equal(fold_matrix(5, 2), build_matrix(5, 2).entries)
+        assert np.array_equal(fold_matrix(5, 2), build_matrix(5, 2))
 
     def test_n6_p3_folds_odd_columns_together(self):
         assert fold_matrix(6, 3) == pytest.approx(

@@ -153,7 +153,7 @@ class TestHasCollision:
         for p, n in admissible_pairs(5, 10):
             for ab in (0.5, 1.0, math.sqrt(2), 2.0):
                 config = make_config(n, p, ab, 1.0)
-                best = min(min_pair_distance(config, k, 256).min_distance
+                best = min(min_pair_distance(config, k).min_distance
                            for k in range(1, n))
                 assert has_collision(config).collides == (best <= 1e-8)
 
@@ -199,6 +199,25 @@ class TestCollisionSymmetries:
             assert np.max(np.abs(match[0].point - sign * w.point)) <= tol
             unmatched.remove(match[0])
 
+    # Bodies 0 and N - k are bodies k and 0 shifted by k in index, so
+    # separation N - k collides exactly when k does.
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 24), p_mag=st.integers(2, 9), p_sign=st.sampled_from([1, -1]),
+           k_index=st.integers(0, 30), offset=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3]),
+           b=st.floats(0.5, 2.0), sign_a=st.sampled_from([1.0, -1.0]))
+    def test_report_closed_under_separation_mirror(
+            self, n, p_mag, p_sign, k_index, offset, b, sign_a):
+        p = p_sign * p_mag
+        ratios = collision_ratios(n, p)
+        assume(ratios)
+        ratio = abs(ratios[k_index % len(ratios)].ratio) * (1.0 + offset)
+        report = has_collision(make_config(n, p, sign_a * ratio * b, b))
+        certified = {w.k for w in report.witnesses}
+        assert certified == {n - k for k in certified}
+        assert set(report.suspects) == {n - k for k in report.suspects}
+        for k in certified:
+            assert sum(w.k == k for w in report.witnesses) == abs(p - 1) * n
+
 
 class TestMinPairDistance:
     def test_known_collision(self):
@@ -220,7 +239,7 @@ class TestMinPairDistance:
                 a_mag = 2 * abs(1.3 * math.sin(math.pi * k / n))
                 b_mag = 2 * abs(0.8 * math.sin(math.pi * p * k / n))
                 expected = abs(a_mag - b_mag)
-                got = min_pair_distance(config, k, 512).min_distance
+                got = min_pair_distance(config, k).min_distance
                 assert got == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
@@ -235,12 +254,9 @@ class TestMinPairDistance:
                     abs=1e-12 * size)
                 assert result.min_distance == pytest.approx(gap * size, abs=1e-9 * size)
 
-    def test_bad_grid_rejected(self):
-        config = make_config(4, 2)
-        with pytest.raises(ValueError):
-            min_pair_distance(config, 1, 7)
+    def test_bad_separation_rejected(self):
         with pytest.raises(IndexError):
-            min_pair_distance(config, 4)
+            min_pair_distance(make_config(4, 2), 4)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, math.tau), st.integers(1, 5))

@@ -13,9 +13,8 @@ from limachor.kinematics import (
     ChoreoConfig,
     CurveParams,
     Trajectory,
-    analytic_accel,
+    bodies_at,
     body_state,
-    curve_point,
     eom_residual,
     initial_state,
     make_config,
@@ -118,13 +117,13 @@ class TestCurveParams:
 
 class TestCurvePoint:
     def test_at_zero(self):
-        assert curve_point(CurveParams(1.2, 1.0, 2), 0.0) == \
+        assert bodies_at(make_config(4, 2, 1.2, 1.0), 0, 0.0)[0] == \
             pytest.approx([2.2, 0.0])
 
     @pytest.mark.parametrize("t", [2 * math.pi / 3, 4 * math.pi / 3])
     def test_self_intersection_of_equal_amplitude_curve(self, t):
         # a = b, p = 2: the curve crosses itself at (-a, 0).
-        assert curve_point(CurveParams(1.0, 1.0, 2), t) == \
+        assert bodies_at(make_config(4, 2, 1.0, 1.0), 0, t)[0] == \
             pytest.approx([-1.0, 0.0], abs=1e-15)
 
 
@@ -184,7 +183,7 @@ class TestInitialState:
 class TestAnalyticAccel:
     def test_at_time_zero(self):
         config = make_config(4, 2, 1.0, 0.5)
-        assert analytic_accel(config, 0, 0.0) == pytest.approx([-3.0, 0.0])
+        assert bodies_at(config, 0, 0.0)[2] == pytest.approx([-3.0, 0.0])
 
     def test_matches_finite_difference_of_velocity(self):
         config = make_config(4, 2, 1.0, 0.5)
@@ -193,7 +192,7 @@ class TestAnalyticAccel:
             _, v_plus = body_state(config, 0, t + h)
             _, v_minus = body_state(config, 0, t - h)
             fd = (v_plus - v_minus) / (2 * h)
-            assert analytic_accel(config, 0, t) == pytest.approx(fd, abs=1e-8)
+            assert bodies_at(config, 0, t)[2] == pytest.approx(fd, abs=1e-8)
 
     def test_derivative_consistency_across_parameter_ranges(self):
         h = 1e-5
@@ -210,7 +209,7 @@ class TestAnalyticAccel:
                     _, vel = body_state(config, 1, t)
                     assert vel == pytest.approx(
                         (p_plus - p_minus) / (2 * h), abs=tol_v)
-                    assert analytic_accel(config, 1, t) == pytest.approx(
+                    assert bodies_at(config, 1, t)[2] == pytest.approx(
                         (v_plus - v_minus) / (2 * h), abs=tol_a)
 
     def test_large_time_angle_reduction_keeps_periodicity(self):
@@ -247,12 +246,6 @@ class TestSampleTrajectory:
     def test_endpoints_and_spacing(self):
         traj = sample_trajectory(make_config(4, 2), 0.0, math.tau, 3)
         assert traj.t == pytest.approx([0.0, math.pi, math.tau])
-
-    def test_open_right_grid(self):
-        traj = sample_trajectory(make_config(4, 2), 0.0, math.tau, 4,
-                                 include_end=False)
-        assert traj.t == pytest.approx(
-            [0.0, math.tau / 4, math.tau / 2, 3 * math.tau / 4])
 
     def test_periodicity(self):
         config = make_config(5, 2, 0.9, 0.4)
@@ -375,4 +368,4 @@ class TestArrayEvaluatorMatchesScalarReference:
                 got_pos, got_vel = body_state(config, k, t)
                 assert np.array_equal(got_pos, pos)
                 assert np.array_equal(got_vel, vel)
-                assert np.array_equal(analytic_accel(config, k, t), acc)
+                assert np.array_equal(bodies_at(config, k, t)[2], acc)
