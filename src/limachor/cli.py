@@ -6,7 +6,9 @@ inputs (decision JSON on stderr), 3 verification failure.
 
 Identical argument vectors produce byte-identical output: floats are
 serialized in their shortest exact round-trip form and nothing here is
-randomized.
+randomized.  JSON output is exactly ``json.dumps(payload, indent=2,
+allow_nan=False)`` plus a newline, written by a one-pass emitter
+(``_dumps``) because the stdlib's indented encoder runs in pure Python.
 """
 
 from __future__ import annotations
@@ -51,8 +53,81 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalar(value) -> str:
+    """JSON text of a scalar, exactly as json.dumps writes it.
+
+    The checks run in json's order, so bool comes before int, and int
+    and float subclasses (np.float64) print as the plain type.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(value, pad: str, parts: list) -> None:
+    """Append the JSON text of ``value``, nested at indent ``pad``, to ``parts``.
+
+    No type is both a container and a scalar (their layouts conflict), so
+    testing for containers first keeps json's dispatch.
+    """
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if isinstance(item, _CONTAINERS):
+                parts.append(sep + _encode_str(key) + ": ")
+                _emit(item, inner, parts)
+            else:
+                parts.append(sep + _encode_str(key) + ": " + _scalar(item))
+            sep = "," + inner
+        parts.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            if isinstance(item, _CONTAINERS):
+                parts.append(sep)
+                _emit(item, inner, parts)
+            else:
+                parts.append(sep + _scalar(item))
+            sep = "," + inner
+        parts.append(pad + "]")
+    else:
+        parts.append(_scalar(value))
+
+
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"``, in one pass.
+
+    Dict keys must be str, as every payload's are.
+    """
+    parts: list[str] = []
+    _emit(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _config(args: argparse.Namespace) -> kinematics.ChoreoConfig:

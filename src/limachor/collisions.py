@@ -51,7 +51,7 @@ class CollisionWitness:
             "k": self.k,
             "t": self.t_star,
             "bodies": [self.bodies[0], self.bodies[1]],
-            "point": [float(self.point[0]), float(self.point[1])],
+            "point": self.point.tolist(),
             "distance": self.min_distance,
         }
 
@@ -168,17 +168,18 @@ def _witnesses_for(config: ChoreoConfig, k: int) -> list[CollisionWitness]:
     times = (roots[:, None] - math.tau * js / n) % math.tau
     pairs = np.stack((js, (js + k) % n), axis=-1)
     pos = bodies_at(config, pairs, times[:, :, None])[0]
-    events = []
-    for t_row, pos_row in zip(times.tolist(), pos):
-        for j, (t_j, (pos_1, pos_2)) in enumerate(zip(t_row, pos_row)):
-            events.append(CollisionWitness(
-                k=k,
-                t_star=t_j,
-                bodies=(j, (j + k) % n),
-                point=0.5 * (pos_1 + pos_2),
-                min_distance=float(np.linalg.norm(pos_1 - pos_2)),
-            ))
-    return events
+    diff = pos[..., 0, :] - pos[..., 1, :]
+    # np.linalg.norm of one event's 1-D difference is sqrt(x . x); a
+    # stacked (1, 2) @ (2, 1) product takes the same dot product, bit
+    # for bit, where norm(axis=-1), einsum and hypot can differ in the
+    # last bit.
+    distances = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+    points = 0.5 * (pos[..., 0, :] + pos[..., 1, :])
+    bodies = list(zip(range(n), pairs[:, 1].tolist())) * len(roots)
+    return [CollisionWitness(k, t_j, pair, point, distance)
+            for t_j, pair, point, distance in zip(
+                times.ravel().tolist(), bodies, points.reshape(-1, 2),
+                distances.ravel().tolist())]
 
 
 def has_collision(config: ChoreoConfig) -> CollisionReport:

@@ -57,7 +57,13 @@ class ChoreoConfig:
         a, b, p = self.curve.a, self.curve.b, self.curve.p
         # N (a^2 + p^2 b^2) is twice the closed-form kinetic energy; where
         # it overflows, so do the conserved quantities computed from it.
-        if not math.isfinite(self.N * (a * a + p * p * b * b)):
+        try:
+            twice_kinetic = self.N * (a * a + p * p * b * b)
+        except OverflowError:  # the int p * p (or N) is beyond any float
+            raise ValueError(
+                f"p={p} too large: N (a^2 + p^2 b^2) does not fit in a float "
+                f"for N={self.N}") from None
+        if not math.isfinite(twice_kinetic):
             raise ValueError(
                 f"curve amplitudes a={a}, b={b} too large: N (a^2 + p^2 b^2) "
                 f"overflows for p={p}, N={self.N}")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -291,6 +292,14 @@ class TestCollideCommand:
         assert code == 0
         assert json.loads(out)["collides"] is collides
 
+    def test_p_beyond_float_range_is_one_error_line(self, capsys):
+        p = "1" + "0" * 200
+        code, out, err = run_cli(capsys, "collide", "--N", "4", "--p", p)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"p={p}" in err
+
 
 class TestConstantsCommand:
     def test_reports_closed_form_and_drift(self, capsys):
@@ -510,3 +519,69 @@ class TestModuleEntryPoint:
         code, out, _ = run_cli(capsys, *argv)
         assert (proc.returncode, proc.stdout) == (code, out)
         assert code == 0
+
+
+def stdlib_dumps(value):
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+_ESCAPES = st.text(alphabet=st.sampled_from(
+    ['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f",
+     "é", "ß", "€", " ", "\ud800", "😀", "a", " "]))
+_KEYS = st.one_of(st.text(), _ESCAPES)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.sampled_from([-0.0, 0.0, 1e16, 1e17, 5e-324, -5e-324, 1e-7, 0.1,
+                     1.7976931348623157e308, np.float64(-0.0), np.float64(1e16)]),
+    st.text(),
+    _ESCAPES,
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.lists(inner, max_size=6).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=6)),
+    max_leaves=25)
+
+
+class TestJsonEmitter:
+    """``cli._dumps`` writes exactly what ``json.dumps(indent=2)`` writes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=_JSON_VALUES)
+    def test_matches_stdlib(self, value):
+        assert cli._dumps(value) == stdlib_dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), [[]], {"a": {}}, {"": [(), {}]}, [True, 1, 1.0, False, 0, None],
+        {"k": [1, [2, [3, {"x": ()}]], "s"]}, 10**400, -0.0,
+    ])
+    def test_edge_cases_match_stdlib(self, value):
+        assert cli._dumps(value) == stdlib_dumps(value)
+
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"),
+    ])
+    @pytest.mark.parametrize("wrap", [
+        lambda v: v, lambda v: [1, v], lambda v: {"a": {"b": (v,)}}, lambda v: [{"c": 2.0, "d": v}],
+    ])
+    def test_non_finite_float_raises_as_stdlib_does(self, bad, wrap):
+        value = wrap(bad)
+        with pytest.raises(ValueError) as expected:
+            stdlib_dumps(value)
+        with pytest.raises(ValueError) as got:
+            cli._dumps(value)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("value", [np.int64(3), [np.bool_(True)], {"a": object()}, {1, 2}])
+    def test_unsupported_type_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            stdlib_dumps(value)
+        with pytest.raises(TypeError):
+            cli._dumps(value)

@@ -10,7 +10,7 @@ from limachor.collisions import (
     has_collision,
     min_pair_distance,
 )
-from limachor.kinematics import body_state, make_config
+from limachor.kinematics import bodies_at, body_state, make_config
 from util import admissible_pairs
 
 
@@ -217,6 +217,77 @@ class TestCollisionSymmetries:
         assert set(report.suspects) == {n - k for k in report.suspects}
         for k in certified:
             assert sum(w.k == k for w in report.witnesses) == abs(p - 1) * n
+
+
+def per_event_witnesses(config, k):
+    """(k, t, bodies, point, distance) of separation k's events, one event at a time.
+
+    Times come from the closed form (bodies j and j + k meet 2 pi j / N
+    before bodies 0 and k); each event takes its own midpoint and
+    ``np.linalg.norm`` of its own difference.
+    """
+    n, p = config.N, config.curve.p
+    first = config.curve.a * math.sin(math.pi * k / n)
+    second = config.curve.b * math.sin(math.pi * p * k / n)
+    phase0 = math.pi if first * second > 0 else 0.0
+    base = (phase0 - math.pi * (p - 1) * k / n) / (p - 1)
+    roots = (base + math.tau * np.arange(abs(p - 1)) / (p - 1)) % math.tau
+    js = np.arange(n)
+    times = (roots[:, None] - math.tau * js / n) % math.tau
+    pos = bodies_at(config, np.stack((js, (js + k) % n), axis=-1), times[:, :, None])[0]
+    events = []
+    for t_row, pos_row in zip(times.tolist(), pos):
+        for j, (t, (pos_1, pos_2)) in enumerate(zip(t_row, pos_row)):
+            events.append((k, t, (j, (j + k) % n), 0.5 * (pos_1 + pos_2),
+                           float(np.linalg.norm(pos_1 - pos_2))))
+    return events
+
+
+def bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def assert_witnesses_bit_identical(config):
+    report = has_collision(config)
+    assert report.collides
+    want = sorted((event for k in sorted({w.k for w in report.witnesses})
+                   for event in per_event_witnesses(config, k)),
+                  key=lambda e: (e[0], e[1], e[2]))
+    assert [(w.k, bits(w.t_star), w.bodies, bits(w.point), bits(w.min_distance))
+            for w in report.witnesses] == \
+        [(k, bits(t), pair, bits(point), bits(d)) for k, t, pair, point, d in want]
+    assert all(type(w.t_star) is float and type(w.min_distance) is float
+               for w in report.witnesses)
+
+
+class TestWitnessBits:
+    """Witness fields equal the per-event construction bit for bit.
+
+    ``collide`` prints these fields, so any change in their last bit
+    changes its output.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 32), p_mag=st.integers(2, 9), p_sign=st.sampled_from([1, -1]),
+           k_index=st.integers(0, 62), b=st.floats(0.5, 2.0),
+           sign_a=st.sampled_from([1.0, -1.0]), sign_b=st.sampled_from([1.0, -1.0]))
+    def test_on_locus_witnesses_match_per_event_reference(
+            self, n, p_mag, p_sign, k_index, b, sign_a, sign_b):
+        p = p_sign * p_mag
+        ratios = collision_ratios(n, p)
+        assume(ratios)
+        ratio = abs(ratios[k_index % len(ratios)].ratio)
+        assert_witnesses_bit_identical(make_config(n, p, sign_a * ratio * b, sign_b * b))
+
+    # On these, a row-wise norm (np.linalg.norm(diff, axis=-1), or
+    # sqrt((diff * diff).sum(-1))) differs from the per-event norm in
+    # the last bit for some events.
+    @pytest.mark.parametrize("n, p, a, b", [
+        (6, -2, 1.0, 1.0),
+        (7, -6, 0.7 * abs(math.sin(math.pi * -6 / 7) / math.sin(math.pi / 7)), 0.7),
+    ])
+    def test_pinned_configs(self, n, p, a, b):
+        assert_witnesses_bit_identical(make_config(n, p, a, b))
 
 
 class TestMinPairDistance:

@@ -114,6 +114,15 @@ class TestCurveParams:
         with pytest.raises(ValueError):
             ChoreoConfig(CurveParams(1.0, 1.0, 2), 3)
 
+    @pytest.mark.parametrize("p, N", [(10**200, 4), (-(10**155), 4), (3, 10**400)])
+    def test_p_or_n_beyond_float_range_is_value_error_naming_p(self, p, N):
+        # p * p (or N) is an int no float holds; not an OverflowError.
+        with pytest.raises(ValueError, match=f"p={p} too large"):
+            make_config(N, p, 1.0, 1.0)
+
+    def test_largest_p_whose_square_fits_is_accepted(self):
+        assert make_config(4, 10**150, 1.0, 1e-10).curve.p == 10**150
+
 
 class TestCurvePoint:
     def test_at_zero(self):
