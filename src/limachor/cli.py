@@ -250,9 +250,15 @@ def _checked(kind, ok, need: str):
     return parse
 
 
-def _add_pair_args(parser, with_curve=True):
+# Commands that build per-body arrays need N within numpy's index range.
+_bodies = _checked(int, lambda n: n <= np.iinfo(np.intp).max,
+                   f"at most {np.iinfo(np.intp).max} bodies (numpy's index range)")
+
+
+def _add_pair_args(parser, with_curve=True, any_n=False):
     parser.add_argument("--p", type=int, required=True, help="harmonic index")
-    parser.add_argument("--N", type=int, required=True, help="number of bodies")
+    parser.add_argument("--N", type=int if any_n else _bodies, required=True,
+                        help="number of bodies")
     if with_curve:
         parser.add_argument("--a", type=float, default=1.2,
                             help="base-circle amplitude (default 1.2)")
@@ -274,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cmd = sub.add_parser("admissible", help="decide whether (p, N) admits a choreography")
-    _add_pair_args(cmd, with_curve=False)
+    # Admissibility is exact integer arithmetic, so any N is decided.
+    _add_pair_args(cmd, with_curve=False, any_n=True)
     cmd.add_argument("--restricted", action="store_true",
                      help="apply the alternating-coupling criterion")
 

@@ -120,7 +120,7 @@ def _pair_amplitudes(config: ChoreoConfig, k: int) -> tuple[float, float]:
 
 def _pair_sq_dist(config: ChoreoConfig, k: int, ts: np.ndarray) -> np.ndarray:
     """Squared distance between bodies 0 and k at times ts."""
-    pos = bodies_at(config, np.array([0, k]), ts[:, None])[0]
+    pos = bodies_at(config, np.array([0, k]), ts[:, None], 1)[0]
     dx, dy = (pos[:, 0] - pos[:, 1]).T
     return dx * dx + dy * dy
 
@@ -167,7 +167,7 @@ def _witnesses_for(config: ChoreoConfig, k: int) -> list[CollisionWitness]:
     js = np.arange(n)
     times = (roots[:, None] - math.tau * js / n) % math.tau
     pairs = np.stack((js, (js + k) % n), axis=-1)
-    pos = bodies_at(config, pairs, times[:, :, None])[0]
+    pos = bodies_at(config, pairs, times[:, :, None], 1)[0]
     diff = pos[..., 0, :] - pos[..., 1, :]
     # np.linalg.norm of one event's 1-D difference is sqrt(x . x); a
     # stacked (1, 2) @ (2, 1) product takes the same dot product, bit

@@ -3,9 +3,12 @@
 The shared orbit is a(cos t, sin t) + b(cos pt, sin pt); body k runs
 the same curve with its parameter advanced by 2*pi*k/N.  Positions,
 velocities and accelerations are exact trigonometric expressions, all
-computed by one array evaluator over any grid of bodies and times, and
-the equations-of-motion residual measures how well a given coupling
-vector reproduces those accelerations.
+computed by one array evaluator over any grid of bodies and times; a
+caller asks it for only the leading derivatives it reads.  The
+equations-of-motion residual measures how well a given coupling vector
+reproduces those accelerations, and the CSV export formats each
+distinct (x, y, vx, vy) row once, since every body retraces the same
+curve points.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from limachor.coefficients import CouplingVector
 # Beyond this magnitude, trig arguments are reduced mod 2*pi first so
 # long integrations do not lose phase accuracy.
 _REDUCE_ABOVE = 1e6
+
+# Distinct CSV rows formatted per batch.
+_FORMAT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -117,21 +123,26 @@ def _angle(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _derivatives(curve: CurveParams, theta):
-    """Position, velocity, acceleration of the curve at parameters theta.
+def _derivatives(curve: CurveParams, theta, count: int = 3):
+    """The first ``count`` of position, velocity, acceleration at parameters theta.
 
     The only evaluator of the curve.  ``theta`` is an array (or a
-    scalar); each result has shape ``theta.shape + (2,)``.
+    scalar); each result has shape ``theta.shape + (2,)`` and is the
+    same, bit for bit, whatever the count.
     """
+    if count not in (1, 2, 3):
+        raise ValueError(f"derivative count must be 1, 2 or 3, got {count}")
     a, b, p = curve.a, curve.b, curve.p
     t1 = _angle(theta)
     tp = _angle(p * theta)
     c1, s1 = np.cos(t1), np.sin(t1)
     cp, sp = np.cos(tp), np.sin(tp)
-    pos = np.stack((a * c1 + b * cp, a * s1 + b * sp), axis=-1)
-    vel = np.stack((-a * s1 - p * b * sp, a * c1 + p * b * cp), axis=-1)
-    acc = np.stack((-a * c1 - p * p * b * cp, -a * s1 - p * p * b * sp), axis=-1)
-    return pos, vel, acc
+    out = [np.stack((a * c1 + b * cp, a * s1 + b * sp), axis=-1)]
+    if count > 1:
+        out.append(np.stack((-a * s1 - p * b * sp, a * c1 + p * b * cp), axis=-1))
+    if count > 2:
+        out.append(np.stack((-a * c1 - p * p * b * cp, -a * s1 - p * p * b * sp), axis=-1))
+    return tuple(out)
 
 
 def _phase(t, k, N: int):
@@ -140,15 +151,21 @@ def _phase(t, k, N: int):
     return t + (math.tau * k) / N
 
 
-def bodies_at(config: ChoreoConfig, k, t):
+def bodies_at(config: ChoreoConfig, k, t, count: int = 3):
     """Position, velocity, acceleration of body k at time t, elementwise.
 
-    ``k`` and ``t`` broadcast against each other, and each result has
-    shape ``broadcast(k, t).shape + (2,)``; e.g. ``k = np.arange(N)``
-    and ``t`` of shape (S, 1) give (S, N, 2).  Indices are not checked:
+    Returns the first ``count`` of the three: 1 gives ``(pos,)``, 2
+    gives ``(pos, vel)`` and 3 (the default) ``(pos, vel, acc)``; each
+    array is bit-identical whatever the count.  ``k`` and ``t``
+    broadcast against each other, and each result has shape
+    ``broadcast(k, t).shape + (2,)``; e.g. ``k = np.arange(N)`` and
+    ``t`` of shape (S, 1) give (S, N, 2).  Indices are not checked:
     every k must lie in [0, N).
+
+    Raises:
+        ValueError: If count is not 1, 2 or 3.
     """
-    return _derivatives(config.curve, _phase(t, k, config.N))
+    return _derivatives(config.curve, _phase(t, k, config.N), count)
 
 
 def body_state(config: ChoreoConfig, k: int, t: float):
@@ -159,13 +176,12 @@ def body_state(config: ChoreoConfig, k: int, t: float):
     """
     if not 0 <= k < config.N:
         raise IndexError(f"body index {k} outside [0, {config.N})")
-    pos, vel, _ = bodies_at(config, k, t)
-    return pos, vel
+    return bodies_at(config, k, t, 2)
 
 
 def state_at(config: ChoreoConfig, t: float) -> SystemState:
     """Analytic state of the whole system at time t."""
-    pos, vel, _ = bodies_at(config, np.arange(config.N), t)
+    pos, vel = bodies_at(config, np.arange(config.N), t, 2)
     return SystemState(t, pos, vel)
 
 
@@ -225,32 +241,47 @@ def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
     times = np.linspace(t0, t1, count)
-    q, v, _ = bodies_at(config, np.arange(config.N), times[:, None])
+    q, v = bodies_at(config, np.arange(config.N), times[:, None], 2)
     return Trajectory(times, q, v)
 
 
-def _reprs(values: np.ndarray) -> np.ndarray:
-    """``repr`` of every float in ``values``, as an object array of its shape.
+def _row_texts(traj: Trajectory) -> np.ndarray:
+    """``x,y,vx,vy`` text of every (sample, body), as an (S, N) object array.
 
-    Each distinct value is formatted once: a choreography samples the
-    same curve points many times over.  Bit patterns, not values, decide
-    what is distinct, because -0.0 == 0.0 while their reprs differ.
+    Each distinct row is formatted once: the bodies of a choreography
+    retrace the same curve points, so an analytic export repeats its rows
+    many times over.  Rows are grouped by the bit patterns of all four
+    floats, not by value, because -0.0 == 0.0 while their reprs differ.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.frompyfunc(float.__repr__, 1, 1)(bits.view(np.float64))
-    return text[inverse.reshape(values.shape)]
+    n_samples, n_bodies = traj.q.shape[:2]
+    rows = np.concatenate((traj.q, traj.v), axis=2, dtype=np.float64)
+    bits = rows.reshape(n_samples * n_bodies, 4).view(np.int64)
+    order = np.lexsort(bits.T)
+    ranked = bits[order]
+    # A run of bit-identical rows starts wherever a row differs from the
+    # one sorted before it.
+    starts = np.ones(len(ranked), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    distinct = ranked[starts].view(np.float64)
+    formatted = np.empty(len(distinct), dtype=object)
+    # Python floats are made one chunk of rows at a time, so they never
+    # outweigh the text they become.
+    for start in range(0, len(distinct), _FORMAT_CHUNK):
+        columns = distinct[start:start + _FORMAT_CHUNK].T.tolist()
+        formatted[start:start + _FORMAT_CHUNK] = [
+            "%r,%r,%r,%r" % row for row in zip(*columns)]
+    texts = np.empty(len(ranked), dtype=object)
+    texts[order] = formatted[np.cumsum(starts) - 1]
+    return texts.reshape(n_samples, n_bodies)
 
 
 def _sample_blocks(traj: Trajectory) -> list[str]:
     """The CSV rows of each sample, one string per sample."""
-    n_samples, n_bodies = traj.q.shape[:2]
-    coords = np.concatenate((traj.q, traj.v), axis=2).reshape(n_samples, 4 * n_bodies)
     # A sample's block is its time joined between these pieces, which
-    # carry the body index and the four coordinate slots of each row.
-    pieces = [""] + [f",{k},%s,%s,%s,%s\n" for k in range(n_bodies)]
-    return [repr(t).join(pieces) % tuple(row.tolist())
-            for t, row in zip(traj.t.tolist(), _reprs(coords))]
+    # carry the body index and the row text of each body.
+    pieces = [""] + [f",{k},%s\n" for k in range(traj.q.shape[1])]
+    return [repr(t).join(pieces) % tuple(row)
+            for t, row in zip(traj.t.tolist(), _row_texts(traj).tolist())]
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -258,10 +289,11 @@ def trajectory_csv(traj: Trajectory) -> str:
 
     One row per (sample, body), sorted by t then body.  Coordinates are
     formatted as float64 in the shortest representation that round-trips
-    exactly.  Each distinct value is formatted once, so an analytic
-    choreography, which repeats its curve points, costs one ``repr`` per
-    distinct float rather than one per coordinate.  Memory is O(S*N):
-    every coordinate's text is held until the samples' blocks are
-    formatted, and freed before they are joined.
+    exactly.  Each distinct (x, y, vx, vy) row is formatted once, so an
+    analytic choreography, whose bodies retrace the same curve points,
+    costs one format per distinct row, and each sample's block is filled
+    by one ``%`` with N substitutions.  Memory is O(S*N): every distinct
+    row's text is held until the blocks are formatted, and freed before
+    they are joined.
     """
     return "".join(["t,body,x,y,vx,vy\n"] + _sample_blocks(traj))

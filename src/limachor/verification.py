@@ -38,7 +38,7 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
     traj = dynamics.rk4_integrate(init, spec, dt, steps)
     t_end = float(traj.t[-1])
     probes = np.array([0.3, 1.7, 5.9, t_end])
-    reference, _, _ = kinematics.bodies_at(config, np.arange(n), probes[:, None])
+    reference = kinematics.bodies_at(config, np.arange(n), probes[:, None], 1)[0]
     stacked = np.stack([dynamics.spectral_propagate(init, spec, t).positions
                         for t in probes.tolist()])
     # An error whose square overflows is inf and fails its gate.

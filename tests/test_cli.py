@@ -440,6 +440,34 @@ class TestStepAndCountFlags:
         assert len(out.strip().split("\n")) == 1 + 2 * 4
 
 
+_BEYOND_INDEX = [10**200, int(np.iinfo(np.intp).max) + 1]
+
+
+class TestBodyCountBeyondIndexRange:
+    # numpy rejects such N before allocating anything; the CLI rejects
+    # them before numpy sees them.
+    @pytest.mark.parametrize("n", _BEYOND_INDEX, ids=["1e200", "intp-max+1"])
+    @pytest.mark.parametrize("command", ["coeffs", "restricted", "simulate",
+                                         "verify", "constants", "collide"])
+    def test_is_usage_error_naming_n(self, capsys, command, n):
+        code, out, err = run_cli(capsys, command, "--N", str(n), "--p", "5")
+        assert code == 1
+        assert out == ""
+        assert "argument --N:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", _BEYOND_INDEX, ids=["1e200", "intp-max+1"])
+    def test_admissibility_still_decides(self, capsys, n):
+        code, out, _ = run_cli(capsys, "admissible", "--N", str(n), "--p", "5")
+        assert code == 0
+        assert json.loads(out) == {"p": 5, "N": n, "admissible": True,
+                                   "violated_conditions": []}
+        code, _, err = run_cli(capsys, "admissible", "--N", str(n),
+                               "--p", str(n + 1))
+        assert code == 2
+        assert json.loads(err)["violated_conditions"] == ["P_MINUS_1_DIV_N"]
+
+
 class TestInadmissibleDecisionOnStderr:
     @pytest.mark.parametrize("argv, tags", [
         (("simulate", "--N", "4", "--p", "5"), ["P_MINUS_1_DIV_N"]),

@@ -92,6 +92,49 @@ def float_trajectories(draw):
     return Trajectory(t, q, v)
 
 
+def _neighbour(row, slot, up):
+    """``row`` with one slot moved to the nearest distinct bit pattern.
+
+    A zero flips its sign (-0.0 == 0.0, but the reprs differ); any
+    other value moves one ulp, towards zero where a step away would
+    overflow.
+    """
+    x = row[slot]
+    if x == 0.0:
+        y = -x
+    else:
+        y = math.nextafter(x, math.inf if up else -math.inf)
+        y = y if math.isfinite(y) else math.nextafter(x, 0.0)
+    return row[:slot] + (y,) + row[slot + 1:]
+
+
+@st.composite
+def row_pool_trajectories(draw):
+    """Trajectories whose (x, y, vx, vy) rows come from a small pool.
+
+    The pool holds a few drawn rows and chains of one-slot neighbours of
+    them, so many rows repeat exactly and many differ from another row
+    in a sign of zero or the last bit of one or more slots.
+    """
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(EDGE_FLOATS))
+    rows = draw(st.lists(st.tuples(value, value, value, value), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 8))):
+        row = draw(st.sampled_from(rows))
+        rows.append(_neighbour(row, draw(st.integers(0, 3)), draw(st.booleans())))
+    n_samples, n_bodies = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    size = n_samples * n_bodies
+    picks = draw(st.lists(st.sampled_from(rows), min_size=size, max_size=size))
+    table = np.array(picks, dtype=np.float64).reshape(n_samples, n_bodies, 4)
+    t = draw(arrays(np.float64, (n_samples,), elements=value))
+    return Trajectory(t, table[..., :2].copy(), table[..., 2:].copy())
+
+
+def bit_equal(x, y):
+    """Same shape and the same float64 bits (so -0.0 differs from 0.0)."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 REFERENCE_CONFIGS = [make_config(4, 2, 1.2, 1.0), make_config(7, -3, 0.3, -2.5),
                      make_config(12, 9, -1e3, 1e-3), make_config(64, 5, 1.7, 0.2)]
 # Both sides of the 1e6 angle reduction, for t and for p * t.
@@ -335,6 +378,29 @@ class TestTrajectoryCsvMatchesReference:
     def test_any_finite_floats(self, traj):
         assert trajectory_csv(traj) == reference_csv(traj)
 
+    @settings(max_examples=200, deadline=None)
+    @given(traj=row_pool_trajectories())
+    def test_rows_that_differ_in_one_bit(self, traj):
+        assert trajectory_csv(traj) == reference_csv(traj)
+
+    def test_rows_differing_only_in_signs_of_zero(self):
+        # Every sign pattern of an all-zero row, each at two bodies.
+        signs = np.array([[(-1.0) ** (m >> j & 1) for j in range(4)]
+                          for m in range(16)])
+        rows = np.concatenate((signs, signs[::-1])) * 0.0
+        traj = Trajectory(np.array([0.0]), rows[None, :, :2].copy(),
+                          rows[None, :, 2:].copy())
+        csv = trajectory_csv(traj)
+        assert csv == reference_csv(traj)
+        assert len(set(line.split(",", 2)[2] for line in csv.splitlines()[1:])) == 16
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_non_float64_coordinates_print_as_float64(self, dtype):
+        q = (np.arange(24).reshape(3, 4, 2) - 7.9).astype(dtype)
+        t = np.array([0.0, 0.5, 1.0])
+        as_float64 = Trajectory(t, q.astype(np.float64), (-q).astype(np.float64))
+        assert trajectory_csv(Trajectory(t, q, -q)) == reference_csv(as_float64)
+
     def test_peak_memory_stays_linear(self):
         # RK4 at N = 256 over 128 steps: ~132k distinct coordinates, whose
         # strings are all held until the sample blocks are built.
@@ -378,3 +444,21 @@ class TestArrayEvaluatorMatchesScalarReference:
                 assert np.array_equal(got_pos, pos)
                 assert np.array_equal(got_vel, vel)
                 assert np.array_equal(bodies_at(config, k, t)[2], acc)
+
+
+class TestDerivativeCount:
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
+    def test_leading_outputs_bit_equal_the_full_evaluation(self, config):
+        grids = [(np.arange(config.N), np.array(REFERENCE_TIMES)[:, None])]
+        grids += [(config.N - 1, t) for t in REFERENCE_TIMES]
+        for k, t in grids:
+            full = bodies_at(config, k, t)
+            for count in (1, 2, 3):
+                got = bodies_at(config, k, t, count)
+                assert len(got) == count
+                assert all(bit_equal(x, y) for x, y in zip(got, full))
+
+    @pytest.mark.parametrize("count", [0, 4, -1])
+    def test_count_outside_one_to_three_is_value_error(self, count):
+        with pytest.raises(ValueError, match="derivative count"):
+            bodies_at(make_config(4, 2), 0, 0.0, count)
