@@ -42,7 +42,6 @@ from limachor.kinematics import (
 )
 from limachor.dynamics import (
     InteractionSpec,
-    accel,
     build_interaction,
     rk4_integrate,
     spectral_propagate,

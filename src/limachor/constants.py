@@ -216,7 +216,7 @@ def partial_sums(config: ChoreoConfig, m: int, n: int, ell: int,
     in integer arithmetic, never inferred from floats.
 
     Raises:
-        ValueError: If m*n != N or a factor is < 2.
+        ValueError: If m*n != N, a factor is < 2, or t is not finite.
         IndexError: If ell is outside [0, n).
     """
     if m < 2 or n < 2 or m * n != config.N:

@@ -33,16 +33,14 @@ class InteractionSpec:
     over the body index; mode 0 (rigid translation) always has
     stiffness exactly zero, and mode m mirrors mode N - m.  The dense
     ``pair_matrix`` drives the direct force path; ``mode_basis`` is an
-    orthonormal real cos/sin eigenbasis with ``basis_stiffness`` giving
-    the stiffness of each basis column.
+    orthonormal real cos/sin eigenbasis whose column c belongs to mode
+    (c + 1) // 2.
     """
 
     N: int
     mode_stiffness: np.ndarray    # (N,)
     pair_matrix: np.ndarray       # (N, N)
-    pair_row_sum: np.ndarray      # (N,)
     mode_basis: np.ndarray        # (N, N), orthonormal columns
-    basis_stiffness: np.ndarray   # (N,), stiffness per basis column
 
 
 def _stiffness_spectrum(N: int, kappas: np.ndarray) -> np.ndarray:
@@ -59,24 +57,23 @@ def _stiffness_spectrum(N: int, kappas: np.ndarray) -> np.ndarray:
     return half[np.minimum(k, N - k)]
 
 
-def _real_mode_basis(N: int, lam: np.ndarray):
-    """Orthonormal cos/sin eigenbasis of any symmetric circulant on Z_N."""
+def _real_mode_basis(N: int) -> np.ndarray:
+    """Orthonormal cos/sin eigenbasis of any symmetric circulant on Z_N.
+
+    Columns 2m - 1 and 2m are the cosine and sine of mode m, and the
+    last column of even N is mode N / 2, so column c belongs to mode
+    (c + 1) // 2.
+    """
     basis = np.empty((N, N))
-    stiff = np.empty(N)
     k = np.arange(N)
     basis[:, 0] = 1.0 / math.sqrt(N)
-    stiff[0] = lam[0]
-    col = 1
     for m in range(1, (N - 1) // 2 + 1):
         ang = math.tau * m * k / N
-        basis[:, col] = math.sqrt(2.0 / N) * np.cos(ang)
-        basis[:, col + 1] = math.sqrt(2.0 / N) * np.sin(ang)
-        stiff[col] = stiff[col + 1] = lam[m]
-        col += 2
+        basis[:, 2 * m - 1] = math.sqrt(2.0 / N) * np.cos(ang)
+        basis[:, 2 * m] = math.sqrt(2.0 / N) * np.sin(ang)
     if N % 2 == 0:
         basis[:, N - 1] = np.where(k % 2 == 0, 1.0, -1.0) / math.sqrt(N)
-        stiff[N - 1] = lam[N // 2]
-    return basis, stiff
+    return basis
 
 
 def build_interaction(N: int, couplings: CouplingVector) -> InteractionSpec:
@@ -94,25 +91,7 @@ def build_interaction(N: int, couplings: CouplingVector) -> InteractionSpec:
             f"couplings sized for N={couplings.N}, expected N={N}"
         )
     lam = _stiffness_spectrum(N, couplings.kappas)
-    pair = couplings.pair_matrix()
-    basis, stiff = _real_mode_basis(N, lam)
-    return InteractionSpec(N, lam, pair, pair.sum(axis=1), basis, stiff)
-
-
-def accel(state: SystemState, spec: InteractionSpec) -> np.ndarray:
-    """Direct pairwise force sum: sum over partners of kappa * (q_l - q_j).
-
-    This is the O(N^2) reference path; the spectral engine never calls it.
-
-    Raises:
-        ValueError: If state and spec disagree on the body count.
-    """
-    if state.n_bodies != spec.N:
-        raise ValueError(
-            f"state has {state.n_bodies} bodies, spec expects {spec.N}"
-        )
-    pos = state.positions
-    return spec.pair_matrix @ pos - spec.pair_row_sum[:, None] * pos
+    return InteractionSpec(N, lam, couplings.pair_matrix(), _real_mode_basis(N))
 
 
 def rk4_integrate(initial: SystemState, spec: InteractionSpec,
@@ -143,11 +122,11 @@ def rk4_integrate(initial: SystemState, spec: InteractionSpec,
         raise ValueError(
             f"state has {initial.n_bodies} bodies, spec expects {spec.N}"
         )
-    n = spec.N
+    n, pair = spec.N, spec.pair_matrix
     eye = np.eye(2 * n)
     h_a = np.zeros((2 * n, 2 * n))
     h_a[:n, n:] = dt * np.eye(n)
-    h_a[n:, :n] = dt * (spec.pair_matrix - np.diag(spec.pair_row_sum))
+    h_a[n:, :n] = dt * (pair - np.diag(pair.sum(axis=1)))
 
     # Sample, coordinate, state entry: a run of consecutive samples is
     # one contiguous (2 * rows, 2N) matrix, advanced by right products.
@@ -180,57 +159,69 @@ def rk4_integrate(initial: SystemState, spec: InteractionSpec,
 
 
 def _overflow(t: float, lam: np.ndarray) -> ValueError:
-    return ValueError(f"spectral propagation to t={t} overflows float64: "
-                      f"mode stiffness {lam.min()} is unstable")
+    cause = (f"mode stiffness {lam.min()} is unstable" if lam.min() < 0.0
+             else "the motion outgrows float64")
+    return ValueError(
+        f"spectral propagation to t={t} left the finite float range: {cause}")
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def spectral_propagate(initial: SystemState, spec: InteractionSpec,
-                       t: float) -> SystemState:
-    """Exact propagation by time t through the circulant eigenbasis.
+                       times) -> Trajectory:
+    """Exact propagation through the circulant eigenbasis, at a vector of times.
 
-    Each mode evolves in closed form: harmonically for positive
-    stiffness, linearly for zero, hyperbolically for negative (free
-    coupling tails can produce unstable modes; the choreography never
-    excites them, but perturbed states may).  Exact for every t up to
-    roundoff.
+    ``times`` is a 1-D array of offsets in any order, repeats allowed;
+    sample i of the result is the state at ``initial.t + times[i]``, and
+    an offset of zero returns the initial state exactly.  Each mode
+    evolves in closed form: harmonically for positive stiffness,
+    linearly for zero, hyperbolically for negative (free coupling tails
+    can produce unstable modes; the choreography never excites them,
+    but perturbed states may).  Exact for every time up to roundoff,
+    and each sample is the same, bit for bit, whatever else is in the
+    batch.
 
     Raises:
-        ValueError: On a dimension mismatch, or if an unstable mode overflows by t.
+        ValueError: On a dimension mismatch, if times is not 1-D or
+            holds a non-finite time, or if a sample overflows.
     """
     if initial.n_bodies != spec.N:
         raise ValueError(
             f"state has {initial.n_bodies} bodies, spec expects {spec.N}"
         )
-    if t == 0.0:
-        return SystemState(initial.t, initial.positions.copy(),
-                           initial.velocities.copy())
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
+    bad = ~np.isfinite(times)
+    if bad.any():
+        raise ValueError(
+            f"spectral propagation needs finite times, got t={times[bad][0]}")
     basis = spec.mode_basis
-    lam = spec.basis_stiffness
+    # Stiffness of each basis column.
+    lam = spec.mode_stiffness[(np.arange(spec.N) + 1) // 2]
+    rate = np.sqrt(np.abs(lam))
+    phase = times[:, None] * rate
+    # q(t) = C q0 + S v0, v(t) = -lam S q0 + C v0 in every branch; the
+    # (T, N) tables hold C and S for every time and basis column.
+    cos_f = np.where(lam > 0.0, np.cos(phase), 1.0)
+    sin_f = np.where(lam > 0.0, np.sin(phase) / rate, times[:, None])
+    # Unstable entries use math.cosh and math.sinh, which raise on
+    # overflow; numpy's versions differ from them in the last bit.
+    for i, j in zip(*np.nonzero(np.broadcast_to(lam < 0.0, phase.shape))):
+        try:
+            cos_f[i, j] = math.cosh(phase[i, j])
+            sin_f[i, j] = math.sinh(phase[i, j]) / rate[j]
+        except OverflowError:
+            raise _overflow(float(times[i]), lam) from None
     # Mode amplitudes of each coordinate.
     aq = basis.T @ initial.positions
     av = basis.T @ initial.velocities
-    # q(t) = C q0 + S v0, v(t) = -lam S q0 + C v0 in every branch.
-    cos_f = np.empty_like(lam)
-    sin_f = np.empty_like(lam)
-    for i, lm in enumerate(lam):
-        if lm > 0.0:
-            w = math.sqrt(lm)
-            cos_f[i] = math.cos(w * t)
-            sin_f[i] = math.sin(w * t) / w
-        elif lm < 0.0:
-            mu = math.sqrt(-lm)
-            try:
-                cos_f[i] = math.cosh(mu * t)
-                sin_f[i] = math.sinh(mu * t) / mu
-            except OverflowError:
-                raise _overflow(t, lam) from None
-        else:
-            cos_f[i] = 1.0
-            sin_f[i] = t
-    new_aq = cos_f[:, None] * aq + sin_f[:, None] * av
-    new_av = (-lam * sin_f)[:, None] * aq + cos_f[:, None] * av
-    positions, velocities = basis @ new_aq, basis @ new_av
-    if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
-        raise _overflow(t, lam)
-    return SystemState(initial.t + t, positions, velocities)
+    cos_f, sin_f = cos_f[:, :, None], sin_f[:, :, None]
+    q = basis @ (cos_f * aq + sin_f * av)
+    v = basis @ ((-lam[:, None] * sin_f) * aq + cos_f * av)
+    at_start = times == 0.0
+    q[at_start] = initial.positions
+    v[at_start] = initial.velocities
+    finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(v).all(axis=(1, 2))
+    if not finite.all():
+        raise _overflow(float(times[np.argmin(finite)]), lam)
+    return Trajectory(initial.t + times, q, v)

@@ -95,7 +95,7 @@ class SystemState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States at strictly increasing times, stored as arrays.
+    """States at a sequence of times, stored as arrays.
 
     ``t`` has shape (S,); ``q`` and ``v`` have shape (S, N, 2) and hold
     every body's position and velocity at every sample.  Other shapes
@@ -180,7 +180,13 @@ def body_state(config: ChoreoConfig, k: int, t: float):
 
 
 def state_at(config: ChoreoConfig, t: float) -> SystemState:
-    """Analytic state of the whole system at time t."""
+    """Analytic state of the whole system at time t.
+
+    Raises:
+        ValueError: If t is not finite.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got t={t}")
     pos, vel = bodies_at(config, np.arange(config.N), t, 2)
     return SystemState(t, pos, vel)
 

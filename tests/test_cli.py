@@ -529,7 +529,7 @@ class TestVerifyCallsEveryLayer:
             "kinematics.eom_residual": 1,
             "dynamics.build_interaction": 1,
             "dynamics.rk4_integrate": 1,
-            "dynamics.spectral_propagate": 4,
+            "dynamics.spectral_propagate": 1,
             "constants.drift_report": 1,
             "constants.inertia_rate_max": 1,
             "coefficients.is_admissible": 1,

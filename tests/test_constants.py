@@ -284,6 +284,11 @@ class TestPartialSums:
         with pytest.raises(IndexError):
             partial_sums(config, 3, 2, 2, 0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match=rf"got t={t}$"):
+            partial_sums(make_config(6, 5), 2, 3, 0, t)
+
 
 class TestDriftReport:
     def test_analytic_trajectory_of_solved_system(self):

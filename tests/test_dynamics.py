@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.dynamics import (
     _stiffness_spectrum,
-    accel,
     build_interaction,
     rk4_integrate,
     spectral_propagate,
@@ -33,7 +32,7 @@ def staged_rk4(initial, spec, dt, steps):
     Returns the stacked (steps + 1, 2N, 2) states, positions first.
     """
     kmat = spec.pair_matrix
-    row_sum = spec.pair_row_sum[:, None]
+    row_sum = kmat.sum(axis=1)[:, None]
 
     def force(q):
         return kmat @ q - row_sum * q
@@ -156,50 +155,60 @@ class TestEnginesShareNoData:
         initial, spec, dt = _solved_case()
         blind = dataclasses.replace(
             spec, mode_stiffness=np.full(6, np.nan),
-            mode_basis=np.full((6, 6), np.nan), basis_stiffness=np.full(6, np.nan))
+            mode_basis=np.full((6, 6), np.nan))
         assert np.array_equal(rk4_integrate(initial, blind, dt, 64).q,
                               rk4_integrate(initial, spec, dt, 64).q)
 
     def test_spectral_never_reads_the_pair_matrix(self):
         initial, spec, _ = _solved_case()
-        blind = dataclasses.replace(spec, pair_matrix=np.full((6, 6), np.nan),
-                                    pair_row_sum=np.full(6, np.nan))
-        assert np.array_equal(spectral_propagate(initial, blind, 1.3).positions,
-                              spectral_propagate(initial, spec, 1.3).positions)
+        blind = dataclasses.replace(spec, pair_matrix=np.full((6, 6), np.nan))
+        assert np.array_equal(spectral_propagate(initial, blind, [1.3]).q,
+                              spectral_propagate(initial, spec, [1.3]).q)
 
 
-class TestAccel:
+class TestRk4Force:
+    # RK4's step matrix and eom_residual both apply the direct force
+    # K q - D q, K the pair matrix and D its row sums.
+
     def test_coincident_bodies_feel_nothing(self):
         spec = build_interaction(4, CouplingVector(4, [1.0, -0.5]))
         state = SystemState(0.0, np.ones((4, 2)), np.zeros((4, 2)))
-        assert accel(state, spec) == pytest.approx(np.zeros((4, 2)))
+        traj = rk4_integrate(state, spec, 0.1, 10)
+        assert traj.q == pytest.approx(np.ones((11, 4, 2)), abs=1e-15)
+        assert traj.v == pytest.approx(np.zeros((11, 4, 2)), abs=1e-15)
 
     def test_matches_analytic_acceleration_on_solution(self):
+        # From rest, one step of size h gives v = h F(q) + O(h^3).
         config = make_config(4, 2, 1.2, 1.0)
-        spec = solved_spec(4, 2)
-        state = initial_state(config)
-        forces = accel(state, spec)
-        for k in range(4):
-            assert forces[k] == pytest.approx(
-                bodies_at(config, k, 0.0)[2], abs=1e-12)
+        start = initial_state(config)
+        at_rest = SystemState(0.0, start.positions, np.zeros((4, 2)))
+        h = 1e-8
+        forces = rk4_integrate(at_rest, solved_spec(4, 2), h, 1).v[1] / h
+        acc = bodies_at(config, np.arange(4), 0.0)[2]
+        assert forces == pytest.approx(acc, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_newtons_third_law(self, seed):
+        # Internal forces cancel, so the total momentum never changes.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 10))
         kappas = rng.normal(size=n // 2)
         state = SystemState(0.0, rng.normal(size=(n, 2), scale=3.0),
-                            np.zeros((n, 2)))
+                            rng.normal(size=(n, 2)))
         spec = build_interaction(n, CouplingVector(n, kappas))
-        total = accel(state, spec).sum(axis=0)
-        assert np.linalg.norm(total) <= 1e-12 * n * (1 + np.abs(kappas).max())
+        traj = rk4_integrate(state, spec, 0.01, 20)
+        drift = traj.v.sum(axis=1) - state.velocities.sum(axis=0)
+        scale = n * (1 + np.abs(kappas).max()) * np.abs(traj.q).max()
+        assert np.max(np.abs(drift)) <= 1e-12 * scale
 
     def test_dimension_mismatch(self):
         spec = build_interaction(4, CouplingVector(4, [1.0, -0.5]))
         state = SystemState(0.0, np.zeros((6, 2)), np.zeros((6, 2)))
-        with pytest.raises(ValueError):
-            accel(state, spec)
+        with pytest.raises(ValueError, match="6 bodies"):
+            rk4_integrate(state, spec, 0.1, 10)
+        with pytest.raises(ValueError, match="6 bodies"):
+            spectral_propagate(state, spec, [0.1])
 
 
 class TestRk4:
@@ -301,27 +310,29 @@ class TestSpectralPropagate:
     def test_zero_time_is_identity(self):
         config = make_config(5, 2, 1.1, 0.3)
         init = initial_state(config)
-        out = spectral_propagate(init, solved_spec(5, 2), 0.0)
-        assert np.array_equal(out.positions, init.positions)
-        assert np.array_equal(out.velocities, init.velocities)
+        out = spectral_propagate(init, solved_spec(5, 2), [0.0, 1.0, -0.0])
+        for row in (0, 2):
+            assert np.array_equal(out.q[row], init.positions)
+            assert np.array_equal(out.v[row], init.velocities)
 
     @pytest.mark.parametrize("t", [0.3, 1.7, 5.9])
     def test_matches_analytic_choreography(self, t):
         config = make_config(4, 2, 1.2, 1.0)
         init = initial_state(config)
-        out = spectral_propagate(init, solved_spec(4, 2), t)
+        out = spectral_propagate(init, solved_spec(4, 2), [t])
         ref = state_at(config, t)
-        assert np.max(np.abs(out.positions - ref.positions)) <= 1e-10
-        assert np.max(np.abs(out.velocities - ref.velocities)) <= 1e-10
+        assert out.t[0] == t
+        assert np.max(np.abs(out.q[0] - ref.positions)) <= 1e-10
+        assert np.max(np.abs(out.v[0] - ref.velocities)) <= 1e-10
 
     def test_agrees_with_rk4_over_one_period(self):
         config = make_config(4, 2, 1.2, 1.0)
         spec = solved_spec(4, 2)
         init = initial_state(config)
         traj = rk4_integrate(init, spec, math.tau / 8192, 8192)
-        spectral = spectral_propagate(init, spec, float(traj.t[-1]))
+        spectral = spectral_propagate(init, spec, traj.t[-1:])
         gap = np.max(np.linalg.norm(
-            spectral.positions - traj.q[-1], axis=1))
+            spectral.q[0] - traj.q[-1], axis=1))
         assert gap <= 1e-7
 
     def test_hyperbolic_branch_against_rk4(self):
@@ -333,8 +344,8 @@ class TestSpectralPropagate:
         init = SystemState(0.0, rng.normal(size=(4, 2)),
                            rng.normal(size=(4, 2)))
         traj = rk4_integrate(init, spec, 0.5 / 4096, 4096)
-        out = spectral_propagate(init, spec, 0.5)
-        assert out.positions == pytest.approx(traj.q[-1], abs=1e-9)
+        out = spectral_propagate(init, spec, [0.5])
+        assert out.q[0] == pytest.approx(traj.q[-1], abs=1e-9)
 
     def test_perturbed_state_agreement_between_engines(self):
         # Perturbations leave the solution manifold; both engines must
@@ -347,18 +358,18 @@ class TestSpectralPropagate:
                            base.positions + rng.normal(size=(6, 2), scale=0.1),
                            base.velocities + rng.normal(size=(6, 2), scale=0.1))
         traj = rk4_integrate(init, spec, math.tau / 8192, 2048)
-        out = spectral_propagate(init, spec, float(traj.t[-1]))
-        assert out.positions == pytest.approx(traj.q[-1], abs=1e-8)
+        out = spectral_propagate(init, spec, traj.t[-1:])
+        assert out.q[0] == pytest.approx(traj.q[-1], abs=1e-8)
 
     def test_engine_agreement_across_small_sweep(self):
         for p, n in admissible_pairs(4, 8):
             config = make_config(n, p, 1.2, 0.7)
             spec = solved_spec(n, p)
             init = initial_state(config)
-            for t in (0.9, 4.2):
-                out = spectral_propagate(init, spec, t)
+            out = spectral_propagate(init, spec, [0.9, 4.2])
+            for q, t in zip(out.q, (0.9, 4.2)):
                 ref = state_at(config, t)
-                assert np.max(np.abs(out.positions - ref.positions)) <= 1e-9
+                assert np.max(np.abs(q - ref.positions)) <= 1e-9
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t, amplitude", [
@@ -372,4 +383,79 @@ class TestSpectralPropagate:
         alternating = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         init = SystemState(0.0, amplitude * alternating, np.zeros((4, 2)))
         with pytest.raises(ValueError, match=rf"t={t}\b.*stiffness -4\.0"):
-            spectral_propagate(init, spec, t)
+            spectral_propagate(init, spec, [t])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stable_overflow_says_the_motion_outgrows_float64(self):
+        # No mode is unstable (the spectrum is 0, 1, 4, 1); the state
+        # itself is too large to propagate.
+        spec = build_interaction(4, CouplingVector(4, [1.0, -0.5]))
+        init = SystemState(0.0, np.full((4, 2), 1e308), np.full((4, 2), 1e308))
+        with pytest.raises(ValueError, match=r"t=0\.3\b.*outgrows float64") as err:
+            spectral_propagate(init, spec, [0.0, 0.3])
+        assert "stiffness" not in str(err.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        init = initial_state(make_config(4, 2))
+        with pytest.raises(ValueError, match=rf"finite times, got t={bad}$"):
+            spectral_propagate(init, solved_spec(4, 2), [0.5, bad])
+
+    @pytest.mark.parametrize("times", [0.5, [[0.5]]])
+    def test_times_must_be_one_dimensional(self, times):
+        init = initial_state(make_config(4, 2))
+        with pytest.raises(ValueError, match="1-D"):
+            spectral_propagate(init, solved_spec(4, 2), times)
+
+
+def _spec_of_kind(kind, n):
+    """Harmonic, free or hyperbolic: nearest-neighbour coupling 1, 0 or -1."""
+    kappas = np.zeros(n // 2)
+    kappas[0] = {"harmonic": 1.0, "free": 0.0, "hyperbolic": -1.0}[kind]
+    return build_interaction(n, CouplingVector(n, kappas))
+
+
+spec_kinds = st.sampled_from(["harmonic", "free", "hyperbolic"])
+offsets = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
+
+
+class TestSpectralProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(spec_kinds, st.integers(4, 9), st.integers(0, 2 ** 32 - 1),
+           st.lists(offsets, min_size=1, max_size=6), st.randoms())
+    def test_batch_matches_each_time_alone(self, kind, n, seed, drawn, shuffle):
+        rng = np.random.default_rng(seed)
+        init = SystemState(0.5, rng.normal(size=(n, 2)), rng.normal(size=(n, 2)))
+        spec = _spec_of_kind(kind, n)
+        # Unordered, with a repeat and a zero.
+        times = drawn + [drawn[0], 0.0]
+        shuffle.shuffle(times)
+        batch = spectral_propagate(init, spec, times)
+        assert np.array_equal(batch.t, 0.5 + np.array(times))
+        for row, t in enumerate(times):
+            alone = spectral_propagate(init, spec, [t])
+            assert np.array_equal(batch.q[row], alone.q[0])
+            assert np.array_equal(batch.v[row], alone.v[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec_kinds, st.integers(4, 9), st.integers(0, 2 ** 32 - 1),
+           offsets, offsets)
+    def test_semigroup(self, kind, n, seed, t1, t2):
+        rng = np.random.default_rng(seed)
+        init = SystemState(0.0, rng.normal(size=(n, 2)), rng.normal(size=(n, 2)))
+        spec = _spec_of_kind(kind, n)
+        first = spectral_propagate(init, spec, [t1])
+        mid = SystemState(float(first.t[0]), first.q[0], first.v[0])
+        stepped = spectral_propagate(mid, spec, [t2])
+        direct = spectral_propagate(init, spec, [t1 + t2])
+        assert stepped.t[0] == direct.t[0]
+        # Relative to the largest amplitude the path reaches, times the
+        # condition number cosh(mu t1) cosh(mu t2) of the two steps, mu
+        # the fastest unstable rate: roundoff in a growing mode feeds the
+        # decaying one, and stepping back amplifies it.
+        scale = max(np.abs(s).max() for s in (init.positions, init.velocities,
+                                              first.q, first.v, direct.q, direct.v))
+        mu = math.sqrt(max(0.0, -spec.mode_stiffness.min()))
+        bound = 1e-13 * scale * math.cosh(mu * t1) * math.cosh(mu * t2)
+        assert np.max(np.abs(stepped.q - direct.q)) <= bound
+        assert np.max(np.abs(stepped.v - direct.v)) <= bound

@@ -231,6 +231,11 @@ class TestInitialState:
             for t in np.linspace(0.0, math.tau, 32, endpoint=False))
         assert variation > 0.1 * 0.8 * 6
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_state_at_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match=rf"got t={t}$"):
+            state_at(make_config(6, 5), t)
+
 
 class TestAnalyticAccel:
     def test_at_time_zero(self):
