@@ -28,14 +28,11 @@ from limachor.coefficients import (
 )
 from limachor.kinematics import (
     ChoreoConfig,
-    CurveParams,
     SystemState,
     Trajectory,
     bodies_at,
     body_state,
     eom_residual,
-    initial_state,
-    make_config,
     sample_trajectory,
     state_at,
     trajectory_csv,
@@ -53,7 +50,6 @@ from limachor.constants import (
     closed_form_constants,
     drift_report,
     inertia_rate_max,
-    measure,
     partial_sums,
     potential_from_parts,
     potential_parts,

@@ -131,7 +131,7 @@ def _dumps(payload) -> str:
 
 
 def _config(args: argparse.Namespace) -> kinematics.ChoreoConfig:
-    return kinematics.make_config(args.N, args.p, args.a, args.b)
+    return kinematics.ChoreoConfig(args.N, args.p, args.a, args.b)
 
 
 def _solve(args: argparse.Namespace) -> coefficients.CouplingVector:
@@ -195,7 +195,7 @@ def _cmd_simulate(args: argparse.Namespace):
                          f"is not finite")
     if args.engine == "rk4":
         spec = dynamics.build_interaction(args.N, couplings)
-        traj = dynamics.rk4_integrate(kinematics.initial_state(config),
+        traj = dynamics.rk4_integrate(kinematics.state_at(config, 0.0),
                                       spec, args.dt, args.steps)
     else:
         traj = kinematics.sample_trajectory(config, 0.0, args.dt * args.steps,
@@ -286,8 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="apply the alternating-coupling criterion")
 
     cmd = sub.add_parser("scan", help="list admissible N for a fixed p")
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--max-N", dest="max_n", type=int, default=60)
+    # Bounded so that divisor trial division and the listed span stay fast.
+    cmd.add_argument("--p", type=_checked(int, lambda p: abs(p) <= 10**12, "|p| <= 10**12"),
+                     required=True)
+    cmd.add_argument("--max-N", dest="max_n", default=60,
+                     type=_checked(int, lambda n: n <= 10**6, "at most 10**6"))
 
     cmd = sub.add_parser("coeffs", help="solve the force coefficients")
     _add_pair_args(cmd, with_curve=False)
@@ -368,7 +371,7 @@ def run(argv) -> int:
     except admissibility.InadmissibleError as err:
         sys.stderr.write(_dumps(err.decision.to_json_dict()))
         return EXIT_INADMISSIBLE
-    except (ValueError, IndexError) as err:
+    except (ValueError, IndexError, MemoryError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
     if args.out is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from limachor.kinematics import ChoreoConfig, bodies_at, make_config
+from limachor.kinematics import ChoreoConfig, bodies_at
 
 # Relative to |a| + |b|: a configuration this close to the ratio locus
 # is examined by the refined oracle; it is certified as colliding only
@@ -85,13 +85,12 @@ def collision_ratios(N: int, p: int) -> list[CollisionRatio]:
     would require a = 0) and values repeated across separations are
     deduplicated, keeping the smallest k.  Separation N - k mirrors k
     exactly, so only k <= N/2 is evaluated.  At most 2(N - 1) values.
+
+    Raises:
+        ValueError: If |p| < 2 or N < 4, as ChoreoConfig does.
     """
-    if N < 4:
-        raise ValueError(f"need N >= 4, got {N}")
-    if p in (-1, 0, 1):
-        raise ValueError(f"p={p} does not define a limacon; need |p| >= 2")
     # With a = b = 1 the pair amplitudes are the two sines themselves.
-    unit = make_config(N, p, 1.0, 1.0)
+    unit = ChoreoConfig(N, p, 1.0, 1.0)
     found: list[CollisionRatio] = []
     for k in range(1, N // 2 + 1):
         first, second = _pair_amplitudes(unit, k)
@@ -109,12 +108,12 @@ def _pair_amplitudes(config: ChoreoConfig, k: int) -> tuple[float, float]:
 
     The second sine is zeroed exactly when p*k is a multiple of N.
     """
-    curve, n = config.curve, config.N
-    first = curve.a * math.sin(math.pi * k / n)
-    if (curve.p * k) % n == 0:
+    n, p = config.N, config.p
+    first = config.a * math.sin(math.pi * k / n)
+    if (p * k) % n == 0:
         second = 0.0
     else:
-        second = curve.b * math.sin(math.pi * curve.p * k / n)
+        second = config.b * math.sin(math.pi * p * k / n)
     return first, second
 
 
@@ -156,7 +155,7 @@ def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
 
 def _witnesses_for(config: ChoreoConfig, k: int) -> list[CollisionWitness]:
     """All collision events with separation k, assuming the locus is hit."""
-    n, p = config.N, config.curve.p
+    n, p = config.N, config.p
     first, second = _pair_amplitudes(config, k)
     # Bodies 0 and k meet when the two rotating terms of their
     # difference anti-align: (p-1) t + pi (p-1) k / N = phase0 mod 2*pi.
@@ -192,7 +191,7 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     the oracle cannot certify are reported as suspects.  Both tolerances
     scale with the curve, so the verdict does not depend on its size.
     """
-    scale = abs(config.curve.a) + abs(config.curve.b)
+    scale = abs(config.a) + abs(config.b)
     suspect_tol, certify_tol = SUSPECT_TOL * scale, CERTIFY_TOL * scale
     witnesses: list[CollisionWitness] = []
     suspects: list[int] = []

@@ -17,7 +17,7 @@ import numpy as np
 
 from limachor.admissibility import InadmissibleError, is_admissible
 from limachor.coefficients import CouplingVector
-from limachor.kinematics import ChoreoConfig, SystemState, Trajectory, state_at
+from limachor.kinematics import ChoreoConfig, Trajectory, state_at
 
 # Coordinate rows per Laplacian product in _conserved: at N <= 12 a
 # (1024, N) @ (N, N + 1) product is small enough that BLAS runs it on
@@ -27,11 +27,11 @@ _CONSERVED_BLOCK = 1024
 
 @dataclass(frozen=True)
 class ConservedReport:
-    """Snapshot of the conserved quantities, optionally with drifts.
+    """Conserved quantities at one instant, with their drifts.
 
     Angular momentum is signed, positive counterclockwise.  ``drift``
     maps quantity keys (g, c, I, K, V, E) to the largest absolute
-    excursion from the first sample, when measured over a trajectory.
+    excursion from the first sample of a trajectory.
     """
 
     first_moment: np.ndarray  # (2,)
@@ -39,19 +39,17 @@ class ConservedReport:
     moment_of_inertia: float
     kinetic: float
     potential: float
-    drift: dict[str, float] | None = None
+    drift: dict[str, float]
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "g": [float(self.first_moment[0]), float(self.first_moment[1])],
             "c": self.angular_momentum,
             "I": self.moment_of_inertia,
             "K": self.kinetic,
             "V": self.potential,
+            "drift": dict(self.drift),
         }
-        if self.drift is not None:
-            out["drift"] = dict(self.drift)
-        return out
 
 
 @dataclass(frozen=True)
@@ -127,22 +125,6 @@ def _conserved(pos: np.ndarray, vel: np.ndarray, pair: np.ndarray):
     return g, c, inertia, kinetic, potential
 
 
-def measure(state: SystemState, couplings: CouplingVector) -> ConservedReport:
-    """Evaluate all conserved quantities on a single state.
-
-    Raises:
-        ValueError: If the coupling vector does not match the state size.
-    """
-    if couplings.N != state.n_bodies:
-        raise ValueError(
-            f"couplings sized for N={couplings.N}, state has {state.n_bodies}"
-        )
-    g, c, inertia, kinetic, potential = _conserved(
-        state.positions[None], state.velocities[None], couplings.pair_matrix())
-    return ConservedReport(g[0], float(c[0]), float(inertia[0]),
-                           float(kinetic[0]), float(potential[0]))
-
-
 def closed_form_constants(config: ChoreoConfig) -> ConservedReport:
     """Predicted constants of a solved system, with zero drift.
 
@@ -152,11 +134,11 @@ def closed_form_constants(config: ChoreoConfig) -> ConservedReport:
     Raises:
         InadmissibleError: If (p, N) is inadmissible.
     """
-    curve, n = config.curve, config.N
-    decision = is_admissible(curve.p, n)
+    n, p = config.N, config.p
+    decision = is_admissible(p, n)
     if not decision.admissible:
         raise InadmissibleError(decision)
-    a2, b2, p = curve.a ** 2, curve.b ** 2, curve.p
+    a2, b2 = config.a ** 2, config.b ** 2
     energy = 0.5 * (a2 + p * p * b2) * n
     zero = {key: 0.0 for key in ("g", "c", "I", "K", "V", "E")}
     return ConservedReport(
@@ -180,9 +162,9 @@ def potential_parts(config: ChoreoConfig, ell: int) -> PotentialParts:
     n_half = config.N // 2
     if not 1 <= ell <= n_half:
         raise IndexError(f"separation {ell} outside [1, {n_half}]")
-    a2, b2 = config.curve.a ** 2, config.curve.b ** 2
+    a2, b2 = config.a ** 2, config.b ** 2
     ca = math.cos(math.tau * ell / config.N)
-    cb = math.cos(math.tau * config.curve.p * ell / config.N)
+    cb = math.cos(math.tau * config.p * ell / config.N)
     v_minus = 2.0 * config.N * (a2 * (1.0 - ca) + b2 * (1.0 - cb))
     v_plus = 2.0 * config.N * (a2 * (1.0 + ca) + b2 * (1.0 + cb))
     return PotentialParts(ell, v_minus, v_plus)
@@ -225,7 +207,7 @@ def partial_sums(config: ChoreoConfig, m: int, n: int, ell: int,
         )
     if not 0 <= ell < n:
         raise IndexError(f"orbit label {ell} outside [0, {n})")
-    p = config.curve.p
+    p = config.p
     state = state_at(config, t)
     idx = ell + n * np.arange(m)
     # Unit coupling between every pair of the orbit: its potential is
@@ -237,9 +219,9 @@ def partial_sums(config: ChoreoConfig, m: int, n: int, ell: int,
     first_moment_full = (n * p) % config.N == 0
     subgroup_constant = (n * (p - 1)) % config.N != 0
 
-    a2, b2 = config.curve.a ** 2, config.curve.b ** 2
+    a2, b2 = config.a ** 2, config.b ** 2
     predicted: dict[str, float] = {
-        "g_abs": abs(config.curve.b) * m if first_moment_full else 0.0,
+        "g_abs": abs(config.b) * m if first_moment_full else 0.0,
     }
     if subgroup_constant:
         predicted["I"] = m * (a2 + b2)

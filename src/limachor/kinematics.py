@@ -29,38 +29,29 @@ _FORMAT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class CurveParams:
-    """The p-limacon a(cos t, sin t) + b(cos pt, sin pt), a*b != 0."""
-
-    a: float
-    b: float
-    p: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(
-                f"curve amplitudes must be finite, got a={self.a}, b={self.b}")
-        if self.a == 0 or self.b == 0:
-            raise ValueError("curve requires a != 0 and b != 0")
-        if self.p in (-1, 0, 1):
-            raise ValueError(f"p={self.p} degenerates the curve; need |p| >= 2")
-
-
-@dataclass(frozen=True)
 class ChoreoConfig:
-    """A curve plus the number of bodies sharing it.
+    """N bodies sharing the p-limacon a(cos t, sin t) + b(cos pt, sin pt).
 
-    Admissibility of (p, N) is enforced at solver entry, not here, so
-    inadmissible configurations can still be inspected.
+    Needs finite a, b with a*b != 0, |p| >= 2 and N >= 4, checked in
+    that order.  Admissibility of (p, N) is enforced at solver entry,
+    not here, so inadmissible configurations can still be inspected.
     """
 
-    curve: CurveParams
     N: int
+    p: int
+    a: float = 1.2
+    b: float = 1.0
 
     def __post_init__(self):
+        a, b, p = self.a, self.b, self.p
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"curve amplitudes must be finite, got a={a}, b={b}")
+        if a == 0 or b == 0:
+            raise ValueError("curve requires a != 0 and b != 0")
+        if p in (-1, 0, 1):
+            raise ValueError(f"p={p} degenerates the curve; need |p| >= 2")
         if self.N < 4:
             raise ValueError(f"need at least 4 bodies, got N={self.N}")
-        a, b, p = self.curve.a, self.curve.b, self.curve.p
         # N (a^2 + p^2 b^2) is twice the closed-form kinetic energy; where
         # it overflows, so do the conserved quantities computed from it.
         try:
@@ -73,11 +64,6 @@ class ChoreoConfig:
             raise ValueError(
                 f"curve amplitudes a={a}, b={b} too large: N (a^2 + p^2 b^2) "
                 f"overflows for p={p}, N={self.N}")
-
-
-def make_config(N: int, p: int, a: float = 1.2, b: float = 1.0) -> ChoreoConfig:
-    """Convenience constructor for a choreography configuration."""
-    return ChoreoConfig(CurveParams(a, b, p), N)
 
 
 @dataclass(frozen=True)
@@ -123,16 +109,26 @@ def _angle(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _derivatives(curve: CurveParams, theta, count: int = 3):
-    """The first ``count`` of position, velocity, acceleration at parameters theta.
+def bodies_at(config: ChoreoConfig, k, t, count: int = 3):
+    """Position, velocity, acceleration of body k at time t, elementwise.
 
-    The only evaluator of the curve.  ``theta`` is an array (or a
-    scalar); each result has shape ``theta.shape + (2,)`` and is the
-    same, bit for bit, whatever the count.
+    The only evaluator of the curve.  Returns the first ``count`` of the
+    three: 1 gives ``(pos,)``, 2 gives ``(pos, vel)`` and 3 (the
+    default) ``(pos, vel, acc)``; each array is bit-identical whatever
+    the count.  ``k`` and ``t`` broadcast against each other, and each
+    result has shape ``broadcast(k, t).shape + (2,)``; e.g.
+    ``k = np.arange(N)`` and ``t`` of shape (S, 1) give (S, N, 2).
+    Indices are not checked: every k must lie in [0, N).
+
+    Raises:
+        ValueError: If count is not 1, 2 or 3.
     """
     if count not in (1, 2, 3):
         raise ValueError(f"derivative count must be 1, 2 or 3, got {count}")
-    a, b, p = curve.a, curve.b, curve.p
+    a, b, p = config.a, config.b, config.p
+    # Same operation order on every path, so the k-shift identity holds
+    # bit-for-bit.
+    theta = t + (math.tau * k) / config.N
     t1 = _angle(theta)
     tp = _angle(p * theta)
     c1, s1 = np.cos(t1), np.sin(t1)
@@ -143,29 +139,6 @@ def _derivatives(curve: CurveParams, theta, count: int = 3):
     if count > 2:
         out.append(np.stack((-a * c1 - p * p * b * cp, -a * s1 - p * p * b * sp), axis=-1))
     return tuple(out)
-
-
-def _phase(t, k, N: int):
-    # Same operation order on every path, so the k-shift identity holds
-    # bit-for-bit.
-    return t + (math.tau * k) / N
-
-
-def bodies_at(config: ChoreoConfig, k, t, count: int = 3):
-    """Position, velocity, acceleration of body k at time t, elementwise.
-
-    Returns the first ``count`` of the three: 1 gives ``(pos,)``, 2
-    gives ``(pos, vel)`` and 3 (the default) ``(pos, vel, acc)``; each
-    array is bit-identical whatever the count.  ``k`` and ``t``
-    broadcast against each other, and each result has shape
-    ``broadcast(k, t).shape + (2,)``; e.g. ``k = np.arange(N)`` and
-    ``t`` of shape (S, 1) give (S, N, 2).  Indices are not checked:
-    every k must lie in [0, N).
-
-    Raises:
-        ValueError: If count is not 1, 2 or 3.
-    """
-    return _derivatives(config.curve, _phase(t, k, config.N), count)
 
 
 def body_state(config: ChoreoConfig, k: int, t: float):
@@ -189,11 +162,6 @@ def state_at(config: ChoreoConfig, t: float) -> SystemState:
         raise ValueError(f"time must be finite, got t={t}")
     pos, vel = bodies_at(config, np.arange(config.N), t, 2)
     return SystemState(t, pos, vel)
-
-
-def initial_state(config: ChoreoConfig) -> SystemState:
-    """Analytic state at t = 0."""
-    return state_at(config, 0.0)
 
 
 def certification_grid(count: int = 64) -> np.ndarray:

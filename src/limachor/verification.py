@@ -29,12 +29,12 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
     A layer's ValueError (bad input, or a quantity that overflows)
     propagates.
     """
-    n, a, b, p = config.N, config.curve.a, config.curve.b, config.curve.p
+    n, a, b, p = config.N, config.a, config.b, config.p
     residual_max = kinematics.eom_residual(
         config, couplings, kinematics.certification_grid(grid))
 
     spec = dynamics.build_interaction(n, couplings)
-    init = kinematics.initial_state(config)
+    init = kinematics.state_at(config, 0.0)
     traj = dynamics.rk4_integrate(init, spec, dt, steps)
     t_end = float(traj.t[-1])
     probes = np.array([0.3, 1.7, 5.9, t_end])

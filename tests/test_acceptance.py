@@ -31,18 +31,17 @@ from limachor.constants import (
     closed_form_constants,
     drift_report,
     inertia_rate_max,
-    measure,
     partial_sums,
     potential_from_parts,
 )
 from limachor.dynamics import build_interaction, rk4_integrate, spectral_propagate
 from limachor.kinematics import (
+    ChoreoConfig,
     certification_grid,
     eom_residual,
-    initial_state,
-    make_config,
     state_at,
 )
+from util import measure
 
 A_REF, B_REF = 1.2, 0.7
 PERIOD_STEPS = 8192
@@ -69,7 +68,7 @@ def systems():
 def solved(systems):
     out = {}
     for p, n in systems:
-        config = make_config(n, p, A_REF, B_REF)
+        config = ChoreoConfig(n, p, A_REF, B_REF)
         out[(p, n)] = (config, solve_couplings(n, p))
     return out
 
@@ -80,7 +79,7 @@ def rk4_runs(solved):
     runs = {}
     for (p, n), (config, couplings) in solved.items():
         spec = build_interaction(n, couplings)
-        runs[(p, n)] = rk4_integrate(initial_state(config), spec,
+        runs[(p, n)] = rk4_integrate(state_at(config, 0.0), spec,
                                      DT_REF, PERIOD_STEPS)
     return runs
 
@@ -164,7 +163,7 @@ def test_criterion_5_dynamics_oracle_equivalence(systems, solved, rk4_runs):
                 q - target.positions, axis=1))) <= 1e-6
 
         spec = build_interaction(config.N, couplings)
-        init = initial_state(config)
+        init = state_at(config, 0.0)
         propagated = spectral_propagate(init, spec, probe_times)
         for t, q in zip(probe_times, propagated.q):
             target = state_at(config, float(t))
@@ -174,7 +173,7 @@ def test_criterion_5_dynamics_oracle_equivalence(systems, solved, rk4_runs):
     assert worst_spectral <= 1e-9
 
     def final_error(config, spec, steps):
-        traj = rk4_integrate(initial_state(config), spec,
+        traj = rk4_integrate(state_at(config, 0.0), spec,
                              math.tau / steps, steps)
         ref = state_at(config, float(traj.t[-1]))
         return float(np.max(np.linalg.norm(
@@ -225,7 +224,7 @@ def test_criterion_7_necessity_witnesses():
     # least-squares best couplings leave a macroscopic defect.
     entries = build_matrix(4, 5)
     best, *_ = np.linalg.lstsq(entries, np.array([-1.0, -25.0]), rcond=None)
-    config = make_config(4, 5, 1.2, 1.0)
+    config = ChoreoConfig(4, 5, 1.2, 1.0)
     assert eom_residual(config, CouplingVector(4, best)) > 0.01
 
     # (p - 1)/N integral: angular momentum of the forced motion swings.
@@ -241,16 +240,16 @@ def test_criterion_7_necessity_witnesses():
 def test_criterion_8_collisions():
     start = time.perf_counter()
 
-    report = has_collision(make_config(6, 2, 1.0, 1.0))
+    report = has_collision(ChoreoConfig(6, 2, 1.0, 1.0))
     assert report.collides
     witness = [w for w in report.witnesses if w.bodies == (2, 4)][0]
     assert witness.t_star == pytest.approx(0.0, abs=1e-12)
     assert witness.point == pytest.approx([-1.0, 0.0], abs=1e-12)
     assert witness.min_distance <= 1e-10
 
-    miss = has_collision(make_config(4, 2, 1.0, 1.0))
+    miss = has_collision(ChoreoConfig(4, 2, 1.0, 1.0))
     assert not miss.collides
-    best = min(min_pair_distance(make_config(4, 2, 1.0, 1.0), k).min_distance
+    best = min(min_pair_distance(ChoreoConfig(4, 2, 1.0, 1.0), k).min_distance
                for k in range(1, 4))
     assert best >= 0.1
 
@@ -266,7 +265,7 @@ def test_criterion_8_collisions():
                 if not is_admissible(p, n).admissible:
                     continue
                 for ab in (0.5, 1.0, math.sqrt(2.0), 2.0):
-                    config = make_config(n, p, ab, 1.0)
+                    config = ChoreoConfig(n, p, ab, 1.0)
                     oracle = min(
                         min_pair_distance(config, k).min_distance
                         for k in range(1, n))
@@ -281,7 +280,7 @@ def test_criterion_8_collisions():
 def test_criterion_9_additional_constants(systems, solved):
     for key in systems:
         config, couplings = solved[key]
-        expected = measure(initial_state(config), couplings).potential
+        expected = measure(state_at(config, 0.0), couplings).potential
         assert potential_from_parts(config, couplings) == pytest.approx(
             expected, abs=1e-10)
 
@@ -291,7 +290,7 @@ def test_criterion_9_additional_constants(systems, solved):
         for p in (2, 3, 4, 5, 7):
             if not is_admissible(p, n).admissible:
                 continue
-            config = make_config(n, p, A_REF, B_REF)
+            config = ChoreoConfig(n, p, A_REF, B_REF)
             for m in range(2, n):
                 if n % m != 0 or n // m < 2:
                     continue

@@ -57,6 +57,32 @@ class TestScanCommand:
         assert code == 2
         assert "P_EXCLUDED" in json.loads(err)["violated_conditions"]
 
+    def test_readme_example_is_unchanged(self, capsys):
+        # Blocked: the divisors of 7, 8 and 9.
+        payload = {"p": 8, "max_N": 40, "blockset": [1, 2, 3, 4, 7, 8, 9],
+                   "admissible_N": [5, 6] + list(range(10, 41))}
+        code, out, err = run_cli(capsys, "scan", "--p", "8", "--max-N", "40")
+        assert (code, out, err) == (0, json.dumps(payload, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--p", str(10**12 + 1)), "--p"),
+        (("--p", str(-(10**12) - 1)), "--p"),
+        (("--p", "5", "--max-N", str(10**6 + 1)), "--max-N"),
+        (("--p", "5", "--max-N", str(10**23)), "--max-N"),
+    ])
+    def test_beyond_bound_is_usage_error_naming_flag(self, capsys, argv, flag):
+        # Trial division up to sqrt(|p|) and the listed span would
+        # otherwise run for seconds to forever.
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}:" in err
+
+    def test_bounds_themselves_parse(self):
+        args = cli.build_parser().parse_args(
+            ["scan", "--p", str(-(10**12)), "--max-N", str(10**6)])
+        assert (args.p, args.max_n) == (-(10**12), 10**6)
+
 
 class TestCoeffsCommand:
     def test_six_body_solution(self, capsys):
@@ -456,6 +482,14 @@ class TestBodyCountBeyondIndexRange:
         assert "argument --N:" in err
         assert "Traceback" not in err
 
+    def test_failed_allocation_is_one_error_line(self, capsys):
+        # N = 2**60 passes the index-range check, but its 4 EiB coupling
+        # array exceeds any address space, so nothing is really allocated.
+        code, out, err = run_cli(capsys, "coeffs", "--N", str(2**60), "--p", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("n", _BEYOND_INDEX, ids=["1e200", "intp-max+1"])
     def test_admissibility_still_decides(self, capsys, n):
         code, out, _ = run_cli(capsys, "admissible", "--N", str(n), "--p", "5")
@@ -489,7 +523,7 @@ class TestLibraryVerify:
                                "--a", "0.8", "--b", "1.1", "--tail", "0.25",
                                "--tol-rk4", repr(tol_rk4))
         payload = limachor.verify(
-            limachor.make_config(7, -3, 0.8, 1.1), limachor.solve_couplings(7, -3, [0.25]),
+            limachor.ChoreoConfig(7, -3, 0.8, 1.1), limachor.solve_couplings(7, -3, [0.25]),
             cli.DEFAULT_DT, cli.DEFAULT_STEPS, cli.DEFAULT_GRID, residual=1e-10,
             rk4=tol_rk4, spectral=1e-9, drift=1e-8, inertia_rate=1e-6)
         assert code == (0 if payload["ok"] else 3)

@@ -10,13 +10,13 @@ from limachor.collisions import (
     has_collision,
     min_pair_distance,
 )
-from limachor.kinematics import bodies_at, body_state, make_config
+from limachor.kinematics import ChoreoConfig, bodies_at, body_state
 from util import admissible_pairs
 
 
 def pair_distance_closed_form(config, k, t):
     """Oracle from the complex two-phasor form of q_0 - q_k."""
-    a, b, p, n = config.curve.a, config.curve.b, config.curve.p, config.N
+    a, b, p, n = config.a, config.b, config.p, config.N
     w = cmath.exp(1j * math.tau * k / n)
     wp = cmath.exp(1j * math.tau * p * k / n)
     value = (a * (1 - w) * cmath.exp(1j * t)
@@ -26,7 +26,7 @@ def pair_distance_closed_form(config, k, t):
 
 def relative_gaps(config):
     """|A_k - B_k| / (|a| + |b|) for every separation k, from the phasor form."""
-    a, b, p, n = config.curve.a, config.curve.b, config.curve.p, config.N
+    a, b, p, n = config.a, config.b, config.p, config.N
     return [abs(abs(a * (1 - cmath.exp(1j * math.tau * k / n)))
                 - abs(b * (1 - cmath.exp(1j * math.tau * p * k / n))))
             / (abs(a) + abs(b)) for k in range(1, n)]
@@ -83,7 +83,7 @@ class TestCollisionRatios:
 
 class TestHasCollision:
     def test_six_bodies_equal_amplitudes_collide(self):
-        report = has_collision(make_config(6, 2, 1.0, 1.0))
+        report = has_collision(ChoreoConfig(6, 2, 1.0, 1.0))
         assert report.collides
         hit = [w for w in report.witnesses if w.bodies == (2, 4)]
         assert len(hit) == 1
@@ -92,21 +92,21 @@ class TestHasCollision:
         assert hit[0].min_distance <= 1e-10
 
     def test_four_bodies_equal_amplitudes_do_not(self):
-        report = has_collision(make_config(4, 2, 1.0, 1.0))
+        report = has_collision(ChoreoConfig(4, 2, 1.0, 1.0))
         assert not report.collides
         assert report.witnesses == []
 
     def test_nine_bodies_equal_amplitudes_collide(self):
-        assert has_collision(make_config(9, 2, 1.0, 1.0)).collides
+        assert has_collision(ChoreoConfig(9, 2, 1.0, 1.0)).collides
 
     def test_ratio_hit_at_sqrt_two(self):
-        assert has_collision(make_config(4, 2, math.sqrt(2), 1.0)).collides
+        assert has_collision(ChoreoConfig(4, 2, math.sqrt(2), 1.0)).collides
 
     def test_trefoil_collision(self):
-        assert has_collision(make_config(6, -2, 1.0, 1.0)).collides
+        assert has_collision(ChoreoConfig(6, -2, 1.0, 1.0)).collides
 
     def test_witnesses_sorted_and_verified(self):
-        config = make_config(9, 2, 1.0, 1.0)
+        config = ChoreoConfig(9, 2, 1.0, 1.0)
         report = has_collision(config)
         keys = [(w.k, w.t_star) for w in report.witnesses]
         assert keys == sorted(keys)
@@ -118,7 +118,7 @@ class TestHasCollision:
     def test_near_locus_flagged_suspect(self):
         # 1e-9 off the sqrt(2) locus: inside the suspect band, not a
         # certified collision.
-        report = has_collision(make_config(4, 2, math.sqrt(2) + 1e-9, 1.0))
+        report = has_collision(ChoreoConfig(4, 2, math.sqrt(2) + 1e-9, 1.0))
         assert not report.collides
         assert report.suspects == [1, 3]
 
@@ -138,21 +138,21 @@ class TestHasCollision:
             ratio = off_ratio
         elif kind == "near":
             ratio += 1e-9 * (ratio + 1.0) / (2.0 * math.sin(math.pi * k / n))
-        config = make_config(n, p, sign_a * ratio * b, b)
+        config = ChoreoConfig(n, p, sign_a * ratio * b, b)
         # Keep clear of the two tolerance edges, where roundoff may decide.
         assume(not any(5e-11 <= g <= 2e-10 or 5e-9 <= g <= 2e-8
                        for g in relative_gaps(config)))
         scale = 10.0 ** exponent
         base = has_collision(config)
-        scaled = has_collision(make_config(n, p, scale * config.curve.a, scale * b))
+        scaled = has_collision(ChoreoConfig(n, p, scale * config.a, scale * b))
         assert (scaled.collides, scaled.suspects, len(scaled.witnesses)) == \
             (base.collides, base.suspects, len(base.witnesses))
-        assert has_collision(make_config(n, -p, config.curve.a, b)).collides == base.collides
+        assert has_collision(ChoreoConfig(n, -p, config.a, b)).collides == base.collides
 
     def test_predicate_agrees_with_oracle(self):
         for p, n in admissible_pairs(5, 10):
             for ab in (0.5, 1.0, math.sqrt(2), 2.0):
-                config = make_config(n, p, ab, 1.0)
+                config = ChoreoConfig(n, p, ab, 1.0)
                 best = min(min_pair_distance(config, k).min_distance
                            for k in range(1, n))
                 assert has_collision(config).collides == (best <= 1e-8)
@@ -166,7 +166,7 @@ class TestCollisionSymmetries:
     def test_every_ratio_collides(self, n, p_mag, p_sign, s, s_sign):
         p = p_sign * p_mag
         for r in collision_ratios(n, p):
-            assert has_collision(make_config(n, p, r.ratio * s_sign * s, s_sign * s)).collides
+            assert has_collision(ChoreoConfig(n, p, r.ratio * s_sign * s, s_sign * s)).collides
 
     # (a, b) -> (-a, -b) negates the curve at the same time, and
     # (a, b) -> (-a, (-1)^p b) is the same curve half a period later.
@@ -182,11 +182,11 @@ class TestCollisionSymmetries:
         assume(ratios)
         ratio = abs(ratios[k_index % len(ratios)].ratio) * (1.0 + offset)
         a, b = sign_a * ratio * b, sign_b * b
-        base = has_collision(make_config(n, p, a, b))
+        base = has_collision(ChoreoConfig(n, p, a, b))
         if mirror:
-            flipped, shift, sign = make_config(n, p, -a, -b), 0.0, -1.0
+            flipped, shift, sign = ChoreoConfig(n, p, -a, -b), 0.0, -1.0
         else:
-            flipped, shift, sign = make_config(n, p, -a, (-1) ** p * b), math.pi, 1.0
+            flipped, shift, sign = ChoreoConfig(n, p, -a, (-1) ** p * b), math.pi, 1.0
         other = has_collision(flipped)
         assert (other.collides, other.suspects, len(other.witnesses)) == \
             (base.collides, base.suspects, len(base.witnesses))
@@ -211,7 +211,7 @@ class TestCollisionSymmetries:
         ratios = collision_ratios(n, p)
         assume(ratios)
         ratio = abs(ratios[k_index % len(ratios)].ratio) * (1.0 + offset)
-        report = has_collision(make_config(n, p, sign_a * ratio * b, b))
+        report = has_collision(ChoreoConfig(n, p, sign_a * ratio * b, b))
         certified = {w.k for w in report.witnesses}
         assert certified == {n - k for k in certified}
         assert set(report.suspects) == {n - k for k in report.suspects}
@@ -226,9 +226,9 @@ def per_event_witnesses(config, k):
     before bodies 0 and k); each event takes its own midpoint and
     ``np.linalg.norm`` of its own difference.
     """
-    n, p = config.N, config.curve.p
-    first = config.curve.a * math.sin(math.pi * k / n)
-    second = config.curve.b * math.sin(math.pi * p * k / n)
+    n, p = config.N, config.p
+    first = config.a * math.sin(math.pi * k / n)
+    second = config.b * math.sin(math.pi * p * k / n)
     phase0 = math.pi if first * second > 0 else 0.0
     base = (phase0 - math.pi * (p - 1) * k / n) / (p - 1)
     roots = (base + math.tau * np.arange(abs(p - 1)) / (p - 1)) % math.tau
@@ -277,7 +277,7 @@ class TestWitnessBits:
         ratios = collision_ratios(n, p)
         assume(ratios)
         ratio = abs(ratios[k_index % len(ratios)].ratio)
-        assert_witnesses_bit_identical(make_config(n, p, sign_a * ratio * b, sign_b * b))
+        assert_witnesses_bit_identical(ChoreoConfig(n, p, sign_a * ratio * b, sign_b * b))
 
     # On these, a row-wise norm (np.linalg.norm(diff, axis=-1), or
     # sqrt((diff * diff).sum(-1))) differs from the per-event norm in
@@ -287,25 +287,25 @@ class TestWitnessBits:
         (7, -6, 0.7 * abs(math.sin(math.pi * -6 / 7) / math.sin(math.pi / 7)), 0.7),
     ])
     def test_pinned_configs(self, n, p, a, b):
-        assert_witnesses_bit_identical(make_config(n, p, a, b))
+        assert_witnesses_bit_identical(ChoreoConfig(n, p, a, b))
 
 
 class TestMinPairDistance:
     def test_known_collision(self):
-        result = min_pair_distance(make_config(6, 2, 1.0, 1.0), 2)
+        result = min_pair_distance(ChoreoConfig(6, 2, 1.0, 1.0), 2)
         assert result.min_distance <= 1e-10
         # Bodies 0 and 2 meet where the curve crosses itself.
         assert result.argmin_t == pytest.approx(2 * math.pi / 3, abs=1e-6)
 
     def test_known_separation(self):
-        result = min_pair_distance(make_config(4, 2, 1.0, 1.0), 1)
+        result = min_pair_distance(ChoreoConfig(4, 2, 1.0, 1.0), 1)
         assert result.min_distance >= 0.1
 
     def test_matches_phasor_magnitude_formula(self):
         # Minimum distance is |A - B| with A = 2|a| sin(pi k/N),
         # B = 2|b sin(pi p k/N)|.
         for p, n in [(2, 5), (3, 7), (4, 9), (-3, 8)]:
-            config = make_config(n, p, 1.3, 0.8)
+            config = ChoreoConfig(n, p, 1.3, 0.8)
             for k in range(1, n):
                 a_mag = 2 * abs(1.3 * math.sin(math.pi * k / n))
                 b_mag = 2 * abs(0.8 * math.sin(math.pi * p * k / n))
@@ -316,7 +316,7 @@ class TestMinPairDistance:
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_matches_complex_form_at_scale(self, scale):
         for p, n, a, b in [(2, 5, 1.3, 0.8), (-3, 8, 1.3, 0.8), (2, 6, 1.0, 1.0)]:
-            config = make_config(n, p, a * scale, b * scale)
+            config = ChoreoConfig(n, p, a * scale, b * scale)
             size = (abs(a) + abs(b)) * scale
             for k, gap in zip(range(1, n), relative_gaps(config)):
                 result = min_pair_distance(config, k)
@@ -327,12 +327,12 @@ class TestMinPairDistance:
 
     def test_bad_separation_rejected(self):
         with pytest.raises(IndexError):
-            min_pair_distance(make_config(4, 2), 4)
+            min_pair_distance(ChoreoConfig(4, 2), 4)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, math.tau), st.integers(1, 5))
     def test_distance_function_matches_complex_form(self, t, k):
-        config = make_config(6, 2, 1.1, 0.4)
+        config = ChoreoConfig(6, 2, 1.1, 0.4)
         pos_0, _ = body_state(config, 0, t)
         pos_k, _ = body_state(config, k, t)
         direct = float(np.linalg.norm(pos_0 - pos_k))

@@ -12,21 +12,19 @@ from limachor.constants import (
     closed_form_constants,
     drift_report,
     inertia_rate_max,
-    measure,
     partial_sums,
     potential_from_parts,
     potential_parts,
 )
 from limachor.dynamics import build_interaction, rk4_integrate
 from limachor.kinematics import (
+    ChoreoConfig,
     SystemState,
     Trajectory,
-    initial_state,
-    make_config,
     sample_trajectory,
     state_at,
 )
-from util import admissible_pairs
+from util import admissible_pairs, measure
 
 
 def pairwise_potential(positions, pair):
@@ -43,8 +41,8 @@ def factorizations(n):
 
 class TestMeasure:
     def test_solved_four_body_values(self):
-        config = make_config(4, 2, 1.2, 1.0)
-        report = measure(initial_state(config), solve_couplings(4, 2))
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
+        report = measure(state_at(config, 0.0), solve_couplings(4, 2))
         assert report.moment_of_inertia == pytest.approx(9.76, abs=1e-12)
         assert report.angular_momentum == pytest.approx(13.76, abs=1e-12)
         assert report.kinetic == pytest.approx(10.88, abs=1e-12)
@@ -131,17 +129,17 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("samples", SAMPLES)
     @pytest.mark.parametrize("p, n, tail", [(2, 5, None), (-3, 7, [0.25]), (5, 12, None)])
     def test_rk4_trajectory(self, samples, p, n, tail):
-        config = make_config(n, p, 1.2, 0.7)
+        config = ChoreoConfig(n, p, 1.2, 0.7)
         couplings = solve_couplings(n, p, tail)
         spec = build_interaction(n, couplings)
         # RK4's q and v are strided views of its (S, 2, 2N) state array.
-        traj = rk4_integrate(initial_state(config), spec, math.tau / 8192, samples - 1)
+        traj = rk4_integrate(state_at(config, 0.0), spec, math.tau / 8192, samples - 1)
         assert not traj.q.flags.c_contiguous
         self.check(traj, couplings)
 
     @pytest.mark.parametrize("samples", SAMPLES)
     def test_contiguous_trajectory(self, samples):
-        config = make_config(9, 4, 0.8, 1.3)
+        config = ChoreoConfig(9, 4, 0.8, 1.3)
         traj = sample_trajectory(config, 0.0, math.tau, samples)
         assert traj.q.flags.c_contiguous
         self.check(traj, solve_couplings(9, 4))
@@ -149,32 +147,32 @@ class TestBlockedKernel:
 
 class TestClosedFormConstants:
     def test_four_body_values(self):
-        report = closed_form_constants(make_config(4, 2, 1.2, 1.0))
+        report = closed_form_constants(ChoreoConfig(4, 2, 1.2, 1.0))
         assert report.moment_of_inertia == pytest.approx(9.76)
         assert report.angular_momentum == pytest.approx(13.76)
         assert report.kinetic == pytest.approx(10.88)
 
     def test_angular_momentum_signed_through_p(self):
-        report = closed_form_constants(make_config(5, -2, 1.0, 1.0))
+        report = closed_form_constants(ChoreoConfig(5, -2, 1.0, 1.0))
         assert report.angular_momentum == pytest.approx(-5.0)
 
     def test_potential_always_equals_kinetic(self):
         for p, n in admissible_pairs(7, 12):
-            report = closed_form_constants(make_config(n, p, 0.9, 1.4))
+            report = closed_form_constants(ChoreoConfig(n, p, 0.9, 1.4))
             assert report.potential == report.kinetic
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError, match="not admissible"):
-            closed_form_constants(make_config(4, 5))
+            closed_form_constants(ChoreoConfig(4, 5))
 
     def test_inadmissible_error_carries_decision(self):
         with pytest.raises(InadmissibleError) as caught:
-            closed_form_constants(make_config(4, 5))
+            closed_form_constants(ChoreoConfig(4, 5))
         assert caught.value.decision == is_admissible(5, 4)
 
     def test_measured_matches_closed_form_at_many_times(self):
         for p, n in [(2, 4), (3, 7), (-4, 9), (5, 12)]:
-            config = make_config(n, p, 1.2, 0.7)
+            config = ChoreoConfig(n, p, 1.2, 0.7)
             couplings = solve_couplings(n, p)
             predicted = closed_form_constants(config)
             for t in np.linspace(0.0, math.tau, 7):
@@ -191,11 +189,11 @@ class TestClosedFormConstants:
 
 class TestPotentialParts:
     def test_closed_form_value(self):
-        part = potential_parts(make_config(4, 2, 1.2, 1.0), 2)
+        part = potential_parts(ChoreoConfig(4, 2, 1.2, 1.0), 2)
         assert part.v_minus == pytest.approx(23.04, abs=1e-12)
 
     def test_plus_and_minus_sum_to_four_inertia(self):
-        config = make_config(9, 4, 1.1, 0.8)
+        config = ChoreoConfig(9, 4, 1.1, 0.8)
         inertia = closed_form_constants(config).moment_of_inertia
         for ell in range(1, 5):
             part = potential_parts(config, ell)
@@ -203,7 +201,7 @@ class TestPotentialParts:
                 4 * inertia, abs=1e-10)
 
     def test_state_sums_constant_and_equal_to_closed_form(self):
-        config = make_config(6, 2, 1.2, 0.7)
+        config = ChoreoConfig(6, 2, 1.2, 0.7)
         for ell in range(1, 4):
             expected = potential_parts(config, ell).v_minus
             for t in np.linspace(0.0, math.tau, 16, endpoint=False):
@@ -214,12 +212,12 @@ class TestPotentialParts:
                 assert total == pytest.approx(expected, abs=1e-10)
 
     def test_potential_from_parts_matches_energy(self):
-        config = make_config(4, 2, 1.2, 1.0)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
         value = potential_from_parts(config, solve_couplings(4, 2))
         assert value == pytest.approx(10.88, abs=1e-12)
 
     def test_index_bounds(self):
-        config = make_config(6, 2)
+        config = ChoreoConfig(6, 2)
         with pytest.raises(IndexError):
             potential_parts(config, 0)
         with pytest.raises(IndexError):
@@ -229,7 +227,7 @@ class TestPotentialParts:
 class TestPartialSums:
     def test_first_moment_full_case(self):
         # N = 4 = 2*2, p = 2: n*p = 0 mod N, so |g| = 2|b|.
-        config = make_config(4, 2, 1.2, 0.9)
+        config = ChoreoConfig(4, 2, 1.2, 0.9)
         report = partial_sums(config, 2, 2, 0, 0.37)
         assert report.first_moment_full
         assert np.linalg.norm(report.first_moment) == pytest.approx(
@@ -237,7 +235,7 @@ class TestPartialSums:
 
     def test_subgroup_constants_case(self):
         # N = 6 = 3*2, p = 2: the gate holds, sums are constant.
-        config = make_config(6, 2, 1.2, 0.7)
+        config = ChoreoConfig(6, 2, 1.2, 0.7)
         expected = 3 * (1.2 ** 2 + 0.7 ** 2)
         for t in np.linspace(0.0, math.tau, 16, endpoint=False):
             report = partial_sums(config, 3, 2, 1, float(t))
@@ -245,7 +243,7 @@ class TestPartialSums:
             assert report.moment_of_inertia == pytest.approx(expected, abs=1e-10)
 
     def test_partition_identities(self):
-        config = make_config(12, 5, 1.1, 0.6)
+        config = ChoreoConfig(12, 5, 1.1, 0.6)
         couplings = solve_couplings(12, 5)
         t = 0.83
         whole = measure(state_at(config, t), couplings)
@@ -262,7 +260,7 @@ class TestPartialSums:
 
     def test_pair_sq_sum_prediction(self):
         # Gate holds and n*p = 0 mod N: within-orbit spread is m^2 a^2.
-        config = make_config(4, 2, 1.2, 0.9)
+        config = ChoreoConfig(4, 2, 1.2, 0.9)
         report = partial_sums(config, 2, 2, 1, 1.21)
         assert report.predicted["pair_sq_sum"] == pytest.approx(4 * 1.2 ** 2)
         assert report.pair_sq_sum == pytest.approx(
@@ -270,13 +268,13 @@ class TestPartialSums:
 
     def test_gate_failure_reports_without_predictions(self):
         # N = 9 = 3*3, p = 4: (p-1)*n = 9 = 0 mod 9, so no constancy claim.
-        config = make_config(9, 4, 1.0, 1.0)
+        config = ChoreoConfig(9, 4, 1.0, 1.0)
         report = partial_sums(config, 3, 3, 0, 0.5)
         assert not report.subgroup_constant
         assert "I" not in report.predicted
 
     def test_rejects_bad_factorization(self):
-        config = make_config(6, 2)
+        config = ChoreoConfig(6, 2)
         with pytest.raises(ValueError):
             partial_sums(config, 2, 2, 0, 0.0)
         with pytest.raises(ValueError):
@@ -287,12 +285,12 @@ class TestPartialSums:
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError, match=rf"got t={t}$"):
-            partial_sums(make_config(6, 5), 2, 3, 0, t)
+            partial_sums(ChoreoConfig(6, 5), 2, 3, 0, t)
 
 
 class TestDriftReport:
     def test_analytic_trajectory_of_solved_system(self):
-        config = make_config(4, 2, 1.2, 1.0)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
         couplings = solve_couplings(4, 2)
         traj = sample_trajectory(config, 0.0, math.tau, 65)
         report = drift_report(traj, couplings)
@@ -300,10 +298,10 @@ class TestDriftReport:
             assert report.drift[key] <= 1e-10
 
     def test_rk4_trajectory_drift(self):
-        config = make_config(4, 2, 1.2, 1.0)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
         couplings = solve_couplings(4, 2)
         spec = build_interaction(4, couplings)
-        traj = rk4_integrate(initial_state(config), spec, math.tau / 8192, 8192)
+        traj = rk4_integrate(state_at(config, 0.0), spec, math.tau / 8192, 8192)
         report = drift_report(traj, couplings)
         for key in ("c", "I", "K", "V", "E"):
             baseline = {
@@ -314,10 +312,10 @@ class TestDriftReport:
 
     def test_wrong_couplings_keep_angular_momentum_only(self):
         # Rotationally invariant force: c stays put even off the curve.
-        config = make_config(4, 2, 1.2, 1.0)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
         couplings = CouplingVector(4, [1.0, 1.0])
         spec = build_interaction(4, couplings)
-        traj = rk4_integrate(initial_state(config), spec, math.tau / 2048, 2048)
+        traj = rk4_integrate(state_at(config, 0.0), spec, math.tau / 2048, 2048)
         report = drift_report(traj, couplings)
         assert report.drift["c"] <= 1e-7
         assert report.drift["I"] > 0.01   # the motion has left the curve
@@ -325,7 +323,7 @@ class TestDriftReport:
     def test_memory_is_linear_in_samples_times_bodies(self):
         # A pairwise-difference tensor for 257 samples of 256 bodies alone
         # would take 257 * 256 * 256 * 2 * 8 B, about 270 MB.
-        config = make_config(256, 3, 1.2, 0.7)
+        config = ChoreoConfig(256, 3, 1.2, 0.7)
         couplings = solve_couplings(256, 3)
         traj = sample_trajectory(config, 0.0, math.tau, 257)
         tracemalloc.start()
@@ -346,14 +344,14 @@ class TestDriftReport:
 
 class TestInertiaRate:
     def test_flat_along_solved_motion(self):
-        config = make_config(5, 3, 1.2, 0.7)
+        config = ChoreoConfig(5, 3, 1.2, 0.7)
         couplings = solve_couplings(5, 3)
         spec = build_interaction(5, couplings)
-        traj = rk4_integrate(initial_state(config), spec, math.tau / 4096, 4096)
+        traj = rk4_integrate(state_at(config, 0.0), spec, math.tau / 4096, 4096)
         assert inertia_rate_max(traj) <= 1e-6
 
     def test_requires_three_samples(self):
-        config = make_config(4, 2)
+        config = ChoreoConfig(4, 2)
         traj = sample_trajectory(config, 0.0, 1.0, 2)
         with pytest.raises(ValueError):
             inertia_rate_max(traj)

@@ -13,10 +13,9 @@ from limachor.dynamics import (
     spectral_propagate,
 )
 from limachor.kinematics import (
+    ChoreoConfig,
     SystemState,
     bodies_at,
-    initial_state,
-    make_config,
     state_at,
 )
 from util import admissible_pairs
@@ -71,8 +70,8 @@ def reference_stiffness_spectrum(N, kappas):
 
 
 def _solved_case():
-    config = make_config(6, 2, 1.2, 0.7)
-    return initial_state(config), solved_spec(6, 2), math.tau / 8192
+    config = ChoreoConfig(6, 2, 1.2, 0.7)
+    return state_at(config, 0.0), solved_spec(6, 2), math.tau / 8192
 
 
 def _perturbed_case():
@@ -179,8 +178,8 @@ class TestRk4Force:
 
     def test_matches_analytic_acceleration_on_solution(self):
         # From rest, one step of size h gives v = h F(q) + O(h^3).
-        config = make_config(4, 2, 1.2, 1.0)
-        start = initial_state(config)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
+        start = state_at(config, 0.0)
         at_rest = SystemState(0.0, start.positions, np.zeros((4, 2)))
         h = 1e-8
         forces = rk4_integrate(at_rest, solved_spec(4, 2), h, 1).v[1] / h
@@ -222,17 +221,17 @@ class TestRk4:
         assert traj.v[-1] == pytest.approx(state.velocities, abs=1e-14)
 
     def test_tracks_analytic_choreography(self):
-        config = make_config(4, 2, 1.2, 1.0)
-        traj = rk4_integrate(initial_state(config), solved_spec(4, 2),
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
+        traj = rk4_integrate(state_at(config, 0.0), solved_spec(4, 2),
                              math.tau / 4096, 4096)
         reference = state_at(config, float(traj.t[-1]))
         err = np.max(np.linalg.norm(traj.q[-1] - reference.positions, axis=1))
         assert err <= 1e-8
 
     def test_fourth_order_convergence(self):
-        config = make_config(4, 2, 1.2, 1.0)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
         spec = solved_spec(4, 2)
-        init = initial_state(config)
+        init = state_at(config, 0.0)
 
         def final_error(steps):
             traj = rk4_integrate(init, spec, math.tau / steps, steps)
@@ -268,7 +267,7 @@ class TestRk4:
                                                      perturbed):
         # Samples past the first 64 come from 64-sample blocks, so runs
         # that end inside, on and just past a block edge all count.
-        initial = initial_state(make_config(N, p, 1.2, 0.7))
+        initial = state_at(ChoreoConfig(N, p, 1.2, 0.7), 0.0)
         if perturbed:
             rng = np.random.default_rng(N)
             initial = SystemState(
@@ -286,7 +285,7 @@ class TestRk4:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unstable_step_raises_instead_of_returning_nan(self):
-        initial = initial_state(make_config(8, 3, 1.2, 1.0))
+        initial = state_at(ChoreoConfig(8, 3, 1.2, 1.0), 0.0)
         with pytest.raises(ValueError, match="dt=0.9"):
             rk4_integrate(initial, solved_spec(8, 3), 0.9, 2000)
 
@@ -308,8 +307,8 @@ class TestRk4:
 
 class TestSpectralPropagate:
     def test_zero_time_is_identity(self):
-        config = make_config(5, 2, 1.1, 0.3)
-        init = initial_state(config)
+        config = ChoreoConfig(5, 2, 1.1, 0.3)
+        init = state_at(config, 0.0)
         out = spectral_propagate(init, solved_spec(5, 2), [0.0, 1.0, -0.0])
         for row in (0, 2):
             assert np.array_equal(out.q[row], init.positions)
@@ -317,8 +316,8 @@ class TestSpectralPropagate:
 
     @pytest.mark.parametrize("t", [0.3, 1.7, 5.9])
     def test_matches_analytic_choreography(self, t):
-        config = make_config(4, 2, 1.2, 1.0)
-        init = initial_state(config)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
+        init = state_at(config, 0.0)
         out = spectral_propagate(init, solved_spec(4, 2), [t])
         ref = state_at(config, t)
         assert out.t[0] == t
@@ -326,9 +325,9 @@ class TestSpectralPropagate:
         assert np.max(np.abs(out.v[0] - ref.velocities)) <= 1e-10
 
     def test_agrees_with_rk4_over_one_period(self):
-        config = make_config(4, 2, 1.2, 1.0)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
         spec = solved_spec(4, 2)
-        init = initial_state(config)
+        init = state_at(config, 0.0)
         traj = rk4_integrate(init, spec, math.tau / 8192, 8192)
         spectral = spectral_propagate(init, spec, traj.t[-1:])
         gap = np.max(np.linalg.norm(
@@ -350,10 +349,10 @@ class TestSpectralPropagate:
     def test_perturbed_state_agreement_between_engines(self):
         # Perturbations leave the solution manifold; both engines must
         # still integrate the same linear system.
-        config = make_config(6, 2, 1.2, 0.7)
+        config = ChoreoConfig(6, 2, 1.2, 0.7)
         spec = solved_spec(6, 2)
         rng = np.random.default_rng(11)
-        base = initial_state(config)
+        base = state_at(config, 0.0)
         init = SystemState(0.0,
                            base.positions + rng.normal(size=(6, 2), scale=0.1),
                            base.velocities + rng.normal(size=(6, 2), scale=0.1))
@@ -363,9 +362,9 @@ class TestSpectralPropagate:
 
     def test_engine_agreement_across_small_sweep(self):
         for p, n in admissible_pairs(4, 8):
-            config = make_config(n, p, 1.2, 0.7)
+            config = ChoreoConfig(n, p, 1.2, 0.7)
             spec = solved_spec(n, p)
-            init = initial_state(config)
+            init = state_at(config, 0.0)
             out = spectral_propagate(init, spec, [0.9, 4.2])
             for q, t in zip(out.q, (0.9, 4.2)):
                 ref = state_at(config, t)
@@ -397,13 +396,13 @@ class TestSpectralPropagate:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, bad):
-        init = initial_state(make_config(4, 2))
+        init = state_at(ChoreoConfig(4, 2), 0.0)
         with pytest.raises(ValueError, match=rf"finite times, got t={bad}$"):
             spectral_propagate(init, solved_spec(4, 2), [0.5, bad])
 
     @pytest.mark.parametrize("times", [0.5, [[0.5]]])
     def test_times_must_be_one_dimensional(self, times):
-        init = initial_state(make_config(4, 2))
+        init = state_at(ChoreoConfig(4, 2), 0.0)
         with pytest.raises(ValueError, match="1-D"):
             spectral_propagate(init, solved_spec(4, 2), times)
 

@@ -11,13 +11,10 @@ from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.dynamics import build_interaction, rk4_integrate
 from limachor.kinematics import (
     ChoreoConfig,
-    CurveParams,
     Trajectory,
     bodies_at,
     body_state,
     eom_residual,
-    initial_state,
-    make_config,
     sample_trajectory,
     state_at,
     trajectory_csv,
@@ -25,13 +22,13 @@ from limachor.kinematics import (
 from util import admissible_pairs
 
 
-def reference_derivatives(curve, theta):
+def reference_derivatives(config, theta):
     """The scalar curve evaluator, one parameter at a time with math.cos/sin.
 
     The array evaluator keeps its operation order, so it must match this
     bit for bit.
     """
-    a, b, p = curve.a, curve.b, curve.p
+    a, b, p = config.a, config.b, config.p
 
     def angle(x):
         return math.remainder(x, math.tau) if abs(x) > 1e6 else x
@@ -46,7 +43,7 @@ def reference_derivatives(curve, theta):
 
 
 def reference_body(config, k, t):
-    return reference_derivatives(config.curve, t + (math.tau * k) / config.N)
+    return reference_derivatives(config, t + (math.tau * k) / config.N)
 
 
 def reference_bodies(config, t):
@@ -69,9 +66,9 @@ def reference_csv(traj):
 
 def rk4_export(N, steps):
     """RK4 output over one period, where almost no coordinate repeats."""
-    config = make_config(N, 5, 1.3, -0.7)
+    config = ChoreoConfig(N, 5, 1.3, -0.7)
     spec = build_interaction(N, solve_couplings(N, 5))
-    return rk4_integrate(initial_state(config), spec, math.tau / steps, steps)
+    return rk4_integrate(state_at(config, 0.0), spec, math.tau / steps, steps)
 
 
 # Signed zeros, the smallest subnormal, both sides of repr's switch to
@@ -135,8 +132,8 @@ def bit_equal(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-REFERENCE_CONFIGS = [make_config(4, 2, 1.2, 1.0), make_config(7, -3, 0.3, -2.5),
-                     make_config(12, 9, -1e3, 1e-3), make_config(64, 5, 1.7, 0.2)]
+REFERENCE_CONFIGS = [ChoreoConfig(4, 2, 1.2, 1.0), ChoreoConfig(7, -3, 0.3, -2.5),
+                     ChoreoConfig(12, 9, -1e3, 1e-3), ChoreoConfig(64, 5, 1.7, 0.2)]
 # Both sides of the 1e6 angle reduction, for t and for p * t.
 REFERENCE_TIMES = [0.0, 0.37, -5.1, 1e6 / 9, 1e6 / 5, 999_999.9, 2e6 * math.pi, -7.7e7]
 
@@ -144,64 +141,64 @@ REFERENCE_TIMES = [0.0, 0.37, -5.1, 1e6 / 9, 1e6 / 5, 999_999.9, 2e6 * math.pi, 
 class TestCurveParams:
     def test_rejects_zero_amplitudes(self):
         with pytest.raises(ValueError):
-            CurveParams(0.0, 1.0, 2)
+            ChoreoConfig(4, 2, 0.0, 1.0)
         with pytest.raises(ValueError):
-            CurveParams(1.0, 0.0, 2)
+            ChoreoConfig(4, 2, 1.0, 0.0)
 
     @pytest.mark.parametrize("p", [-1, 0, 1])
     def test_rejects_degenerate_p(self, p):
         with pytest.raises(ValueError):
-            CurveParams(1.0, 1.0, p)
+            ChoreoConfig(4, p, 1.0, 1.0)
 
     def test_config_needs_four_bodies(self):
         with pytest.raises(ValueError):
-            ChoreoConfig(CurveParams(1.0, 1.0, 2), 3)
+            ChoreoConfig(3, 2, 1.0, 1.0)
 
     @pytest.mark.parametrize("p, N", [(10**200, 4), (-(10**155), 4), (3, 10**400)])
     def test_p_or_n_beyond_float_range_is_value_error_naming_p(self, p, N):
         # p * p (or N) is an int no float holds; not an OverflowError.
         with pytest.raises(ValueError, match=f"p={p} too large"):
-            make_config(N, p, 1.0, 1.0)
+            ChoreoConfig(N, p, 1.0, 1.0)
 
     def test_largest_p_whose_square_fits_is_accepted(self):
-        assert make_config(4, 10**150, 1.0, 1e-10).curve.p == 10**150
+        assert ChoreoConfig(4, 10**150, 1.0, 1e-10).p == 10**150
 
 
 class TestCurvePoint:
     def test_at_zero(self):
-        assert bodies_at(make_config(4, 2, 1.2, 1.0), 0, 0.0)[0] == \
+        assert bodies_at(ChoreoConfig(4, 2, 1.2, 1.0), 0, 0.0)[0] == \
             pytest.approx([2.2, 0.0])
 
     @pytest.mark.parametrize("t", [2 * math.pi / 3, 4 * math.pi / 3])
     def test_self_intersection_of_equal_amplitude_curve(self, t):
         # a = b, p = 2: the curve crosses itself at (-a, 0).
-        assert bodies_at(make_config(4, 2, 1.0, 1.0), 0, t)[0] == \
+        assert bodies_at(ChoreoConfig(4, 2, 1.0, 1.0), 0, t)[0] == \
             pytest.approx([-1.0, 0.0], abs=1e-15)
 
 
 class TestBodyState:
     def test_coincident_bodies_at_equal_amplitudes(self):
-        config = make_config(6, 2, 1.0, 1.0)
+        config = ChoreoConfig(6, 2, 1.0, 1.0)
         pos2, _ = body_state(config, 2, 0.0)
         pos4, _ = body_state(config, 4, 0.0)
         assert pos2 == pytest.approx([-1.0, 0.0], abs=1e-15)
         assert pos4 == pytest.approx([-1.0, 0.0], abs=1e-15)
 
     def test_body_zero_at_time_zero(self):
-        config = make_config(5, 3, 0.7, -0.4)
+        config = ChoreoConfig(5, 3, 0.7, -0.4)
         pos, vel = body_state(config, 0, 0.0)
         assert pos == pytest.approx([0.7 - 0.4, 0.0])
         assert vel == pytest.approx([0.0, 0.7 + 3 * (-0.4)])
 
     def test_index_bounds(self):
-        config = make_config(4, 2)
+        config = ChoreoConfig(4, 2)
         with pytest.raises(IndexError):
             body_state(config, 4, 0.0)
         with pytest.raises(IndexError):
             body_state(config, -1, 0.0)
 
     def test_choreography_shift_identity(self):
-        config = make_config(7, 3, 1.1, 0.6)
+        config = ChoreoConfig(7, 3, 1.1, 0.6)
         for k in range(7):
             for t in (0.0, 0.421, 3.9):
                 direct, _ = body_state(config, k, t)
@@ -211,21 +208,21 @@ class TestBodyState:
 
 class TestInitialState:
     def test_four_body_positions(self):
-        state = initial_state(make_config(4, 2, 1.0, 0.5))
+        state = state_at(ChoreoConfig(4, 2, 1.0, 0.5), 0.0)
         expected = np.array([[1.5, 0.0], [-0.5, 1.0], [-0.5, 0.0], [-0.5, -1.0]])
         assert state.positions == pytest.approx(expected, abs=1e-15)
 
     def test_center_of_mass_at_origin_when_p_not_multiple_of_n(self):
         for p, n in admissible_pairs(7, 12):
-            state = initial_state(make_config(n, p, 1.2, 0.7))
+            state = state_at(ChoreoConfig(n, p, 1.2, 0.7), 0.0)
             assert np.linalg.norm(state.positions.sum(axis=0)) <= 1e-10 * n
             assert np.linalg.norm(state.velocities.sum(axis=0)) <= 1e-10 * n
 
     def test_first_moment_rotates_when_n_divides_p(self):
         # p a multiple of N: the first moment is a rotating vector of
         # norm |b| N, nowhere near constant.
-        config = make_config(6, 6, 1.0, 0.8)
-        g0 = initial_state(config).positions.sum(axis=0)
+        config = ChoreoConfig(6, 6, 1.0, 0.8)
+        g0 = state_at(config, 0.0).positions.sum(axis=0)
         variation = max(
             float(np.linalg.norm(state_at(config, t).positions.sum(axis=0) - g0))
             for t in np.linspace(0.0, math.tau, 32, endpoint=False))
@@ -234,16 +231,16 @@ class TestInitialState:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_state_at_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError, match=rf"got t={t}$"):
-            state_at(make_config(6, 5), t)
+            state_at(ChoreoConfig(6, 5), t)
 
 
 class TestAnalyticAccel:
     def test_at_time_zero(self):
-        config = make_config(4, 2, 1.0, 0.5)
+        config = ChoreoConfig(4, 2, 1.0, 0.5)
         assert bodies_at(config, 0, 0.0)[2] == pytest.approx([-3.0, 0.0])
 
     def test_matches_finite_difference_of_velocity(self):
-        config = make_config(4, 2, 1.0, 0.5)
+        config = ChoreoConfig(4, 2, 1.0, 0.5)
         h = 1e-5
         for t in (0.0, 1.3, 4.0):
             _, v_plus = body_state(config, 0, t + h)
@@ -255,7 +252,7 @@ class TestAnalyticAccel:
         h = 1e-5
         for p in (-12, -5, -2, 2, 3, 7, 12):
             for a, b in ((1.2, 1.0), (10.0, 10.0), (-3.0, 0.5)):
-                config = make_config(8, p, a, b)
+                config = ChoreoConfig(8, p, a, b)
                 # Centered-difference truncation grows like the third
                 # derivative; budget for it on top of the 1e-7 floor.
                 tol_v = 1e-7 + (h * h / 6) * (abs(a) + abs(p) ** 3 * abs(b))
@@ -270,7 +267,7 @@ class TestAnalyticAccel:
                         (v_plus - v_minus) / (2 * h), abs=tol_a)
 
     def test_large_time_angle_reduction_keeps_periodicity(self):
-        config = make_config(4, 2, 1.2, 1.0)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
         t_big = 2.0e6 * math.pi  # even multiple of pi: same phase as t = 0
         pos_big, _ = body_state(config, 0, t_big)
         pos_ref, _ = body_state(config, 0, 0.0)
@@ -279,33 +276,33 @@ class TestAnalyticAccel:
 
 class TestEomResidual:
     def test_certifies_four_body_solution(self):
-        config = make_config(4, 2, 1.2, 1.0)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
         assert eom_residual(config, solve_couplings(4, 2)) < 1e-12
 
     def test_amplitudes_are_irrelevant(self):
         couplings = solve_couplings(6, 2, [0.0])
-        assert eom_residual(make_config(6, 2, 1.0, 2.0), couplings) < 1e-12
+        assert eom_residual(ChoreoConfig(6, 2, 1.0, 2.0), couplings) < 1e-12
 
     def test_equal_couplings_are_not_a_solution(self):
-        config = make_config(6, 2, 1.2, 1.0)
+        config = ChoreoConfig(6, 2, 1.2, 1.0)
         assert eom_residual(config, CouplingVector(6, [1.0, 1.0, 1.0])) > 0.1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            eom_residual(make_config(6, 2), CouplingVector(4, [1.0, -0.5]))
+            eom_residual(ChoreoConfig(6, 2), CouplingVector(4, [1.0, -0.5]))
 
     def test_custom_grid(self):
-        config = make_config(4, 2, 1.2, 1.0)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
         assert eom_residual(config, solve_couplings(4, 2), [0.0, 2.0]) < 1e-12
 
 
 class TestSampleTrajectory:
     def test_endpoints_and_spacing(self):
-        traj = sample_trajectory(make_config(4, 2), 0.0, math.tau, 3)
+        traj = sample_trajectory(ChoreoConfig(4, 2), 0.0, math.tau, 3)
         assert traj.t == pytest.approx([0.0, math.pi, math.tau])
 
     def test_periodicity(self):
-        config = make_config(5, 2, 0.9, 0.4)
+        config = ChoreoConfig(5, 2, 0.9, 0.4)
         for t in (0.0, 1.1, 3.7):
             now = state_at(config, t)
             later = state_at(config, t + math.tau)
@@ -313,7 +310,7 @@ class TestSampleTrajectory:
             assert now.velocities == pytest.approx(later.velocities, abs=1e-12)
 
     def test_bad_ranges(self):
-        config = make_config(4, 2)
+        config = ChoreoConfig(4, 2)
         with pytest.raises(ValueError):
             sample_trajectory(config, 1.0, 1.0, 5)
         with pytest.raises(ValueError):
@@ -341,7 +338,7 @@ class TestTrajectoryShapes:
 
 class TestTrajectoryCsv:
     def test_layout_and_roundtrip(self):
-        config = make_config(4, 2, 1.2, 1.0)
+        config = ChoreoConfig(4, 2, 1.2, 1.0)
         traj = sample_trajectory(config, 0.0, 1.0, 3)
         lines = trajectory_csv(traj).strip().split("\n")
         assert lines[0] == "t,body,x,y,vx,vy"
@@ -357,7 +354,7 @@ class TestTrajectoryCsv:
 class TestTrajectoryCsvMatchesReference:
     def test_full_period_export_with_repeats(self):
         # 129 samples of one period at N = 256: most coordinates repeat.
-        traj = sample_trajectory(make_config(256, 5, 1.3, -0.7), 0.0,
+        traj = sample_trajectory(ChoreoConfig(256, 5, 1.3, -0.7), 0.0,
                                  math.tau, 129)
         assert np.unique(np.concatenate((traj.q, traj.v))).size < 4000
         assert trajectory_csv(traj) == reference_csv(traj)
@@ -431,7 +428,7 @@ class TestArrayEvaluatorMatchesScalarReference:
 
     @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
     def test_every_sample_trajectory_row(self, config):
-        edge = 1e6 / abs(config.curve.p)
+        edge = 1e6 / abs(config.p)
         for t0, t1 in ((0.0, math.tau), (edge - 2.0, edge + 2.0),
                        (1e6 - 2.0, 1e6 + 2.0), (-3e7, -3e7 + 3.0)):
             traj = sample_trajectory(config, t0, t1, 17)
@@ -466,4 +463,4 @@ class TestDerivativeCount:
     @pytest.mark.parametrize("count", [0, 4, -1])
     def test_count_outside_one_to_three_is_value_error(self, count):
         with pytest.raises(ValueError, match="derivative count"):
-            bodies_at(make_config(4, 2), 0, 0.0, count)
+            bodies_at(ChoreoConfig(4, 2), 0, 0.0, count)

@@ -1,6 +1,10 @@
-"""Shared sweep helpers for the test suite."""
+"""Shared helpers for the test suite."""
+
+import numpy as np
 
 from limachor.admissibility import is_admissible
+from limachor.constants import drift_report
+from limachor.kinematics import Trajectory
 
 
 def admissible_pairs(max_abs_p: int, max_n: int, min_n: int = 4):
@@ -12,3 +16,9 @@ def admissible_pairs(max_abs_p: int, max_n: int, min_n: int = 4):
                 if is_admissible(p, n).admissible:
                     pairs.append((p, n))
     return pairs
+
+
+def measure(state, couplings):
+    """Conserved quantities of one SystemState: drift_report on a one-sample trajectory."""
+    one = Trajectory(np.array([state.t]), state.positions[None], state.velocities[None])
+    return drift_report(one, couplings)
