@@ -9,6 +9,9 @@ serialized in their shortest exact round-trip form and nothing here is
 randomized.  JSON output is exactly ``json.dumps(payload, indent=2,
 allow_nan=False)`` plus a newline, written by a one-pass emitter
 (``_dumps``) because the stdlib's indented encoder runs in pure Python.
+A list of flat records (``collide``'s ratios and witnesses: dicts with
+one key order whose values are plain ints, finite plain floats or
+equal-length lists of those) is written with one ``%`` per record.
 """
 
 from __future__ import annotations
@@ -106,6 +109,10 @@ def _emit(value, pad: str, parts: list) -> None:
             parts.append("[]")
             return
         inner = pad + "  "
+        rows = _records(value, inner)
+        if rows is not None:
+            parts.append("[" + inner + ("," + inner).join(rows) + pad + "]")
+            return
         sep = "[" + inner
         for item in value:
             if isinstance(item, _CONTAINERS):
@@ -117,6 +124,52 @@ def _emit(value, pad: str, parts: list) -> None:
         parts.append(pad + "]")
     else:
         parts.append(_scalar(value))
+
+
+def _records(value, pad: str):
+    """JSON texts of a list of flat records at indent ``pad``, or None.
+
+    A flat record is a dict with the first record's key order whose
+    values are plain ints, finite plain floats, or non-empty lists of
+    those with the first record's lengths.  For these ``%r`` prints what
+    json prints, so one template built from the first record formats
+    them all.  Anything else (bool, np.float64, str, None, nesting,
+    inf, nan) returns None and goes through ``_emit``'s general path.
+    """
+    if type(value) is not list or type(value[0]) is not dict or not value[0]:
+        return None
+    keys = list(value[0])
+    inner = pad + "  "
+    fields, widths = [], []
+    for key, item in value[0].items():
+        text, width = "%r", 0
+        if type(item) is list:
+            if not item:
+                return None
+            deeper, width = inner + "  ", len(item)
+            text = "[" + deeper + ("," + deeper).join(["%r"] * width) + inner + "]"
+        fields.append(_encode_str(key).replace("%", "%%") + ": " + text)
+        widths.append(width)
+    template = "{" + inner + ("," + inner).join(fields) + pad + "}"
+    rows = []
+    for record in value:
+        if type(record) is not dict or list(record) != keys:
+            return None
+        args = []
+        for item, width in zip(record.values(), widths):
+            if not width:
+                args.append(item)
+            elif type(item) is list and len(item) == width:
+                args += item
+            else:
+                return None
+        for x in args:
+            # An int is checked by type alone: math.isfinite would raise
+            # on one beyond float range.
+            if type(x) is not int and (type(x) is not float or not math.isfinite(x)):
+                return None
+        rows.append(template % tuple(args))
+    return rows
 
 
 def _dumps(payload) -> str:

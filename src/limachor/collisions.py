@@ -11,6 +11,7 @@ about it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -24,8 +25,12 @@ from limachor.kinematics import ChoreoConfig, bodies_at
 SUSPECT_TOL = 1e-8
 CERTIFY_TOL = 1e-10
 
-# Coarse samples per period in min_pair_distance's first pass.
+# min_pair_distance's first pass samples this grid over one period; each
+# later pass samples _ZOOM_OFFSETS times the current step around the best
+# sample, then divides the step by 32.
 _PAIR_GRID = 1024
+_PAIR_TIMES = np.linspace(0.0, math.tau, _PAIR_GRID, endpoint=False)
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 65)
 
 
 @dataclass(frozen=True)
@@ -92,14 +97,21 @@ def collision_ratios(N: int, p: int) -> list[CollisionRatio]:
     # With a = b = 1 the pair amplitudes are the two sines themselves.
     unit = ChoreoConfig(N, p, 1.0, 1.0)
     found: list[CollisionRatio] = []
+    accepted: list[float] = []  # the ratios in found, sorted
     for k in range(1, N // 2 + 1):
         first, second = _pair_amplitudes(unit, k)
         if second == 0.0:
             continue  # sine vanishes exactly: no finite a/b
         magnitude = abs(second / first)
         for value in (magnitude, -magnitude):
-            if not any(abs(value - r.ratio) <= 1e-12 for r in found):
-                found.append(CollisionRatio(k, value))
+            # Rounded subtraction is monotone: if any accepted value lies
+            # within 1e-12, the nearest one on either side does.
+            i = bisect.bisect_left(accepted, value)
+            if (i < len(accepted) and accepted[i] - value <= 1e-12
+                    or i and value - accepted[i - 1] <= 1e-12):
+                continue
+            accepted.insert(i, value)
+            found.append(CollisionRatio(k, value))
     return sorted(found, key=lambda r: (r.k, r.ratio))
 
 
@@ -140,14 +152,14 @@ def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
     """
     if not 1 <= k <= config.N - 1:
         raise IndexError(f"separation {k} outside [1, {config.N - 1}]")
-    ts = np.linspace(0.0, math.tau, _PAIR_GRID, endpoint=False)
+    ts = _PAIR_TIMES
     step = math.tau / _PAIR_GRID
     while True:
         sq = _pair_sq_dist(config, k, ts)
         best = int(np.argmin(sq))
         if step <= 1e-12:
             break
-        ts = ts[best] + np.linspace(-step, step, 65)
+        ts = ts[best] + step * _ZOOM_OFFSETS
         step /= 32
     return PairMinimum(math.sqrt(max(float(sq[best]), 0.0)),
                        float(ts[best]) % math.tau)
@@ -190,20 +202,29 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     and expanded into the full set of colliding body pairs.  Candidates
     the oracle cannot certify are reported as suspects.  Both tolerances
     scale with the curve, so the verdict does not depend on its size.
+
+    Only k <= N/2 is examined, and the oracle runs once per mirror pair
+    {k, N - k}: bodies 0 and N - k are bodies k and 0 shifted in index,
+    so |q_0 - q_(N-k)| is |q_0 - q_k| shifted in time, with the same
+    minimum, and k's verdict holds for N - k.  Witnesses are still
+    built for each separation of a certified pair.
     """
+    n = config.N
     scale = abs(config.a) + abs(config.b)
     suspect_tol, certify_tol = SUSPECT_TOL * scale, CERTIFY_TOL * scale
     witnesses: list[CollisionWitness] = []
     suspects: list[int] = []
-    for k in range(1, config.N):
+    for k in range(1, n // 2 + 1):
         first, second = _pair_amplitudes(config, k)
         gap = abs(2.0 * abs(first) - 2.0 * abs(second))
         if gap > suspect_tol or second == 0.0:
             continue
-        oracle = min_pair_distance(config, k)
-        if oracle.min_distance <= certify_tol:
-            witnesses.extend(_witnesses_for(config, k))
+        pair = (k,) if 2 * k == n else (k, n - k)
+        if min_pair_distance(config, k).min_distance <= certify_tol:
+            for j in pair:
+                witnesses.extend(_witnesses_for(config, j))
         else:
-            suspects.append(k)
+            suspects.extend(pair)
     witnesses.sort(key=lambda w: (w.k, w.t_star, w.bodies))
+    suspects.sort()
     return CollisionReport(bool(witnesses), witnesses, suspects)

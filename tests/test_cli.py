@@ -612,6 +612,45 @@ _JSON_VALUES = st.recursive(
     max_leaves=25)
 
 
+_NUMBERS = st.one_of(st.integers(), _FLOATS)
+_ODD_SCALARS = st.sampled_from(
+    [True, None, 'say "%s"\\\n\u00e9', np.float64(0.1), 10**400, -0.0, 1e16, 5e-324])
+
+
+@st.composite
+def _record_lists(draw):
+    """A list of records that mostly share one flat shape, and sometimes do not.
+
+    The shape is a key order and, per key, a scalar or a list length.
+    Each kind of departure (another key order, another or zero list
+    length, an odd scalar, a record nested in a record) is drawn on its
+    own, so lists that hit the one-template path and lists that miss
+    it both occur.
+    """
+    keys = draw(st.lists(st.sampled_from(["k", "t", "point", 'q"%s', "\u00e9", "a%"]),
+                         min_size=1, max_size=4, unique=True))
+    widths = [draw(st.integers(0, 3)) for _ in keys]  # 0: a scalar
+    value = st.one_of(_NUMBERS, _ODD_SCALARS) if draw(st.booleans()) else _NUMBERS
+    records = []
+    for _ in range(draw(st.integers(1, 5))):
+        records.append({key: draw(value) if not width
+                        else draw(st.lists(value, min_size=width, max_size=width))
+                        for key, width in zip(keys, widths)})
+    record = draw(st.sampled_from(records))
+    key = draw(st.sampled_from(keys))
+    change = draw(st.sampled_from(["none", "order", "length", "nested"]))
+    if change == "order":
+        for key in reversed(keys):
+            record[key] = record.pop(key)
+    elif change == "length":
+        item = record[key]
+        record[key] = item[1:] if isinstance(item, list) else [item] * draw(st.integers(0, 2))
+    elif change == "nested":
+        inner = dict(records[0])  # a copy, so no record contains itself
+        record[key] = draw(st.sampled_from([[inner], inner]))
+    return records
+
+
 class TestJsonEmitter:
     """``cli._dumps`` writes exactly what ``json.dumps(indent=2)`` writes."""
 
@@ -619,6 +658,22 @@ class TestJsonEmitter:
     @given(value=_JSON_VALUES)
     def test_matches_stdlib(self, value):
         assert cli._dumps(value) == stdlib_dumps(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=_record_lists(), wrap=st.sampled_from([
+        lambda v: v, lambda v: {"ratios": v, "suspects": [1, 2]}, lambda v: [[v], {"w": v}],
+    ]))
+    def test_record_lists_match_stdlib(self, records, wrap):
+        value = wrap(records)
+        assert cli._dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_collide_lists_take_the_record_path(self):
+        args = cli._parser().parse_args(
+            ["collide", "--N", "6", "--p", "2", "--a", "1", "--b", "1"])
+        payload, _ = cli._cmd_collide(args)
+        for name in ("ratios", "witnesses"):
+            assert payload[name]
+            assert cli._records(payload[name], "\n    ") is not None
 
     @pytest.mark.parametrize("value", [
         [], {}, (), [[]], {"a": {}}, {"": [(), {}]}, [True, 1, 1.0, False, 0, None],
@@ -632,6 +687,7 @@ class TestJsonEmitter:
     ])
     @pytest.mark.parametrize("wrap", [
         lambda v: v, lambda v: [1, v], lambda v: {"a": {"b": (v,)}}, lambda v: [{"c": 2.0, "d": v}],
+        lambda v: [{"c": 1, "d": [2.0, 3.0]}, {"c": 1, "d": [2.0, v]}],
     ])
     def test_non_finite_float_raises_as_stdlib_does(self, bad, wrap):
         value = wrap(bad)

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from limachor import collisions
 from limachor.collisions import (
+    CERTIFY_TOL,
+    SUSPECT_TOL,
+    CollisionRatio,
     collision_ratios,
     has_collision,
     min_pair_distance,
@@ -30,6 +34,40 @@ def relative_gaps(config):
     return [abs(abs(a * (1 - cmath.exp(1j * math.tau * k / n)))
                 - abs(b * (1 - cmath.exp(1j * math.tau * p * k / n))))
             / (abs(a) + abs(b)) for k in range(1, n)]
+
+
+def collision_ratios_quadratic(n, p):
+    """collision_ratios with each new value tested against every accepted one."""
+    found = []
+    for k in range(1, n // 2 + 1):
+        first = math.sin(math.pi * k / n)
+        second = 0.0 if (p * k) % n == 0 else math.sin(math.pi * p * k / n)
+        if second == 0.0:
+            continue
+        magnitude = abs(second / first)
+        for value in (magnitude, -magnitude):
+            if not any(abs(value - r.ratio) <= 1e-12 for r in found):
+                found.append(CollisionRatio(k, value))
+    return sorted(found, key=lambda r: (r.k, r.ratio))
+
+
+def has_collision_every_k(config):
+    """has_collision with the oracle run on every candidate k, and the ks it ran on."""
+    n = config.N
+    scale = abs(config.a) + abs(config.b)
+    witnesses, suspects, calls = [], [], []
+    for k in range(1, n):
+        first, second = collisions._pair_amplitudes(config, k)
+        gap = abs(2.0 * abs(first) - 2.0 * abs(second))
+        if gap > SUSPECT_TOL * scale or second == 0.0:
+            continue
+        calls.append(k)
+        if min_pair_distance(config, k).min_distance <= CERTIFY_TOL * scale:
+            witnesses.extend(collisions._witnesses_for(config, k))
+        else:
+            suspects.append(k)
+    witnesses.sort(key=lambda w: (w.k, w.t_star, w.bodies))
+    return collisions.CollisionReport(bool(witnesses), witnesses, suspects), calls
 
 
 class TestCollisionRatios:
@@ -62,6 +100,13 @@ class TestCollisionRatios:
         values = sorted(r.ratio for r in ratios)
         for low, high in zip(values, values[1:]):
             assert high - low > 1e-9 * max(abs(low), abs(high))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 800), mag=st.integers(2, 40), sign=st.sampled_from([1, -1]))
+    @example(n=370, mag=11, sign=1)
+    @example(n=397, mag=11, sign=1)
+    def test_matches_quadratic_reference(self, n, mag, sign):
+        assert collision_ratios(n, sign * mag) == collision_ratios_quadratic(n, sign * mag)
 
     def test_mirror_duplicates_dropped_at_370_11(self):
         # 362 distinct values; separations k and N - k used to add two more.
@@ -219,6 +264,38 @@ class TestCollisionSymmetries:
             assert sum(w.k == k for w in report.witnesses) == abs(p - 1) * n
 
 
+    # The oracle runs once per mirror pair {k, N - k}; the report is the
+    # one that running it on every candidate k gives, bit for bit.
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(2, 12), odd=st.booleans(), p_mag=st.integers(2, 9),
+           p_sign=st.sampled_from([1, -1]), k_index=st.integers(0, 30),
+           offset=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3]), b=st.floats(0.5, 2.0),
+           sign_a=st.sampled_from([1.0, -1.0]))
+    def test_one_oracle_run_per_mirror_pair(
+            self, half, odd, p_mag, p_sign, k_index, offset, b, sign_a):
+        n, p = 2 * half + odd, p_sign * p_mag
+        ratios = collision_ratios(n, p)
+        assume(ratios)
+        ratio = abs(ratios[k_index % len(ratios)].ratio) * (1.0 + offset)
+        config = ChoreoConfig(n, p, sign_a * ratio * b, b)
+        want, every_k = has_collision_every_k(config)
+        calls = []
+
+        def counting(config, k):
+            calls.append(k)
+            return min_pair_distance(config, k)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(collisions, "min_pair_distance", counting)
+            got = has_collision(config)
+        assert sorted(calls) == sorted({min(k, n - k) for k in every_k})
+        assert (got.collides, got.suspects) == (want.collides, want.suspects)
+        assert [(w.k, bits(w.t_star), w.bodies, bits(w.point), bits(w.min_distance))
+                for w in got.witnesses] == \
+            [(w.k, bits(w.t_star), w.bodies, bits(w.point), bits(w.min_distance))
+             for w in want.witnesses]
+
+
 def per_event_witnesses(config, k):
     """(k, t, bodies, point, distance) of separation k's events, one event at a time.
 
@@ -328,6 +405,31 @@ class TestMinPairDistance:
     def test_bad_separation_rejected(self):
         with pytest.raises(IndexError):
             min_pair_distance(ChoreoConfig(4, 2), 4)
+
+    # |q_0 - q_(N-k)| is |q_0 - q_k| shifted in time.
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 24), p_mag=st.integers(2, 9), p_sign=st.sampled_from([1, -1]),
+           k_index=st.integers(0, 30), kind=st.sampled_from(["on", "near", "off"]),
+           b=st.floats(0.5, 2.0), sign_a=st.sampled_from([1.0, -1.0]),
+           off_ratio=st.floats(0.1, 10.0))
+    def test_mirror_separations_agree(self, n, p_mag, p_sign, k_index, kind, b, sign_a,
+                                      off_ratio):
+        p = p_sign * p_mag
+        ks = [k for k in range(1, n) if (p * k) % n]
+        assume(ks)
+        k = ks[k_index % len(ks)]
+        ratio = abs(math.sin(math.pi * p * k / n) / math.sin(math.pi * k / n))
+        if kind == "off":
+            ratio = off_ratio
+        elif kind == "near":
+            ratio += 1e-9 * (ratio + 1.0) / (2.0 * math.sin(math.pi * k / n))
+        config = ChoreoConfig(n, p, sign_a * ratio * b, b)
+        scale = abs(config.a) + b
+        for j in range(1, n // 2 + 1):
+            here = min_pair_distance(config, j).min_distance
+            mirror = min_pair_distance(config, n - j).min_distance
+            assert abs(here - mirror) <= 1e-12 * scale
+            assert (here <= CERTIFY_TOL * scale) == (mirror <= CERTIFY_TOL * scale)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, math.tau), st.integers(1, 5))
