@@ -33,6 +33,7 @@ from limachor.kinematics import (
     bodies_at,
     body_state,
     eom_residual,
+    orbit_csv,
     sample_trajectory,
     state_at,
     trajectory_csv,

@@ -250,10 +250,9 @@ def _cmd_simulate(args: argparse.Namespace):
         spec = dynamics.build_interaction(args.N, couplings)
         traj = dynamics.rk4_integrate(kinematics.state_at(config, 0.0),
                                       spec, args.dt, args.steps)
-    else:
-        traj = kinematics.sample_trajectory(config, 0.0, args.dt * args.steps,
-                                            args.steps + 1)
-    return kinematics.trajectory_csv(traj), EXIT_OK
+        return kinematics.trajectory_csv(traj), EXIT_OK
+    return kinematics.orbit_csv(config, 0.0, args.dt * args.steps,
+                                args.steps + 1), EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace):

@@ -6,9 +6,10 @@ velocities and accelerations are exact trigonometric expressions, all
 computed by one array evaluator over any grid of bodies and times; a
 caller asks it for only the leading derivatives it reads.  The
 equations-of-motion residual measures how well a given coupling vector
-reproduces those accelerations, and the CSV export formats each
-distinct (x, y, vx, vy) row once, since every body retraces the same
-curve points.
+reproduces those accelerations.  The analytic CSV export evaluates and
+formats each distinct curve angle once, since body k at time t sits at
+angle t + 2*pi*k/N and the bodies retrace the same points; any other
+trajectory is formatted row by row.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from limachor.coefficients import CouplingVector
 # long integrations do not lose phase accuracy.
 _REDUCE_ABOVE = 1e6
 
-# Distinct CSV rows formatted per batch.
-_FORMAT_CHUNK = 1 << 16
+# Distinct CSV rows formatted by one ``%``: their Python floats exist
+# one chunk at a time, so they never outweigh the text they become.
+_FORMAT_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -203,6 +205,14 @@ def eom_residual(config: ChoreoConfig, couplings: CouplingVector,
     return float(np.max(np.linalg.norm(acc - force, axis=-1), initial=0.0))
 
 
+def _sample_times(t0: float, t1: float, count: int) -> np.ndarray:
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError(f"bad range: t1={t1} must exceed t0={t0}, both finite")
+    if count < 2:
+        raise ValueError(f"need at least 2 samples, got {count}")
+    return np.linspace(t0, t1, count)
+
+
 def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
                       count: int) -> Trajectory:
     """Uniform analytic samples on [t0, t1], both ends included.
@@ -210,52 +220,48 @@ def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
     Raises:
         ValueError: If t0 or t1 is not finite, t1 <= t0, or count < 2.
     """
-    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
-        raise ValueError(f"bad range: t1={t1} must exceed t0={t0}, both finite")
-    if count < 2:
-        raise ValueError(f"need at least 2 samples, got {count}")
-    times = np.linspace(t0, t1, count)
+    times = _sample_times(t0, t1, count)
     q, v = bodies_at(config, np.arange(config.N), times[:, None], 2)
     return Trajectory(times, q, v)
 
 
-def _row_texts(traj: Trajectory) -> np.ndarray:
-    """``x,y,vx,vy`` text of every (sample, body), as an (S, N) object array.
+def _csv(times: np.ndarray, n_bodies: int, row_format: str, rows) -> str:
+    """The CSV header, then one block of N rows per sample.
 
-    Each distinct row is formatted once: the bodies of a choreography
-    retrace the same curve points, so an analytic export repeats its rows
-    many times over.  Rows are grouped by the bit patterns of all four
-    floats, not by value, because -0.0 == 0.0 while their reprs differ.
+    ``rows`` yields one sequence per sample: the values that fill
+    ``row_format`` for body 0, then body 1, and so on.  Each block is
+    its time joined between per-body pieces that carry the body index,
+    filled by one ``%``.
     """
-    n_samples, n_bodies = traj.q.shape[:2]
-    rows = np.concatenate((traj.q, traj.v), axis=2, dtype=np.float64)
-    bits = rows.reshape(n_samples * n_bodies, 4).view(np.int64)
-    order = np.lexsort(bits.T)
-    ranked = bits[order]
-    # A run of bit-identical rows starts wherever a row differs from the
-    # one sorted before it.
-    starts = np.ones(len(ranked), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
-    distinct = ranked[starts].view(np.float64)
-    formatted = np.empty(len(distinct), dtype=object)
-    # Python floats are made one chunk of rows at a time, so they never
-    # outweigh the text they become.
-    for start in range(0, len(distinct), _FORMAT_CHUNK):
-        columns = distinct[start:start + _FORMAT_CHUNK].T.tolist()
-        formatted[start:start + _FORMAT_CHUNK] = [
-            "%r,%r,%r,%r" % row for row in zip(*columns)]
-    texts = np.empty(len(ranked), dtype=object)
-    texts[order] = formatted[np.cumsum(starts) - 1]
-    return texts.reshape(n_samples, n_bodies)
+    pieces = [""] + [f",{k},{row_format}\n" for k in range(n_bodies)]
+    return "".join(["t,body,x,y,vx,vy\n"] + [
+        repr(t).join(pieces) % tuple(row) for t, row in zip(times.tolist(), rows)])
 
 
-def _sample_blocks(traj: Trajectory) -> list[str]:
-    """The CSV rows of each sample, one string per sample."""
-    # A sample's block is its time joined between these pieces, which
-    # carry the body index and the row text of each body.
-    pieces = [""] + [f",{k},%s\n" for k in range(traj.q.shape[1])]
-    return [repr(t).join(pieces) % tuple(row)
-            for t, row in zip(traj.t.tolist(), _row_texts(traj).tolist())]
+def orbit_csv(config: ChoreoConfig, t0: float, t1: float, count: int) -> str:
+    """``trajectory_csv(sample_trajectory(config, t0, t1, count))``, byte for byte.
+
+    Body k at time t sits at curve angle t + 2*pi*k/N, so the export is
+    built from the distinct angles: each is evaluated and its
+    ``x,y,vx,vy`` text formatted once, and every (sample, body) row
+    reuses the text of its angle.  Angles are grouped by bit pattern.
+    An angle is never -0.0, so re-evaluating it as body 0 (adding
+    2*pi*0/N = +0.0) leaves it unchanged.
+
+    Raises:
+        ValueError: As ``sample_trajectory``.
+    """
+    times = _sample_times(t0, t1, count)
+    theta = times[:, None] + (math.tau * np.arange(config.N)) / config.N
+    bits, inverse = np.unique(theta.reshape(-1).view(np.int64), return_inverse=True)
+    rows = np.concatenate(bodies_at(config, 0, bits.view(np.float64), 2), axis=1)
+    texts = np.empty(len(rows), dtype=object)
+    # One ``%`` per chunk of rows, split at the newlines between them.
+    for start in range(0, len(rows), _FORMAT_CHUNK):
+        chunk = rows[start:start + _FORMAT_CHUNK]
+        texts[start:start + len(chunk)] = ("\n".join(["%r,%r,%r,%r"] * len(chunk))
+                                           % tuple(chunk.reshape(-1).tolist())).split("\n")
+    return _csv(times, config.N, "%s", texts[inverse.reshape(theta.shape)].tolist())
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -263,11 +269,11 @@ def trajectory_csv(traj: Trajectory) -> str:
 
     One row per (sample, body), sorted by t then body.  Coordinates are
     formatted as float64 in the shortest representation that round-trips
-    exactly.  Each distinct (x, y, vx, vy) row is formatted once, so an
-    analytic choreography, whose bodies retrace the same curve points,
-    costs one format per distinct row, and each sample's block is filled
-    by one ``%`` with N substitutions.  Memory is O(S*N): every distinct
-    row's text is held until the blocks are formatted, and freed before
-    they are joined.
+    exactly, row by row: each sample's block is filled by one ``%`` with
+    its 4N floats.  Memory is O(S*N), the text itself; only one sample's
+    floats are held as Python objects at a time.  ``orbit_csv`` writes
+    the same bytes for an analytic trajectory without sampling it.
     """
-    return "".join(["t,body,x,y,vx,vy\n"] + _sample_blocks(traj))
+    rows = (np.concatenate((q, v), axis=1, dtype=np.float64).reshape(-1).tolist()
+            for q, v in zip(traj.q, traj.v))
+    return _csv(traj.t, traj.q.shape[1], "%r,%r,%r,%r", rows)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from limachor import kinematics
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.dynamics import build_interaction, rk4_integrate
 from limachor.kinematics import (
@@ -15,6 +16,7 @@ from limachor.kinematics import (
     bodies_at,
     body_state,
     eom_residual,
+    orbit_csv,
     sample_trajectory,
     state_at,
     trajectory_csv,
@@ -55,7 +57,7 @@ def reference_bodies(config, t):
 def reference_csv(traj):
     """The per-row formatter: one f-string with five reprs per (sample, body).
 
-    The distinct-value formatter must reproduce it byte for byte.
+    The block formatter must reproduce it byte for byte.
     """
     lines = ["t,body,x,y,vx,vy"]
     for t, q, v in zip(traj.t.tolist(), traj.q, traj.v):
@@ -404,8 +406,8 @@ class TestTrajectoryCsvMatchesReference:
         assert trajectory_csv(Trajectory(t, q, -q)) == reference_csv(as_float64)
 
     def test_peak_memory_stays_linear(self):
-        # RK4 at N = 256 over 128 steps: ~132k distinct coordinates, whose
-        # strings are all held until the sample blocks are built.
+        # RK4 at N = 256 over 128 steps: 33,024 rows, none repeated, and
+        # every sample's block is held until they are joined.
         traj = rk4_export(256, 128)
         tracemalloc.start()
         try:
@@ -415,6 +417,71 @@ class TestTrajectoryCsvMatchesReference:
             tracemalloc.stop()
         assert csv.count("\n") == 1 + 129 * 256
         assert peak < 32e6
+
+
+@st.composite
+def orbit_exports(draw):
+    """(config, t0, t1, count): admissible signed p, signed a and b.
+
+    t0 is 0, negative, or beyond the 1e6 angle reduction on either side;
+    a span of exactly one period makes many curve angles repeat.
+    """
+    n_bodies = draw(st.integers(4, 300))
+    p = draw(st.sampled_from([p for p, n in admissible_pairs(12, n_bodies, n_bodies)]))
+    amplitude = st.floats(0.1, 10.0).flatmap(lambda x: st.sampled_from((x, -x)))
+    config = ChoreoConfig(n_bodies, p, draw(amplitude), draw(amplitude))
+    t0 = draw(st.one_of(st.just(0.0), st.floats(-1e3, -1e-3),
+                        st.floats(1e6, 1e9), st.floats(-1e9, -1e6)))
+    span = draw(st.one_of(st.just(math.tau), st.floats(1e-3, 1e3)))
+    return config, t0, t0 + span, draw(st.integers(2, 300))
+
+
+def distinct_angles(config, t0, t1, count):
+    times = np.linspace(t0, t1, count)
+    theta = times[:, None] + (math.tau * np.arange(config.N)) / config.N
+    return np.unique(theta.view(np.int64)).size
+
+
+class TestOrbitCsv:
+    # Up to 90,000 rows formatted twice per example: few examples.
+    @settings(max_examples=25, deadline=None)
+    @given(case=orbit_exports())
+    def test_matches_the_sampled_trajectory_export(self, case):
+        assert orbit_csv(*case) == trajectory_csv(sample_trajectory(*case))
+
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
+    @pytest.mark.parametrize("t0, t1, count", [
+        (0.0, math.tau, 129), (-3e7, -3e7 + math.tau, 65), (1e6 - 2.0, 1e6 + 2.0, 33)])
+    def test_matches_on_reference_configs(self, config, t0, t1, count):
+        expected = trajectory_csv(sample_trajectory(config, t0, t1, count))
+        assert orbit_csv(config, t0, t1, count) == expected
+
+    @pytest.mark.parametrize("t0, t1, count", [
+        (1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1), (0.0, 1.0, 0),
+        (math.nan, 1.0, 5), (0.0, math.nan, 5), (0.0, math.inf, 5), (-math.inf, 0.0, 5)])
+    def test_bad_ranges_raise_as_sample_trajectory(self, t0, t1, count):
+        config = ChoreoConfig(4, 2)
+        with pytest.raises(ValueError) as expected:
+            sample_trajectory(config, t0, t1, count)
+        with pytest.raises(ValueError) as got:
+            orbit_csv(config, t0, t1, count)
+        assert str(got.value) == str(expected.value)
+
+    def test_evaluates_each_distinct_angle_once(self, monkeypatch):
+        # The analytic export's shape: N = 256, one period in 128 steps,
+        # i.e. 33,024 (sample, body) rows.  The angles do not depend on p.
+        config, steps = ChoreoConfig(256, 5, 1.3, -0.7), 128
+        t1 = math.tau / steps * steps
+        seen = []
+
+        def counted(config, k, t, count=3):
+            seen.append(np.broadcast(k, t).size)
+            return bodies_at(config, k, t, count)
+
+        monkeypatch.setattr(kinematics, "bodies_at", counted)
+        orbit_csv(config, 0.0, t1, steps + 1)
+        assert seen == [distinct_angles(config, 0.0, t1, steps + 1)]
+        assert seen[0] <= 910
 
 
 class TestArrayEvaluatorMatchesScalarReference:
