@@ -238,20 +238,9 @@ def _csv(times: np.ndarray, n_bodies: int, row_format: str, rows) -> str:
         repr(t).join(pieces) % tuple(row) for t, row in zip(times.tolist(), rows)])
 
 
-def orbit_csv(config: ChoreoConfig, t0: float, t1: float, count: int) -> str:
-    """``trajectory_csv(sample_trajectory(config, t0, t1, count))``, byte for byte.
-
-    Body k at time t sits at curve angle t + 2*pi*k/N, so the export is
-    built from the distinct angles: each is evaluated and its
-    ``x,y,vx,vy`` text formatted once, and every (sample, body) row
-    reuses the text of its angle.  Angles are grouped by bit pattern.
-    An angle is never -0.0, so re-evaluating it as body 0 (adding
-    2*pi*0/N = +0.0) leaves it unchanged.
-
-    Raises:
-        ValueError: As ``sample_trajectory``.
-    """
-    times = _sample_times(t0, t1, count)
+def _angle_texts(config: ChoreoConfig, times: np.ndarray) -> list[list[str]]:
+    """``x,y,vx,vy`` text of every (sample, body), each distinct angle formatted once."""
+    # bodies_at's own expression, so every angle has the bits it computes.
     theta = times[:, None] + (math.tau * np.arange(config.N)) / config.N
     bits, inverse = np.unique(theta.reshape(-1).view(np.int64), return_inverse=True)
     rows = np.concatenate(bodies_at(config, 0, bits.view(np.float64), 2), axis=1)
@@ -261,7 +250,25 @@ def orbit_csv(config: ChoreoConfig, t0: float, t1: float, count: int) -> str:
         chunk = rows[start:start + _FORMAT_CHUNK]
         texts[start:start + len(chunk)] = ("\n".join(["%r,%r,%r,%r"] * len(chunk))
                                            % tuple(chunk.reshape(-1).tolist())).split("\n")
-    return _csv(times, config.N, "%s", texts[inverse.reshape(theta.shape)].tolist())
+    return texts[inverse.reshape(theta.shape)].tolist()
+
+
+def orbit_csv(config: ChoreoConfig, t0: float, t1: float, count: int) -> str:
+    """``trajectory_csv(sample_trajectory(config, t0, t1, count))``, byte for byte.
+
+    Body k at time t sits at curve angle t + 2*pi*k/N, so the export is
+    built from the distinct angles: each is evaluated and its
+    ``x,y,vx,vy`` text formatted once, and every (sample, body) row
+    reuses the text of its angle.  Angles are grouped by bit pattern.
+    An angle is never -0.0, so re-evaluating it as body 0 (adding
+    2*pi*0/N = +0.0) leaves it unchanged.  The angle and row arrays are
+    freed before the blocks are built.
+
+    Raises:
+        ValueError: As ``sample_trajectory``.
+    """
+    times = _sample_times(t0, t1, count)
+    return _csv(times, config.N, "%s", _angle_texts(config, times))
 
 
 def trajectory_csv(traj: Trajectory) -> str:
