@@ -4,7 +4,8 @@ The two rotating components of the orbit must be balanced independently
 by the cyclic coupling strengths kappa_1 .. kappa_n, n = floor(N/2).
 That balance is a 2 x n linear system; its leading 2 x 2 block is
 invertible for every admissible pair, so kappa_1 and kappa_2 follow
-uniquely from any choice of the free tail kappa_3 .. kappa_n.
+uniquely from any choice of the free tail kappa_3 .. kappa_n.  The
+solve trusts is_admissible's exact decision; its one guard is det == 0.
 
 All arithmetic is real: each matrix entry is a 2(cos - 1) form, so no
 complex numbers are ever materialized.  Entries depend on p only
@@ -21,8 +22,6 @@ import numpy as np
 
 from limachor.admissibility import InadmissibleError, is_admissible
 from limachor.admissibility import is_admissible_restricted
-
-_DET_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,7 @@ class RestrictedCoupling:
 
     def expand(self, N: int) -> CouplingVector:
         """Unfold into the full coupling vector for N bodies."""
-        n = N // 2
-        kappas = [self.kappa_o if ell % 2 else self.kappa_e
-                  for ell in range(1, n + 1)]
-        return CouplingVector(N, np.array(kappas))
+        return CouplingVector(N, np.resize([self.kappa_o, self.kappa_e], N // 2))
 
 
 def _rhs(p: int) -> np.ndarray:
@@ -129,20 +125,24 @@ def leading_det(N: int, p: int) -> float:
     for N = 4 the second column is the halved diametral one and only
     the direct determinant applies.
     """
-    m = build_matrix(N, p)
+    return _det2(build_matrix(N, p))
+
+
+def _det2(m: np.ndarray) -> float:
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
 def _solve2(mat: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
-    """Solve a 2 x 2 system by the adjugate formula."""
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    if abs(det) < _DET_FLOOR:
+    """Solve a 2 x 2 system by the adjugate formula; refuse only det == 0."""
+    det = _det2(mat)
+    if det == 0.0:
         raise ValueError(f"ill-posed 2x2 system, determinant {det:.3e}")
     x0 = (mat[1, 1] * rhs[0] - mat[0, 1] * rhs[1]) / det
     x1 = (mat[0, 0] * rhs[1] - mat[1, 0] * rhs[0]) / det
     return float(x0), float(x1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_couplings(N: int, p: int, free=None) -> CouplingVector:
     """Couplings that balance the (N, p) choreography, given a free tail.
 
@@ -161,7 +161,7 @@ def solve_couplings(N: int, p: int, free=None) -> CouplingVector:
 
     Raises:
         InadmissibleError: If (p, N) is inadmissible.
-        ValueError: If the tail is not floor(N/2) - 2 finite values.
+        ValueError: If the tail is not floor(N/2) - 2 finite values or the solve overflows.
     """
     decision = is_admissible(p, N)
     if not decision.admissible:
@@ -176,8 +176,7 @@ def solve_couplings(N: int, p: int, free=None) -> CouplingVector:
     if not np.all(np.isfinite(tail)):
         raise ValueError(f"free tail must be finite, got {tail.tolist()}")
     mat = build_matrix(N, p)
-    reduced = _rhs(p) - (mat[:, 2:] @ tail if n > 2 else 0.0)
-    k1, k2 = _solve2(mat[:, :2], reduced)
+    k1, k2 = _solve2(mat[:, :2], _rhs(p) - mat[:, 2:] @ tail)
     return CouplingVector(N, np.concatenate(([k1, k2], tail)))
 
 

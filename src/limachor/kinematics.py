@@ -175,14 +175,15 @@ def certification_grid(count: int = 64) -> np.ndarray:
     return np.linspace(0.0, math.tau, count, endpoint=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eom_residual(config: ChoreoConfig, couplings: CouplingVector,
                  t_grid=None) -> float:
     """Worst equations-of-motion defect of the analytic choreography.
 
     For each grid time and each body, compares the exact acceleration
     against the coupling force sum over all partners; returns the
-    largest Euclidean mismatch.  Zero (to roundoff) certifies the
-    couplings as a solution.
+    largest Euclidean mismatch, not finite if it overflows.  Zero (to
+    roundoff) certifies the couplings as a solution.
 
     Args:
         config: Curve and body count.

@@ -20,6 +20,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """``python -m limachor`` in a subprocess, where warnings reach stderr."""
+    src = str(Path(limachor.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "limachor", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestAdmissibleCommand:
     def test_good_pair(self, capsys):
         code, out, err = run_cli(capsys, "admissible", "--p", "2", "--N", "4")
@@ -105,6 +115,44 @@ class TestCoeffsCommand:
                                "--tail", "0", "1")
         assert code == 1
         assert "free tail" in err
+
+
+class TestLargeBodyCount:
+    # The leading determinant falls like N^-6: at N = 1024 it is below
+    # 1e-12, yet the pair is admissible and the system exactly solvable.
+    def test_coeffs_solves(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--N", "1024", "--p", "2")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["det_Mt"] == pytest.approx(-6.404e-13, rel=1e-4)
+        kappas = np.array(list(payload["kappa"].values()))
+        assert payload["residual"] == pytest.approx(
+            [0.0, 0.0], abs=1e-14 * max(1.0, np.abs(kappas).sum(), 4.0))
+
+    def test_constants_match_closed_forms(self, capsys):
+        code, out, _ = run_cli(capsys, "constants", "--N", "1024", "--p", "2")
+        assert code == 0
+        payload = json.loads(out)
+        closed = payload["closed_form"]
+        closed["E"] = closed["K"] + closed["V"]
+        for key in ("c", "I", "K", "V", "E"):
+            assert payload["drift"][key] <= 1e-10 * abs(closed[key])
+        for key in ("c", "I", "K", "V"):
+            assert payload[key] == pytest.approx(closed[key], rel=1e-10, abs=0.0)
+
+
+class TestOverflowingFreeTail:
+    # 1e308 overflows the solve's tail products; 1e200 solves, but the
+    # squares of the residual's 1e200-sized defects overflow, and RK4
+    # then leaves the float range.
+    @pytest.mark.parametrize("command, tail", [
+        ("coeffs", "1e308"), ("constants", "1e308"), ("verify", "1e200"),
+    ])
+    def test_is_one_error_line(self, command, tail):
+        code, out, err = run_module(command, "--N", "8", "--p", "3",
+                                    "--tail", tail, tail)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRestrictedCommand:
@@ -573,13 +621,9 @@ class TestVerifyCallsEveryLayer:
 class TestModuleEntryPoint:
     def test_python_dash_m_matches_run(self, capsys):
         argv = ["admissible", "--N", "5", "--p", "2"]
-        src = str(Path(limachor.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "limachor", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        module_code, module_out, _ = run_module(*argv)
         code, out, _ = run_cli(capsys, *argv)
-        assert (proc.returncode, proc.stdout) == (code, out)
+        assert (module_code, module_out) == (code, out)
         assert code == 0
 
 

@@ -21,6 +21,17 @@ from limachor.coefficients import (
 )
 from util import admissible_pairs
 
+# For each |p|, the smallest admissible N whose leading determinant (which
+# falls like N^-6) is below 1e-12 in magnitude, and N = 10^4 for every p;
+# as (p, N) like admissible_pairs.
+LARGE_N_PAIRS = ([(2, 951), (-2, 951), (3, 1282), (-3, 1282), (5, 1825), (7, 2292)]
+                 + [(p, 10_000) for p in (2, -2, 3, -3, 5, 7)])
+
+
+def residual_bound(p, kappas):
+    """Balance defect allowed by roundoff: the solve's terms reach sum |kappa| and p^2."""
+    return 1e-14 * max(1.0, float(np.abs(kappas).sum()), float(p * p))
+
 
 def closed_form_det(N, p):
     """Independent determinant oracle, valid when both columns are generic."""
@@ -72,9 +83,15 @@ class TestLeadingDet:
         assert leading_det(5, 2) == pytest.approx(-11.18034, abs=1e-5)
 
     def test_closed_form_matches_direct_for_generic_columns(self):
-        for p, n in admissible_pairs(12, 40, min_n=5):
+        for p, n in admissible_pairs(12, 40, min_n=5) + LARGE_N_PAIRS:
             assert leading_det(n, p) == pytest.approx(
                 closed_form_det(n, p), abs=1e-12)
+            # The direct form differences products of 2(cos - 1) entries,
+            # each rounded to eps absolute: its error is about eps times
+            # the block's entries, 3.4e-4 relative at N = 10^4, p = 2.
+            block = np.abs(build_matrix(n, p)[:, :2]).sum()
+            assert leading_det(n, p) == pytest.approx(
+                closed_form_det(n, p), rel=0.0, abs=8 * np.finfo(float).eps * block)
 
     def test_nonzero_on_admissible_pairs(self):
         for p, n in admissible_pairs(12, 40):
@@ -99,7 +116,7 @@ class TestSolveCouplings:
         assert kappas == pytest.approx([2.25, -5.0 / 12.0, 0.0], abs=1e-14)
 
     def test_p_sign_symmetry_exact(self):
-        for p, n in admissible_pairs(7, 14):
+        for p, n in admissible_pairs(7, 14) + LARGE_N_PAIRS:
             tail = 0.25 * np.arange(n // 2 - 2)
             plus = solve_couplings(n, p, tail).kappas
             minus = solve_couplings(n, -p, tail).kappas
@@ -110,9 +127,23 @@ class TestSolveCouplings:
                               solve_couplings(8, 3, [0.0, 0.0]).kappas)
 
     def test_residual_vanishes_across_sweep(self):
-        for p, n in admissible_pairs(7, 16):
+        for p, n in admissible_pairs(7, 16) + LARGE_N_PAIRS:
             couplings = solve_couplings(n, p)
-            assert residual(n, p, couplings) == pytest.approx((0.0, 0.0), abs=1e-10)
+            assert np.all(np.isfinite(couplings.kappas[:2]))
+            assert residual(n, p, couplings) == pytest.approx(
+                (0.0, 0.0), abs=residual_bound(p, couplings.kappas))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(951, 10_000), st.sampled_from([2, -2, 3, -3, 5, 7]))
+    def test_every_large_admissible_pair_solves(self, n, p):
+        # p, p - 1 and p + 1 are nonzero and below N, so every draw is
+        # admissible; the paper's theorem makes its leading block invertible.
+        assert is_admissible(p, n).admissible
+        couplings = solve_couplings(n, p)
+        assert np.all(np.isfinite(couplings.kappas))
+        assert max(map(abs, residual(n, p, couplings))) <= \
+            residual_bound(p, couplings.kappas)
+        assert np.array_equal(couplings.kappas, solve_couplings(n, -p).kappas)
 
     def test_six_bodies_affine_in_tail(self):
         # kappa_1 = (p^2 - 1)/2 + kappa_3, kappa_2 = (3 - p^2)/6 - kappa_3.
@@ -134,6 +165,12 @@ class TestSolveCouplings:
     def test_wrong_tail_length(self):
         with pytest.raises(ValueError, match="free tail"):
             solve_couplings(6, 2, [0.0, 0.0])
+
+    def test_overflowing_tail_is_one_value_error(self):
+        # The tail's products overflow to inf and the adjugate to NaN;
+        # the solve says so as a ValueError, not as RuntimeWarnings.
+        with pytest.raises(ValueError, match="kappa_1=nan, kappa_2=nan"):
+            solve_couplings(8, 3, [1e308, 1e308])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_couplings_rejected(self, value):

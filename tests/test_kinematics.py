@@ -293,6 +293,12 @@ class TestEomResidual:
         with pytest.raises(ValueError):
             eom_residual(ChoreoConfig(6, 2), CouplingVector(4, [1.0, -0.5]))
 
+    def test_overflowing_defect_is_inf(self):
+        # 1e200-sized couplings give 1e200-sized defects, whose squares
+        # overflow: the residual is inf, with no RuntimeWarning.
+        couplings = solve_couplings(8, 3, [1e200, 1e200])
+        assert eom_residual(ChoreoConfig(8, 3, 1.2, 1.0), couplings) == math.inf
+
     def test_custom_grid(self):
         config = ChoreoConfig(4, 2, 1.2, 1.0)
         assert eom_residual(config, solve_couplings(4, 2), [0.0, 2.0]) < 1e-12
