@@ -7,10 +7,12 @@ invertible for every admissible pair, so kappa_1 and kappa_2 follow
 uniquely from any choice of the free tail kappa_3 .. kappa_n.  The
 solve trusts is_admissible's exact decision; its one guard is det == 0.
 
-All arithmetic is real: each matrix entry is a 2(cos - 1) form, so no
-complex numbers are ever materialized.  Entries depend on p only
-through cos and the parity of p, which makes every solve exactly
-symmetric under p -> -p.
+All arithmetic is real: each matrix entry is a 2(cos x - 1) form,
+evaluated as -4 sin^2(x/2) so that it keeps its relative accuracy at
+the small angles of large N, and no complex numbers are ever
+materialized.  Entries depend on p only through ell * p reduced to
+[0, N/2] in integers, which makes every solve exactly symmetric under
+p -> -p.
 """
 
 from __future__ import annotations
@@ -82,11 +84,25 @@ class RestrictedCoupling:
 
     def expand(self, N: int) -> CouplingVector:
         """Unfold into the full coupling vector for N bodies."""
-        return CouplingVector(N, np.resize([self.kappa_o, self.kappa_e], N // 2))
+        n = N // 2
+        kappas = [self.kappa_o if ell % 2 else self.kappa_e
+                  for ell in range(1, n + 1)]
+        return CouplingVector(N, np.array(kappas))
 
 
 def _rhs(p: int) -> np.ndarray:
     return np.array([-1.0, -float(p * p)])
+
+
+def _chord(k: int, N: int) -> float:
+    """2(cos(2*pi*k/N) - 1), evaluated as -4 sin^2(pi*k/N).
+
+    The sine form has no cancellation for small angles, and reducing k
+    in integers to [0, N/2] first keeps the angle at most pi/2.
+    """
+    k %= N
+    s = math.sin(math.pi * min(k, N - k) / N)
+    return -4.0 * s * s
 
 
 def build_matrix(N: int, p: int) -> np.ndarray:
@@ -103,16 +119,11 @@ def build_matrix(N: int, p: int) -> np.ndarray:
     if N < 4:
         raise ValueError(f"balance matrix needs N >= 4, got {N}")
     n = N // 2
-    entries = np.empty((2, n))
-    for ell in range(1, n + 1):
-        if N % 2 == 0 and ell == n:
-            # Diametral bond: single term, half the generic pair value.
-            entries[0, ell - 1] = -2.0
-            entries[1, ell - 1] = -2.0 if p % 2 else 0.0
-        else:
-            entries[0, ell - 1] = 2.0 * (math.cos(math.tau * ell / N) - 1.0)
-            # abs(p) keeps the p -> -p symmetry bit-exact.
-            entries[1, ell - 1] = 2.0 * (math.cos(math.tau * ell * abs(p) / N) - 1.0)
+    entries = np.array([[_chord(ell * q, N) for ell in range(1, n + 1)]
+                        for q in (1, p)])
+    if N % 2 == 0:
+        # Diametral bond: single term, half the generic pair value.
+        entries[:, n - 1] /= 2.0
     return entries
 
 
