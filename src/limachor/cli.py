@@ -183,11 +183,26 @@ def _dumps(payload) -> str:
     return "".join(parts)
 
 
+# Within numpy's index range, an array of more than this many bytes is
+# still refused, with a message that names no flag.
+_MAX_BYTES = np.iinfo(np.intp).max
+
+
+def _check_bodies(n: int) -> None:
+    """Refuse an N whose per-body float64 arrays numpy cannot allocate."""
+    if 8 * n > _MAX_BYTES:
+        raise ValueError(f"--N {n} needs float64 arrays of {n} values "
+                         f"({8 * n} bytes), more than numpy can allocate "
+                         f"({_MAX_BYTES} bytes)")
+
+
 def _config(args: argparse.Namespace) -> kinematics.ChoreoConfig:
+    _check_bodies(args.N)
     return kinematics.ChoreoConfig(args.N, args.p, args.a, args.b)
 
 
 def _solve(args: argparse.Namespace) -> coefficients.CouplingVector:
+    _check_bodies(args.N)
     free = None if args.tail is None else np.array(args.tail)
     return coefficients.solve_couplings(args.N, args.p, free)
 

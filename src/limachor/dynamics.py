@@ -7,12 +7,15 @@ analytic orbit: a classical fixed-step RK4 integrator whose step
 matrix is built from the direct O(N^2) pairwise force matrix, and an
 exact spectral propagator in the real circulant eigenbasis.  The two
 share no force code, which is what makes their agreement a meaningful
-oracle.
+oracle.  RK4 yields its run in bounded chunks (``rk4_chunks``), so a
+caller that reduces each chunk never holds the whole trajectory;
+``rk4_integrate`` joins them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +24,11 @@ from limachor.coefficients import CouplingVector
 from limachor.kinematics import SystemState, Trajectory
 
 # Samples per RK4 block: each block after the first is one product
-# with R^64 (see rk4_integrate).
+# with R^64 (see rk4_chunks).
 _RK4_BLOCK = 64
+# Samples per RK4 chunk after the first: 32 blocks.  Each chunk costs a
+# fixed number of numpy calls, so shorter chunks cost time per run.
+_RK4_CHUNK = 32 * _RK4_BLOCK
 
 
 @dataclass(frozen=True)
@@ -94,9 +100,24 @@ def build_interaction(N: int, couplings: CouplingVector) -> InteractionSpec:
     return InteractionSpec(N, lam, couplings.pair_matrix(), _real_mode_basis(N))
 
 
-def rk4_integrate(initial: SystemState, spec: InteractionSpec,
-                  dt: float, steps: int) -> Trajectory:
-    """Classical fixed-step 4th-order Runge-Kutta integration.
+def _rk4_step(spec: InteractionSpec, dt: float) -> np.ndarray:
+    """R(dt A), built from the direct pair matrix (no eigenbasis)."""
+    n, pair = spec.N, spec.pair_matrix
+    eye = np.eye(2 * n)
+    h_a = np.zeros((2 * n, 2 * n))
+    h_a[:n, n:] = dt * np.eye(n)
+    h_a[n:, :n] = dt * (pair - np.diag(pair.sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Horner form of R(z) = 1 + z (1 + z/2 (1 + z/3 (1 + z/4))).
+        step = eye
+        for k in (4.0, 3.0, 2.0, 1.0):
+            step = eye + (h_a @ step) / k
+    return step
+
+
+def rk4_chunks(initial: SystemState, spec: InteractionSpec,
+               dt: float, steps: int) -> Iterator[Trajectory]:
+    """Classical fixed-step 4th-order Runge-Kutta, yielded in chunks of samples.
 
     The system y' = A y, y = (q, v), is linear, so one RK4 step is
     exactly y <- R(dt A) y with the RK4 stability polynomial
@@ -106,13 +127,22 @@ def rk4_integrate(initial: SystemState, spec: InteractionSpec,
     step at a time; every later block of B samples is then the block
     before it times R^B, one matrix product per block.  Each product
     has 2B rows, few enough that BLAS runs it on one thread at small
-    N.  Deterministic for fixed inputs; the returned trajectory
-    includes the initial state and one sample per step.
+    N.  Deterministic for fixed inputs.
+
+    The chunks together hold the initial state and one sample per step,
+    in order.  The first chunk holds the initial state and _RK4_CHUNK
+    samples, each later one at most _RK4_CHUNK; every chunk but the last
+    ends on a block boundary, so each product groups its rows as one
+    whole-run array would, and the samples have the same bits whatever
+    the chunking.  Each chunk is a new array (the B samples before it
+    are copied in front of it), so a chunk the caller keeps never
+    changes.  Memory is O(_RK4_CHUNK * N + N^2).
 
     Raises:
-        ValueError: If dt is not finite and positive, steps < 1, on a
-            dimension mismatch, or if a sample leaves the finite float
-            range.
+        ValueError: If dt is not finite and positive, steps < 1 or on a
+            dimension mismatch (when the first chunk is requested), or
+            if a sample leaves the finite float range (in place of the
+            chunk that holds it).
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"step size must be finite and positive, got dt={dt}")
@@ -122,40 +152,73 @@ def rk4_integrate(initial: SystemState, spec: InteractionSpec,
         raise ValueError(
             f"state has {initial.n_bodies} bodies, spec expects {spec.N}"
         )
-    n, pair = spec.N, spec.pair_matrix
-    eye = np.eye(2 * n)
-    h_a = np.zeros((2 * n, 2 * n))
-    h_a[:n, n:] = dt * np.eye(n)
-    h_a[n:, :n] = dt * (pair - np.diag(pair.sum(axis=1)))
-
-    # Sample, coordinate, state entry: a run of consecutive samples is
-    # one contiguous (2 * rows, 2N) matrix, advanced by right products.
-    y = np.empty((steps + 1, 2, 2 * n))
-    y[0, :, :n] = initial.positions.T
-    y[0, :, n:] = initial.velocities.T
-    rows = y.reshape(2 * (steps + 1), 2 * n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Horner form of R(z) = 1 + z (1 + z/2 (1 + z/3 (1 + z/4))).
-        step = eye
-        for k in (4.0, 3.0, 2.0, 1.0):
-            step = eye + (h_a @ step) / k
-        step_t = step.T
-        for i in range(min(_RK4_BLOCK, steps)):
-            np.matmul(y[i], step_t, out=y[i + 1])
-        if steps > _RK4_BLOCK:
+    n = spec.N
+    step_t = _rk4_step(spec, dt).T
+    if steps > _RK4_BLOCK:
+        with np.errstate(over="ignore", invalid="ignore"):
             jump = np.linalg.matrix_power(step_t, _RK4_BLOCK)
-            for start in range(_RK4_BLOCK + 1, steps + 1, _RK4_BLOCK):
-                stop = min(start + _RK4_BLOCK, steps + 1)
-                np.matmul(rows[2 * (start - _RK4_BLOCK):2 * (stop - _RK4_BLOCK)],
-                          jump, out=rows[2 * start:2 * stop])
-    if not np.isfinite(y).all():
-        raise ValueError(
-            f"RK4 left the finite float range with dt={dt}, steps={steps}: "
-            f"the step is beyond RK4's stability limit or the motion "
-            f"outgrows float64")
-    t = initial.t + np.arange(steps + 1) * dt
-    state = y.transpose(0, 2, 1)
-    return Trajectory(t, state[:, :n], state[:, n:])
+
+    tail = None   # the last _RK4_BLOCK samples before the chunk
+    start, stop = 0, min(_RK4_CHUNK + 1, steps + 1)
+    while start <= steps:
+        # Sample, coordinate, state entry: a run of consecutive samples
+        # is one contiguous (2 * rows, 2N) matrix, advanced by right
+        # products.  y holds `lead` samples before the chunk's first.
+        lead = 0 if tail is None else _RK4_BLOCK
+        y = np.empty((lead + stop - start, 2, 2 * n))
+        rows = y.reshape(-1, 2 * n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if tail is None:
+                y[0, :, :n] = initial.positions.T
+                y[0, :, n:] = initial.velocities.T
+                for i in range(min(_RK4_BLOCK, steps)):
+                    np.matmul(y[i], step_t, out=y[i + 1])
+                first = _RK4_BLOCK + 1
+            else:
+                y[:lead] = tail
+                first = lead
+            for block in range(first, len(y), _RK4_BLOCK):
+                end = min(block + _RK4_BLOCK, len(y))
+                np.matmul(rows[2 * (block - _RK4_BLOCK):2 * (end - _RK4_BLOCK)],
+                          jump, out=rows[2 * block:2 * end])
+        if not np.isfinite(y[lead:]).all():
+            raise ValueError(
+                f"RK4 left the finite float range with dt={dt}, steps={steps}: "
+                f"the step is beyond RK4's stability limit or the motion "
+                f"outgrows float64")
+        tail = y[-_RK4_BLOCK:].copy()
+        state = y[lead:].transpose(0, 2, 1)
+        yield Trajectory(initial.t + np.arange(start, stop) * dt,
+                         state[:, :n], state[:, n:])
+        # The caller's reference is then the only one, so a chunk the
+        # caller drops is freed before the next one is allocated.
+        del y, rows, state
+        start, stop = stop, min(stop + _RK4_CHUNK, steps + 1)
+
+
+def rk4_integrate(initial: SystemState, spec: InteractionSpec,
+                  dt: float, steps: int) -> Trajectory:
+    """The whole RK4 run of ``rk4_chunks``, as one trajectory.
+
+    The samples are the chunks' samples, in one (steps + 1, 2, 2N)
+    array (sample, coordinate, state entry) of which ``q`` and ``v``
+    are views: the chunks' own layout, so that a kernel run over the
+    whole trajectory sees the strides it sees over the chunks.
+
+    Raises:
+        ValueError: As ``rk4_chunks``.
+    """
+    chunks = list(rk4_chunks(initial, spec, dt, steps))
+    n = spec.N
+    state = np.empty((steps + 1, 2, 2 * n)).transpose(0, 2, 1)
+    start = 0
+    for chunk in chunks:
+        stop = start + chunk.t.size
+        state[start:stop, :n] = chunk.q
+        state[start:stop, n:] = chunk.v
+        start = stop
+    return Trajectory(np.concatenate([chunk.t for chunk in chunks]),
+                      state[:, :n], state[:, n:])
 
 
 def _overflow(t: float, lam: np.ndarray) -> ValueError:

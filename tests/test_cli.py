@@ -531,12 +531,26 @@ class TestBodyCountBeyondIndexRange:
         assert "Traceback" not in err
 
     def test_failed_allocation_is_one_error_line(self, capsys):
-        # N = 2**60 passes the index-range check, but its 4 EiB coupling
-        # array exceeds any address space, so nothing is really allocated.
-        code, out, err = run_cli(capsys, "coeffs", "--N", str(2**60), "--p", "5")
+        # N = 2**59 passes the index-range and byte-range checks, but its
+        # 2 EiB coupling array exceeds any address space, so nothing is
+        # really allocated.
+        code, out, err = run_cli(capsys, "coeffs", "--N", str(2**59), "--p", "5")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["coeffs", "verify", "simulate",
+                                         "constants", "collide"])
+    def test_array_beyond_byte_range_names_n(self, capsys, command):
+        # Inside the index range, but 2**62 float64 values are 2**65
+        # bytes, which numpy refuses without naming the flag.
+        n = 2**62
+        code, out, err = run_cli(capsys, command, "--p", "5", "--N", str(n))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: --N {n} needs float64 arrays of {n} values "
+                       f"({8 * n} bytes), more than numpy can allocate "
+                       f"({np.iinfo(np.intp).max} bytes)\n")
 
     @pytest.mark.parametrize("n", _BEYOND_INDEX, ids=["1e200", "intp-max+1"])
     def test_admissibility_still_decides(self, capsys, n):
@@ -597,10 +611,13 @@ class TestVerifyCallsEveryLayer:
             monkeypatch.setattr(module, name, counted)
 
         count(kinematics, "eom_residual")
-        for name in ("build_interaction", "rk4_integrate", "spectral_propagate"):
+        for name in ("build_interaction", "rk4_chunks", "spectral_propagate"):
             count(dynamics, name)
-        count(constants, "drift_report")
-        count(constants, "inertia_rate_max")
+        # RK4 is folded chunk by chunk: no whole trajectory for
+        # rk4_integrate, drift_report or inertia_rate_max.
+        for name in ("ConservedSeries", "drift_report", "inertia_rate_max"):
+            count(constants, name)
+        count(dynamics, "rk4_integrate")
         # The admissibility decision is taken once, by the solver.
         count(admissibility, "is_admissible")
         count(coefficients, "is_admissible")
@@ -610,10 +627,9 @@ class TestVerifyCallsEveryLayer:
         assert calls == {
             "kinematics.eom_residual": 1,
             "dynamics.build_interaction": 1,
-            "dynamics.rk4_integrate": 1,
+            "dynamics.rk4_chunks": 1,
             "dynamics.spectral_propagate": 1,
-            "constants.drift_report": 1,
-            "constants.inertia_rate_max": 1,
+            "constants.ConservedSeries": 1,
             "coefficients.is_admissible": 1,
         }
 

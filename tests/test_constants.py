@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from limachor.admissibility import InadmissibleError, is_admissible
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.constants import (
+    ConservedSeries,
     _conserved,
+    _kernel,
     closed_form_constants,
     drift_report,
     inertia_rate_max,
@@ -16,7 +18,7 @@ from limachor.constants import (
     potential_from_parts,
     potential_parts,
 )
-from limachor.dynamics import build_interaction, rk4_integrate
+from limachor.dynamics import build_interaction, rk4_chunks, rk4_integrate
 from limachor.kinematics import (
     ChoreoConfig,
     SystemState,
@@ -24,6 +26,7 @@ from limachor.kinematics import (
     sample_trajectory,
     state_at,
 )
+from limachor.verification import verify
 from util import admissible_pairs, measure
 
 
@@ -121,7 +124,7 @@ class TestBlockedKernel:
 
     def check(self, traj, couplings):
         pair = couplings.pair_matrix()
-        got = dict(zip("gcIKV", _conserved(traj.q, traj.v, pair)))
+        got = dict(zip("gcIKV", _conserved(traj.q, traj.v, _kernel(pair))))
         for key, (value, scale) in conserved_reference(traj.q, traj.v, pair).items():
             assert got[key].shape == value.shape
             assert np.all(np.abs(got[key] - value) <= 1e-12 * scale), key
@@ -355,6 +358,88 @@ class TestInertiaRate:
         traj = sample_trajectory(config, 0.0, 1.0, 2)
         with pytest.raises(ValueError):
             inertia_rate_max(traj)
+
+
+class TestChunkedFold:
+    """verify folds RK4 chunk by chunk; the values must be the whole run's.
+
+    Step counts end a run on, just past and well past RK4 chunk
+    boundaries.  N = 16 and 64 are included because there the Laplacian
+    product rounds differently when its rows are grouped differently.
+    """
+
+    DT = math.tau / 8192
+
+    @staticmethod
+    def run(n, p, tail, a=1.2, b=0.7):
+        config = ChoreoConfig(n, p, a, b)
+        couplings = solve_couplings(n, p, tail)
+        return config, couplings, build_interaction(n, couplings), state_at(config, 0.0)
+
+    @pytest.mark.parametrize("steps", [2, 2048, 2049, 2113, 4161, 8192])
+    @pytest.mark.parametrize("n, p, tail", [
+        (5, 2, None), (9, 2, None), (10, 3, [0.05, -0.03, 0.02]),
+        (16, 3, None), (64, 7, None)])
+    def test_series_has_the_whole_run_bits(self, n, p, tail, steps):
+        _, couplings, spec, init = self.run(n, p, tail)
+        series = ConservedSeries(couplings, steps + 1)
+        for chunk in rk4_chunks(init, spec, self.DT, steps):
+            series.add(chunk)
+        traj = rk4_integrate(init, spec, self.DT, steps)
+        whole = _conserved(traj.q, traj.v, _kernel(couplings.pair_matrix()))
+        assert np.array_equal(series.t, traj.t)
+        for got, expected in zip((series.g, series.c, series.inertia,
+                                  series.kinetic, series.potential), whole):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n, p, tail, steps", [
+        (4, 2, None, 8192), (9, 2, None, 8192), (9, 2, None, 2113),
+        (7, -2, None, 4161), (10, 3, [0.05, -0.03, 0.02], 8192),
+        (12, 5, None, 8192)])
+    def test_verify_reports_the_whole_run_values(self, n, p, tail, steps):
+        config, couplings, spec, init = self.run(n, p, tail)
+        payload = verify(config, couplings, self.DT, steps, 64, residual=1e-10,
+                         rk4=1e-6, spectral=1e-9, drift=1e-8, inertia_rate=1e-6)
+        traj = rk4_integrate(init, spec, self.DT, steps)
+        report = drift_report(traj, couplings)
+        a, b = config.a, config.b
+        assert payload["drift"] == report.drift
+        assert payload["relative_drift"] == {
+            "c": report.drift["c"] / (n * (a * a + abs(p) * b * b)),
+            "I": report.drift["I"] / abs(report.moment_of_inertia),
+            "K": report.drift["K"] / abs(report.kinetic),
+            "V": report.drift["V"] / abs(report.potential),
+            "E": report.drift["E"] / abs(report.kinetic + report.potential),
+        }
+        assert payload["inertia_rate_max"] == inertia_rate_max(traj)
+        assert payload["t_end"] == traj.t[-1]
+
+    def test_incomplete_series_is_refused(self):
+        _, couplings, spec, init = self.run(9, 2, None)
+        series = ConservedSeries(couplings, 4097)
+        # Two chunks of 2049 and 2048 samples; the last sample is held
+        # back until the next piece, so nothing is complete yet.
+        for chunk in rk4_chunks(init, spec, self.DT, 4096):
+            series.add(chunk)
+            break
+        for read in (series.report, series.inertia_rate_max):
+            with pytest.raises(ValueError, match="holds 2048 of its 4097 samples"):
+                read()
+
+    def test_verify_never_holds_the_trajectory(self):
+        # At N = 64 and 8192 steps the RK4 array alone took 16.8 MB and
+        # the Laplacian product array 8.5 MB; folding chunk by chunk
+        # peaks at about 8 MB.
+        config, couplings, _, _ = self.run(64, 5, None)
+        tracemalloc.start()
+        try:
+            payload = verify(config, couplings, self.DT, 8192, 64, residual=1e-10,
+                             rk4=1e-6, spectral=1e-9, drift=1e-8, inertia_rate=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload["ok"]
+        assert peak < 12e6
 
 
 class TestOverflowingTrajectory:

@@ -7,8 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.dynamics import (
+    _RK4_BLOCK,
+    _RK4_CHUNK,
+    _rk4_step,
     _stiffness_spectrum,
     build_interaction,
+    rk4_chunks,
     rk4_integrate,
     spectral_propagate,
 )
@@ -303,6 +307,73 @@ class TestRk4:
             rk4_integrate(state, spec, 0.0, 10)
         with pytest.raises(ValueError):
             rk4_integrate(state, spec, 0.1, 0)
+
+
+def whole_run_rk4(initial, spec, dt, steps):
+    """Reference: RK4's block products over one (steps + 1, 2, 2N) array.
+
+    The same step matrix and the same row groups as rk4_chunks, with
+    nothing chunked, so the two must agree bit for bit.
+    """
+    n = spec.N
+    step_t = _rk4_step(spec, dt).T
+    y = np.empty((steps + 1, 2, 2 * n))
+    y[0, :, :n] = initial.positions.T
+    y[0, :, n:] = initial.velocities.T
+    rows = y.reshape(2 * (steps + 1), 2 * n)
+    for i in range(min(_RK4_BLOCK, steps)):
+        np.matmul(y[i], step_t, out=y[i + 1])
+    if steps > _RK4_BLOCK:
+        jump = np.linalg.matrix_power(step_t, _RK4_BLOCK)
+        for start in range(_RK4_BLOCK + 1, steps + 1, _RK4_BLOCK):
+            stop = min(start + _RK4_BLOCK, steps + 1)
+            np.matmul(rows[2 * (start - _RK4_BLOCK):2 * (stop - _RK4_BLOCK)],
+                      jump, out=rows[2 * start:2 * stop])
+    state = y.transpose(0, 2, 1)
+    return initial.t + np.arange(steps + 1) * dt, state[:, :n], state[:, n:]
+
+
+class TestRk4Chunks:
+    STEPS = [1, 2, 63, 64, 65, 2048, 2049, 2112, 2113, 2114, 4161, 8192]
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("N, p", [(5, 2), (9, 2), (12, 5), (64, 7)])
+    def test_chunks_are_the_whole_run(self, N, p, steps):
+        initial = state_at(ChoreoConfig(N, p, 1.2, 0.7), 0.0)
+        spec, dt = solved_spec(N, p), math.tau / 8192
+        chunks, kept = [], []
+        for chunk in rk4_chunks(initial, spec, dt, steps):
+            chunks.append(chunk)
+            kept.append((chunk.t.copy(), chunk.q.copy(), chunk.v.copy()))
+        # The first chunk holds the initial state and _RK4_CHUNK samples;
+        # every chunk but the last ends on an RK4 block boundary.
+        ends = np.cumsum([chunk.t.size for chunk in chunks])
+        assert ends[-1] == steps + 1
+        assert all((end - 1) % _RK4_BLOCK == 0 for end in ends[:-1])
+        assert chunks[0].t.size <= _RK4_CHUNK + 1
+        assert all(chunk.t.size <= _RK4_CHUNK for chunk in chunks[1:])
+        # Later chunks never write into earlier ones.
+        for chunk, (t, q, v) in zip(chunks, kept):
+            assert np.array_equal(chunk.t, t)
+            assert np.array_equal(chunk.q, q) and np.array_equal(chunk.v, v)
+        joined = [np.concatenate([getattr(chunk, key) for chunk in chunks])
+                  for key in ("t", "q", "v")]
+        whole = rk4_integrate(initial, spec, dt, steps)
+        for got, integrated, reference in zip(
+                joined, (whole.t, whole.q, whole.v),
+                whole_run_rk4(initial, spec, dt, steps)):
+            assert np.array_equal(got, reference)
+            assert np.array_equal(integrated, reference)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_raises_the_integrator_message(self):
+        initial = state_at(ChoreoConfig(8, 3, 1.2, 1.0), 0.0)
+        with pytest.raises(ValueError) as err:
+            for _ in rk4_chunks(initial, solved_spec(8, 3), 0.9, 2000):
+                pass
+        assert str(err.value) == (
+            "RK4 left the finite float range with dt=0.9, steps=2000: the step "
+            "is beyond RK4's stability limit or the motion outgrows float64")
 
 
 class TestSpectralPropagate:
