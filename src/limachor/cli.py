@@ -322,6 +322,12 @@ _bodies = _checked(int, lambda n: n <= np.iinfo(np.intp).max,
                    f"at most {np.iinfo(np.intp).max} bodies (numpy's index range)")
 
 
+def _steps(least: int):
+    # steps + 1 float64 values must fit numpy's byte limit, as N's must.
+    most = _MAX_BYTES // 8 - 1
+    return _checked(int, lambda n: least <= n <= most, f"{least} to {most} steps")
+
+
 def _add_pair_args(parser, with_curve=True, any_n=False):
     parser.add_argument("--p", type=int, required=True, help="harmonic index")
     parser.add_argument("--N", type=int if any_n else _bodies, required=True,
@@ -370,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_args(cmd)
     _add_tail_arg(cmd)
     cmd.add_argument("--dt", type=dt, default=DEFAULT_DT)
-    cmd.add_argument("--steps", type=_checked(int, lambda n: n >= 1, "at least 1 step"),
-                     default=DEFAULT_STEPS)
+    cmd.add_argument("--steps", type=_steps(1), default=DEFAULT_STEPS)
     cmd.add_argument("--engine", choices=("analytic", "rk4"), default="analytic")
 
     cmd = sub.add_parser("verify", help="full pipeline: solve, certify, integrate, drift")
@@ -379,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tail_arg(cmd)
     cmd.add_argument("--dt", type=dt, default=DEFAULT_DT)
     # The inertia rate is a centered difference over steps + 1 samples.
-    cmd.add_argument("--steps", type=_checked(int, lambda n: n >= 2, "at least 2 steps"),
-                     default=DEFAULT_STEPS)
+    cmd.add_argument("--steps", type=_steps(2), default=DEFAULT_STEPS)
     cmd.add_argument("--grid", type=grid, default=DEFAULT_GRID)
     cmd.add_argument("--tol-residual", type=float, default=1e-10)
     cmd.add_argument("--tol-rk4", type=float, default=1e-6)

@@ -169,8 +169,9 @@ class ConservedSeries:
         self._stored = 0
         self._held = None   # (q, v) after the last whole block, if any
 
+    @np.errstate(over="ignore", invalid="ignore")
     def add(self, piece: Trajectory) -> None:
-        """Fold in the next piece of the trajectory."""
+        """Fold in the next piece; an overflow is stored, and ``report`` raises on it."""
         q, v = piece.q, piece.v
         held = 0 if self._held is None else len(self._held[0])
         start = self._stored + held
@@ -378,8 +379,7 @@ def drift_report(traj: Trajectory, couplings: CouplingVector) -> ConservedReport
             f"couplings sized for N={couplings.N}, trajectory has {n} bodies"
         )
     series = ConservedSeries(couplings, traj.t.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        series.add(traj)
+    series.add(traj)
     return series.report()
 
 

@@ -203,22 +203,23 @@ def rk4_integrate(initial: SystemState, spec: InteractionSpec,
     The samples are the chunks' samples, in one (steps + 1, 2, 2N)
     array (sample, coordinate, state entry) of which ``q`` and ``v``
     are views: the chunks' own layout, so that a kernel run over the
-    whole trajectory sees the strides it sees over the chunks.
+    whole trajectory sees the strides it sees over the chunks.  It is
+    allocated after the first chunk, so a size numpy refuses fails early.
 
     Raises:
         ValueError: As ``rk4_chunks``.
     """
-    chunks = list(rk4_chunks(initial, spec, dt, steps))
-    n = spec.N
-    state = np.empty((steps + 1, 2, 2 * n)).transpose(0, 2, 1)
-    start = 0
-    for chunk in chunks:
+    n, start = spec.N, 0
+    for chunk in rk4_chunks(initial, spec, dt, steps):
+        if start == 0:   # the first chunk has passed the input checks
+            state = np.empty((steps + 1, 2, 2 * n)).transpose(0, 2, 1)
+            times = np.empty(steps + 1)
         stop = start + chunk.t.size
+        times[start:stop] = chunk.t
         state[start:stop, :n] = chunk.q
         state[start:stop, n:] = chunk.v
         start = stop
-    return Trajectory(np.concatenate([chunk.t for chunk in chunks]),
-                      state[:, :n], state[:, n:])
+    return Trajectory(times, state[:, :n], state[:, n:])
 
 
 def _overflow(t: float, lam: np.ndarray) -> ValueError:

@@ -21,10 +21,6 @@ import numpy as np
 
 from limachor.coefficients import CouplingVector
 
-# Beyond this magnitude, trig arguments are reduced mod 2*pi first so
-# long integrations do not lose phase accuracy.
-_REDUCE_ABOVE = 1e6
-
 # Distinct CSV rows formatted by one ``%``: their Python floats exist
 # one chunk at a time, so they never outweigh the text they become.
 _FORMAT_CHUNK = 1 << 12
@@ -103,14 +99,6 @@ class Trajectory:
                 f"{t.shape}, {q.shape}, {v.shape}")
 
 
-def _angle(theta: np.ndarray) -> np.ndarray:
-    big = np.abs(theta) > _REDUCE_ABOVE
-    if big.any():
-        theta = np.array(theta)
-        theta[big] = [math.remainder(x, math.tau) for x in theta[big].tolist()]
-    return theta
-
-
 def bodies_at(config: ChoreoConfig, k, t, count: int = 3):
     """Position, velocity, acceleration of body k at time t, elementwise.
 
@@ -122,8 +110,11 @@ def bodies_at(config: ChoreoConfig, k, t, count: int = 3):
     ``k = np.arange(N)`` and ``t`` of shape (S, 1) give (S, N, 2).
     Indices are not checked: every k must lie in [0, N).
 
+    Angles are used as computed: cos and sin reduce them exactly.
+
     Raises:
-        ValueError: If count is not 1, 2 or 3.
+        ValueError: If count is not 1, 2 or 3, or if t is not finite or
+            p*t overflows.
     """
     if count not in (1, 2, 3):
         raise ValueError(f"derivative count must be 1, 2 or 3, got {count}")
@@ -131,9 +122,13 @@ def bodies_at(config: ChoreoConfig, k, t, count: int = 3):
     # Same operation order on every path, so the k-shift identity holds
     # bit-for-bit.
     theta = t + (math.tau * k) / config.N
-    t1 = _angle(theta)
-    tp = _angle(p * theta)
-    c1, s1 = np.cos(t1), np.sin(t1)
+    with np.errstate(over="ignore"):
+        tp = p * theta
+    finite = np.isfinite(tp)
+    if not finite.all():
+        bad = float(np.broadcast_to(t, finite.shape)[~finite][0])
+        raise ValueError(f"curve angle p*t is not finite for p={p}, got t={bad!r}")
+    c1, s1 = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(tp), np.sin(tp)
     out = [np.stack((a * c1 + b * cp, a * s1 + b * sp), axis=-1)]
     if count > 1:
@@ -158,10 +153,8 @@ def state_at(config: ChoreoConfig, t: float) -> SystemState:
     """Analytic state of the whole system at time t.
 
     Raises:
-        ValueError: If t is not finite.
+        ValueError: If t is not finite or p*t overflows.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got t={t}")
     pos, vel = bodies_at(config, np.arange(config.N), t, 2)
     return SystemState(t, pos, vel)
 

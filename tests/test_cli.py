@@ -414,6 +414,26 @@ class TestOverflowingHorizon:
         assert "--dt" in err and "--steps" in err
 
 
+class TestOverflowingCurveAngle:
+    # The horizon 1e308 is finite, but p * t is not.
+    def test_is_one_error_line_naming_p_and_t(self):
+        code, out, err = run_module("simulate", "--N", "4", "--p", "2",
+                                    "--dt", "1e308", "--steps", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: curve angle p*t is not finite for p=2, got t=1e+308\n"
+
+
+class TestLargeTimes:
+    def test_body_zero_at_t_1e12_is_the_curve_at_1e12(self, capsys):
+        # cos and sin reduce 1e12 and 2e12 exactly; a mod-tau reduction
+        # put this row 1e-4 off.
+        code, out, _ = run_cli(capsys, "simulate", "--N", "4", "--p", "2",
+                               "--dt", "1e12", "--steps", "1")
+        assert code == 0
+        assert out.split("\n")[5].startswith(
+            "1000000000000.0,0,1.2025100596567009,-1.7010116639433646,")
+
+
 class TestGridBelowOne:
     @pytest.mark.parametrize("argv", [
         ("verify", "--N", "4", "--p", "2", "--grid", "0"),
@@ -505,6 +525,29 @@ class TestStepAndCountFlags:
         assert code == 1
         assert out == ""
         assert f"argument {flag}:" in err
+
+    @pytest.mark.parametrize("command, least", [("simulate", 1), ("verify", 2)])
+    @pytest.mark.parametrize("steps", [2**60 - 1, 10**30])
+    def test_steps_beyond_byte_range_names_steps(self, capsys, command, least, steps):
+        # steps + 1 float64 values would exceed numpy's byte limit, which
+        # numpy reports without naming the flag.
+        code, out, err = run_cli(capsys, command, "--N", "4", "--p", "2",
+                                 "--steps", str(steps))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: argument --steps: need {least} to "
+                              f"{2**60 - 2} steps, got {steps}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--steps", str(2**60 - 2)),
+        ("simulate", "--steps", str(10**14)),
+        ("simulate", "--steps", str(10**14), "--engine", "rk4"),
+    ])
+    def test_steps_within_byte_range_fail_allocation_at_once(self, capsys, argv):
+        # The arrays exceed any address space, so nothing is really
+        # allocated; RK4 fails after its first chunk, not after the run.
+        code, out, err = run_cli(capsys, argv[0], "--N", "4", "--p", "2", *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     def test_smallest_counts_run(self, capsys):
         assert run_cli(capsys, "verify", "--N", "4", "--p", "2", "--steps", "2")[0] == 0

@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,11 +33,7 @@ def reference_derivatives(config, theta):
     bit for bit.
     """
     a, b, p = config.a, config.b, config.p
-
-    def angle(x):
-        return math.remainder(x, math.tau) if abs(x) > 1e6 else x
-
-    t1, tp = angle(theta), angle(p * theta)
+    t1, tp = theta, p * theta
     c1, s1 = math.cos(t1), math.sin(t1)
     cp, sp = math.cos(tp), math.sin(tp)
     pos = np.array([a * c1 + b * cp, a * s1 + b * sp])
@@ -136,7 +134,7 @@ def bit_equal(x, y):
 
 REFERENCE_CONFIGS = [ChoreoConfig(4, 2, 1.2, 1.0), ChoreoConfig(7, -3, 0.3, -2.5),
                      ChoreoConfig(12, 9, -1e3, 1e-3), ChoreoConfig(64, 5, 1.7, 0.2)]
-# Both sides of the 1e6 angle reduction, for t and for p * t.
+# Small and large angles, for t and for p * t.
 REFERENCE_TIMES = [0.0, 0.37, -5.1, 1e6 / 9, 1e6 / 5, 999_999.9, 2e6 * math.pi, -7.7e7]
 
 
@@ -176,6 +174,55 @@ class TestCurvePoint:
         # a = b, p = 2: the curve crosses itself at (-a, 0).
         assert bodies_at(ChoreoConfig(4, 2, 1.0, 1.0), 0, t)[0] == \
             pytest.approx([-1.0, 0.0], abs=1e-15)
+
+
+# pi to 80 significant digits.
+PI_80 = decimal.Decimal(
+    "3.1415926535897932384626433832795028841971693993751058209749445923078164062862090")
+
+
+def exact_cos_sin(x: float) -> tuple[float, float]:
+    """cos x and sin x of a float x, reduced mod 2*pi with 80 digits of pi."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        r = decimal.Decimal(x) % (2 * PI_80)
+        # The series of exp(i r), |r| < 2 pi, split into cos and sin.
+        parts, term = [decimal.Decimal(0), decimal.Decimal(0)], decimal.Decimal(1)
+        for n in range(120):
+            parts[n % 2] += term if n % 4 < 2 else -term
+            term = term * r / (n + 1)
+        return float(parts[0]), float(parts[1])
+
+
+class TestLargeAngles:
+    @pytest.mark.parametrize("p", [2, -3, 9])
+    @pytest.mark.parametrize("t", [1e7, -7.7e7, 2e6 * math.pi, 1e12])
+    def test_matches_exact_argument_reduction(self, p, t):
+        # The curve at the float angles theta and p * theta as computed;
+        # a reduction mod math.tau is off by 4e-10 at 1e7, 1e-4 at 1e12.
+        config = ChoreoConfig(5, p, 1.2, -0.7)
+        pos, vel, acc = bodies_at(config, np.arange(5), t)
+        a, b = config.a, config.b
+        for k in range(5):
+            theta = t + (math.tau * k) / config.N
+            c1, s1 = exact_cos_sin(theta)
+            cp, sp = exact_cos_sin(p * theta)
+            expected = [[a * c1 + b * cp, a * s1 + b * sp],
+                        [-a * s1 - p * b * sp, a * c1 + p * b * cp],
+                        [-a * c1 - p * p * b * cp, -a * s1 - p * p * b * sp]]
+            got = [pos[k], vel[k], acc[k]]
+            tol = 1e-15 * (abs(a) + p * p * abs(b))
+            assert np.max(np.abs(np.array(got) - expected)) <= tol
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_angle_is_value_error_naming_p_and_t(self, t):
+        with pytest.raises(ValueError, match=re.escape(f"p=2, got t={t!r}")):
+            bodies_at(ChoreoConfig(4, 2), 0, t)
+
+    def test_names_the_first_time_whose_angle_overflows(self):
+        times = np.array([[0.0], [1.0], [-1e308], [math.inf]])
+        with pytest.raises(ValueError, match=r"p=-3, got t=-1e\+308$"):
+            bodies_at(ChoreoConfig(4, -3), np.arange(4), times, 1)
 
 
 class TestBodyState:
@@ -429,7 +476,7 @@ class TestTrajectoryCsvMatchesReference:
 def orbit_exports(draw):
     """(config, t0, t1, count): admissible signed p, signed a and b.
 
-    t0 is 0, negative, or beyond the 1e6 angle reduction on either side;
+    t0 is 0, negative, or beyond 1e6 on either side;
     a span of exactly one period makes many curve angles repeat.
     """
     n_bodies = draw(st.integers(4, 300))
