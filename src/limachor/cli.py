@@ -188,12 +188,17 @@ def _dumps(payload) -> str:
 _MAX_BYTES = np.iinfo(np.intp).max
 
 
+def _check_values(values: int, flags: str) -> None:
+    """Refuse flags whose float64 arrays of ``values`` values numpy cannot allocate."""
+    if 8 * values > _MAX_BYTES:
+        raise ValueError(f"{flags} needs float64 arrays of {values} values "
+                         f"({8 * values} bytes), more than numpy can allocate "
+                         f"({_MAX_BYTES} bytes)")
+
+
 def _check_bodies(n: int) -> None:
     """Refuse an N whose per-body float64 arrays numpy cannot allocate."""
-    if 8 * n > _MAX_BYTES:
-        raise ValueError(f"--N {n} needs float64 arrays of {n} values "
-                         f"({8 * n} bytes), more than numpy can allocate "
-                         f"({_MAX_BYTES} bytes)")
+    _check_values(n, f"--N {n}")
 
 
 def _config(args: argparse.Namespace) -> kinematics.ChoreoConfig:
@@ -261,6 +266,9 @@ def _cmd_simulate(args: argparse.Namespace):
     if not math.isfinite(args.dt * args.steps):
         raise ValueError(f"horizon --dt * --steps = {args.dt} * {args.steps} "
                          f"is not finite")
+    # The RK4 state holds 4N float64 per sample; the CSV text, on
+    # either engine, is larger still.
+    _check_values(4 * args.N * (args.steps + 1), f"--steps {args.steps} with --N {args.N}")
     if args.engine == "rk4":
         spec = dynamics.build_interaction(args.N, couplings)
         traj = dynamics.rk4_integrate(kinematics.state_at(config, 0.0),

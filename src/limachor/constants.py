@@ -139,10 +139,6 @@ def _conserved(pos: np.ndarray, vel: np.ndarray, kernel: np.ndarray):
     return g, c, _inertia(qt), kinetic, potential
 
 
-# Samples per product block of _conserved: each sample is two coordinate rows.
-_BLOCK_SAMPLES = _CONSERVED_BLOCK // 2
-
-
 class ConservedSeries:
     """Per-sample conserved quantities of a trajectory that arrives in pieces.
 
@@ -152,12 +148,11 @@ class ConservedSeries:
     Once the last piece is in, ``report`` and ``inertia_rate_max`` read
     the stored values, so the rate reuses the inertia of the fold.
 
-    _conserved's products run in blocks of _CONSERVED_BLOCK coordinate
-    rows counted from the first sample, whatever the pieces: the samples
-    after a piece's last whole block wait, copied, and join the next
-    piece's first samples in one block.  That block is laid out like an
-    RK4 chunk (sample, coordinate, q | v entry), so for RK4 chunks every
-    stored value has the bits of one _conserved call on the whole run.
+    Each piece is one _conserved call, whose blocks of _CONSERVED_BLOCK
+    coordinate rows (two per sample) count from the piece's first
+    sample.  ``rk4_chunks``' chunks start on multiples of 2048 samples,
+    four whole blocks, so for them every stored value has the bits of
+    one _conserved call on the whole run.
     """
 
     def __init__(self, couplings: CouplingVector, samples: int):
@@ -167,38 +162,17 @@ class ConservedSeries:
         self.c, self.inertia, self.kinetic, self.potential = (
             np.empty(samples) for _ in range(4))
         self._stored = 0
-        self._held = None   # (q, v) after the last whole block, if any
 
     @np.errstate(over="ignore", invalid="ignore")
     def add(self, piece: Trajectory) -> None:
         """Fold in the next piece; an overflow is stored, and ``report`` raises on it."""
-        q, v = piece.q, piece.v
-        held = 0 if self._held is None else len(self._held[0])
-        start = self._stored + held
-        self.t[start:start + piece.t.size] = piece.t
-        if held:
-            n, take = q.shape[1], min(_BLOCK_SAMPLES - held, len(q))
-            joint = np.empty((held + take, 2, 2 * n)).transpose(0, 2, 1)
-            joint[:held, :n], joint[:held, n:] = self._held
-            joint[held:, :n], joint[held:, n:] = q[:take], v[:take]
-            self._held = None
-            self._fold(joint[:, :n], joint[:, n:])
-            q, v = q[take:], v[take:]
-        self._fold(q, v)
-
-    def _fold(self, q: np.ndarray, v: np.ndarray) -> None:
-        # Store the whole blocks, or everything if it ends the trajectory.
-        end = self._stored + len(q)
-        whole = len(q) if end == self.t.size else len(q) - len(q) % _BLOCK_SAMPLES
-        if whole:
-            values = _conserved(q[:whole], v[:whole], self._kernel)
-            for series, value in zip(
-                    (self.g, self.c, self.inertia, self.kinetic, self.potential), values):
-                series[self._stored:self._stored + whole] = value
-            self._stored += whole
-        if whole < len(q):
-            # Copies, so that the piece itself can be freed.
-            self._held = (q[whole:].copy(), v[whole:].copy())
+        start, stop = self._stored, self._stored + piece.t.size
+        self.t[start:stop] = piece.t
+        values = _conserved(piece.q, piece.v, self._kernel)
+        for series, value in zip(
+                (self.g, self.c, self.inertia, self.kinetic, self.potential), values):
+            series[start:stop] = value
+        self._stored = stop
 
     def _check_complete(self) -> None:
         if self._stored != self.t.size:

@@ -129,14 +129,14 @@ def rk4_chunks(initial: SystemState, spec: InteractionSpec,
     has 2B rows, few enough that BLAS runs it on one thread at small
     N.  Deterministic for fixed inputs.
 
-    The chunks together hold the initial state and one sample per step,
-    in order.  The first chunk holds the initial state and _RK4_CHUNK
-    samples, each later one at most _RK4_CHUNK; every chunk but the last
-    ends on a block boundary, so each product groups its rows as one
+    Chunk i holds samples [i * _RK4_CHUNK, (i + 1) * _RK4_CHUNK), and
+    the last one runs through sample ``steps``.  Each chunk's products
+    end on a block boundary, one sample past the chunk: that sample
+    opens the next chunk.  So each product groups its rows as one
     whole-run array would, and the samples have the same bits whatever
-    the chunking.  Each chunk is a new array (the B samples before it
-    are copied in front of it), so a chunk the caller keeps never
-    changes.  Memory is O(_RK4_CHUNK * N + N^2).
+    the chunking.  Each chunk is a new array (the B samples before its
+    products are copied in front of them), so a chunk the caller keeps
+    never changes.  Memory is O(_RK4_CHUNK * N + N^2).
 
     Raises:
         ValueError: If dt is not finite and positive, steps < 1 or on a
@@ -158,12 +158,13 @@ def rk4_chunks(initial: SystemState, spec: InteractionSpec,
         with np.errstate(over="ignore", invalid="ignore"):
             jump = np.linalg.matrix_power(step_t, _RK4_BLOCK)
 
-    tail = None   # the last _RK4_BLOCK samples before the chunk
+    tail = None   # the last _RK4_BLOCK samples computed so far
     start, stop = 0, min(_RK4_CHUNK + 1, steps + 1)
     while start <= steps:
         # Sample, coordinate, state entry: a run of consecutive samples
         # is one contiguous (2 * rows, 2N) matrix, advanced by right
-        # products.  y holds `lead` samples before the chunk's first.
+        # products.  y computes samples [start, stop) after `lead`
+        # samples copied from the ones before.
         lead = 0 if tail is None else _RK4_BLOCK
         y = np.empty((lead + stop - start, 2, 2 * n))
         rows = y.reshape(-1, 2 * n)
@@ -181,18 +182,22 @@ def rk4_chunks(initial: SystemState, spec: InteractionSpec,
                 end = min(block + _RK4_BLOCK, len(y))
                 np.matmul(rows[2 * (block - _RK4_BLOCK):2 * (end - _RK4_BLOCK)],
                           jump, out=rows[2 * block:2 * end])
-        if not np.isfinite(y[lead:]).all():
+        # Chunk i starts at sample i * _RK4_CHUNK: every chunk but the
+        # last leaves the last sample it computed to open the next.
+        begin = max(start - 1, 0)
+        piece = y[max(lead - 1, 0):len(y) - (stop <= steps)]
+        if not np.isfinite(piece).all():
             raise ValueError(
                 f"RK4 left the finite float range with dt={dt}, steps={steps}: "
                 f"the step is beyond RK4's stability limit or the motion "
                 f"outgrows float64")
         tail = y[-_RK4_BLOCK:].copy()
-        state = y[lead:].transpose(0, 2, 1)
-        yield Trajectory(initial.t + np.arange(start, stop) * dt,
+        state = piece.transpose(0, 2, 1)
+        yield Trajectory(initial.t + np.arange(begin, begin + len(piece)) * dt,
                          state[:, :n], state[:, n:])
         # The caller's reference is then the only one, so a chunk the
         # caller drops is freed before the next one is allocated.
-        del y, rows, state
+        del y, rows, piece, state
         start, stop = stop, min(stop + _RK4_CHUNK, steps + 1)
 
 

@@ -30,7 +30,13 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
     RK4 time and ``periods`` the number of orbit periods (tau) it covers.
     A layer's ValueError (bad input, or a quantity that overflows)
     propagates.
+
+    Raises:
+        ValueError: If steps < 2 (the inertia rate needs 3 samples),
+            before any work.
     """
+    if steps < 2:
+        raise ValueError(f"verify needs at least 2 steps, got steps={steps}")
     n, a, b, p = config.N, config.a, config.b, config.p
     residual_max = kinematics.eom_residual(
         config, couplings, kinematics.certification_grid(grid))

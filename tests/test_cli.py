@@ -537,6 +537,19 @@ class TestStepAndCountFlags:
         assert err.startswith(f"error: argument --steps: need {least} to "
                               f"{2**60 - 2} steps, got {steps}\n")
 
+    @pytest.mark.parametrize("engine", ["analytic", "rk4"])
+    def test_simulate_state_beyond_byte_range_names_steps_and_n(self, capsys, engine):
+        # The steps are within --steps' bound, but their 4N = 16 float64
+        # state values per sample are 2**67 bytes, which numpy refuses
+        # without naming a flag.
+        steps, values = 2**60 - 2, 16 * (2**60 - 1)
+        code, out, err = run_cli(capsys, "simulate", "--N", "4", "--p", "2",
+                                 "--steps", str(steps), "--engine", engine)
+        assert (code, out) == (1, "")
+        assert err == (f"error: --steps {steps} with --N 4 needs float64 arrays of "
+                       f"{values} values ({8 * values} bytes), more than numpy "
+                       f"can allocate ({2**63 - 1} bytes)\n")
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--steps", str(2**60 - 2)),
         ("simulate", "--steps", str(10**14)),

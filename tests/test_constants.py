@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from limachor.admissibility import InadmissibleError, is_admissible
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.constants import (
+    _CONSERVED_BLOCK,
     ConservedSeries,
     _conserved,
     _kernel,
@@ -18,7 +19,7 @@ from limachor.constants import (
     potential_from_parts,
     potential_parts,
 )
-from limachor.dynamics import build_interaction, rk4_chunks, rk4_integrate
+from limachor.dynamics import _RK4_CHUNK, build_interaction, rk4_chunks, rk4_integrate
 from limachor.kinematics import (
     ChoreoConfig,
     SystemState,
@@ -363,9 +364,10 @@ class TestInertiaRate:
 class TestChunkedFold:
     """verify folds RK4 chunk by chunk; the values must be the whole run's.
 
-    Step counts end a run on, just past and well past RK4 chunk
-    boundaries.  N = 16 and 64 are included because there the Laplacian
-    product rounds differently when its rows are grouped differently.
+    Step counts end a run just before, on, just past and well past RK4
+    chunk boundaries.  N = 16 and 64 are included because there the
+    Laplacian product rounds differently when its rows are grouped
+    differently.
     """
 
     DT = math.tau / 8192
@@ -376,7 +378,14 @@ class TestChunkedFold:
         couplings = solve_couplings(n, p, tail)
         return config, couplings, build_interaction(n, couplings), state_at(config, 0.0)
 
-    @pytest.mark.parametrize("steps", [2, 2048, 2049, 2113, 4161, 8192])
+    def test_rk4_chunks_are_whole_kernel_blocks(self):
+        # ConservedSeries folds each chunk in one _conserved call, whose
+        # blocks (two coordinate rows per sample) count from the chunk's
+        # first sample; they are the whole run's blocks only if every
+        # chunk starts on one.
+        assert _RK4_CHUNK % (_CONSERVED_BLOCK // 2) == 0
+
+    @pytest.mark.parametrize("steps", [2, 2047, 2048, 2049, 2113, 4095, 4096, 4161, 8192])
     @pytest.mark.parametrize("n, p, tail", [
         (5, 2, None), (9, 2, None), (10, 3, [0.05, -0.03, 0.02]),
         (16, 3, None), (64, 7, None)])
@@ -417,14 +426,23 @@ class TestChunkedFold:
     def test_incomplete_series_is_refused(self):
         _, couplings, spec, init = self.run(9, 2, None)
         series = ConservedSeries(couplings, 4097)
-        # Two chunks of 2049 and 2048 samples; the last sample is held
-        # back until the next piece, so nothing is complete yet.
+        # Two chunks of 2048 and 2049 samples; only the first is in.
         for chunk in rk4_chunks(init, spec, self.DT, 4096):
             series.add(chunk)
             break
         for read in (series.report, series.inertia_rate_max):
             with pytest.raises(ValueError, match="holds 2048 of its 4097 samples"):
                 read()
+
+    @pytest.mark.parametrize("steps", [1, 0, -1, -2])
+    def test_verify_refuses_too_few_steps_before_any_work(self, steps):
+        # The residual grid is more than any memory holds, so work begun
+        # before the check would fail on it instead.
+        config, couplings, _, _ = self.run(9, 2, None)
+        with pytest.raises(ValueError) as err:
+            verify(config, couplings, self.DT, steps, 10**15, residual=1e-10,
+                   rk4=1e-6, spectral=1e-9, drift=1e-8, inertia_rate=1e-6)
+        assert str(err.value) == f"verify needs at least 2 steps, got steps={steps}"
 
     def test_verify_never_holds_the_trajectory(self):
         # At N = 64 and 8192 steps the RK4 array alone took 16.8 MB and

@@ -334,7 +334,7 @@ def whole_run_rk4(initial, spec, dt, steps):
 
 
 class TestRk4Chunks:
-    STEPS = [1, 2, 63, 64, 65, 2048, 2049, 2112, 2113, 2114, 4161, 8192]
+    STEPS = [1, 2, 63, 64, 65, 2047, 2048, 2049, 2112, 2113, 2114, 4095, 4096, 4161, 8192]
 
     @pytest.mark.parametrize("steps", STEPS)
     @pytest.mark.parametrize("N, p", [(5, 2), (9, 2), (12, 5), (64, 7)])
@@ -345,13 +345,12 @@ class TestRk4Chunks:
         for chunk in rk4_chunks(initial, spec, dt, steps):
             chunks.append(chunk)
             kept.append((chunk.t.copy(), chunk.q.copy(), chunk.v.copy()))
-        # The first chunk holds the initial state and _RK4_CHUNK samples;
-        # every chunk but the last ends on an RK4 block boundary.
-        ends = np.cumsum([chunk.t.size for chunk in chunks])
-        assert ends[-1] == steps + 1
-        assert all((end - 1) % _RK4_BLOCK == 0 for end in ends[:-1])
-        assert chunks[0].t.size <= _RK4_CHUNK + 1
-        assert all(chunk.t.size <= _RK4_CHUNK for chunk in chunks[1:])
+        # Chunk i starts at sample i * _RK4_CHUNK; the last one runs
+        # through sample `steps`, so it holds 2 to _RK4_CHUNK + 1 samples.
+        sizes = [chunk.t.size for chunk in chunks]
+        assert sum(sizes) == steps + 1
+        assert sizes[:-1] == [_RK4_CHUNK] * (len(sizes) - 1)
+        assert 2 <= sizes[-1] <= _RK4_CHUNK + 1
         # Later chunks never write into earlier ones.
         for chunk, (t, q, v) in zip(chunks, kept):
             assert np.array_equal(chunk.t, t)
