@@ -4,6 +4,10 @@ Subcommands: admissible, coeffs, restricted, simulate, verify, collide,
 constants, scan.  Exit codes: 0 success, 1 usage error, 2 inadmissible
 inputs (decision JSON on stderr), 3 verification failure.
 
+Every count flag (``--N`` of each per-body command, ``--steps``,
+``--grid``) has one parse-time bound: a count sizes float64 arrays of
+up to count + 1 values, which numpy's byte limit caps at 2^60 - 2.
+
 Identical argument vectors produce byte-identical output: floats are
 serialized in their shortest exact round-trip form and nothing here is
 randomized.  JSON output is exactly ``json.dumps(payload, indent=2,
@@ -183,31 +187,16 @@ def _dumps(payload) -> str:
     return "".join(parts)
 
 
-# Within numpy's index range, an array of more than this many bytes is
-# still refused, with a message that names no flag.
+# numpy refuses an array of more bytes than this, naming no flag.
 _MAX_BYTES = np.iinfo(np.intp).max
-
-
-def _check_values(values: int, flags: str) -> None:
-    """Refuse flags whose float64 arrays of ``values`` values numpy cannot allocate."""
-    if 8 * values > _MAX_BYTES:
-        raise ValueError(f"{flags} needs float64 arrays of {values} values "
-                         f"({8 * values} bytes), more than numpy can allocate "
-                         f"({_MAX_BYTES} bytes)")
-
-
-def _check_bodies(n: int) -> None:
-    """Refuse an N whose per-body float64 arrays numpy cannot allocate."""
-    _check_values(n, f"--N {n}")
+_MAX_COUNT = _MAX_BYTES // 8 - 1
 
 
 def _config(args: argparse.Namespace) -> kinematics.ChoreoConfig:
-    _check_bodies(args.N)
     return kinematics.ChoreoConfig(args.N, args.p, args.a, args.b)
 
 
 def _solve(args: argparse.Namespace) -> coefficients.CouplingVector:
-    _check_bodies(args.N)
     free = None if args.tail is None else np.array(args.tail)
     return coefficients.solve_couplings(args.N, args.p, free)
 
@@ -268,7 +257,11 @@ def _cmd_simulate(args: argparse.Namespace):
                          f"is not finite")
     # The RK4 state holds 4N float64 per sample; the CSV text, on
     # either engine, is larger still.
-    _check_values(4 * args.N * (args.steps + 1), f"--steps {args.steps} with --N {args.N}")
+    values = 4 * args.N * (args.steps + 1)
+    if 8 * values > _MAX_BYTES:
+        raise ValueError(f"--steps {args.steps} with --N {args.N} needs float64 arrays "
+                         f"of {values} values ({8 * values} bytes), more than numpy "
+                         f"can allocate ({_MAX_BYTES} bytes)")
     if args.engine == "rk4":
         spec = dynamics.build_interaction(args.N, couplings)
         traj = dynamics.rk4_integrate(kinematics.state_at(config, 0.0),
@@ -325,20 +318,19 @@ def _checked(kind, ok, need: str):
     return parse
 
 
-# Commands that build per-body arrays need N within numpy's index range.
-_bodies = _checked(int, lambda n: n <= np.iinfo(np.intp).max,
-                   f"at most {np.iinfo(np.intp).max} bodies (numpy's index range)")
-
-
-def _steps(least: int):
-    # steps + 1 float64 values must fit numpy's byte limit, as N's must.
-    most = _MAX_BYTES // 8 - 1
-    return _checked(int, lambda n: least <= n <= most, f"{least} to {most} steps")
+def _count(unit: str, least: int | None = None):
+    """Argparse type for a count flag: an int from ``least`` to _MAX_COUNT."""
+    if least is None:
+        return _checked(int, lambda n: n <= _MAX_COUNT, f"at most {_MAX_COUNT} {unit}")
+    return _checked(int, lambda n: least <= n <= _MAX_COUNT,
+                    f"{least} to {_MAX_COUNT} {unit}")
 
 
 def _add_pair_args(parser, with_curve=True, any_n=False):
     parser.add_argument("--p", type=int, required=True, help="harmonic index")
-    parser.add_argument("--N", type=int if any_n else _bodies, required=True,
+    # No lower bound: each command refuses an N below 4 itself, as
+    # inadmissible (exit 2) or with an error line.
+    parser.add_argument("--N", type=int if any_n else _count("bodies"), required=True,
                         help="number of bodies")
     if with_curve:
         parser.add_argument("--a", type=float, default=1.2,
@@ -356,7 +348,7 @@ def _add_tail_arg(parser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="limachor",
                      description="N-body choreographies on p-limacon curves")
-    grid = _checked(int, lambda n: n >= 1, "at least 1 grid point")
+    grid = _count("grid points", 1)
     dt = _checked(float, lambda h: 0.0 < h < math.inf, "a finite step > 0")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -384,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_args(cmd)
     _add_tail_arg(cmd)
     cmd.add_argument("--dt", type=dt, default=DEFAULT_DT)
-    cmd.add_argument("--steps", type=_steps(1), default=DEFAULT_STEPS)
+    cmd.add_argument("--steps", type=_count("steps", 1), default=DEFAULT_STEPS)
     cmd.add_argument("--engine", choices=("analytic", "rk4"), default="analytic")
 
     cmd = sub.add_parser("verify", help="full pipeline: solve, certify, integrate, drift")
@@ -392,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tail_arg(cmd)
     cmd.add_argument("--dt", type=dt, default=DEFAULT_DT)
     # The inertia rate is a centered difference over steps + 1 samples.
-    cmd.add_argument("--steps", type=_steps(2), default=DEFAULT_STEPS)
+    cmd.add_argument("--steps", type=_count("steps", 2), default=DEFAULT_STEPS)
     cmd.add_argument("--grid", type=grid, default=DEFAULT_GRID)
     cmd.add_argument("--tol-residual", type=float, default=1e-10)
     cmd.add_argument("--tol-rk4", type=float, default=1e-6)

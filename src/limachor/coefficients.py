@@ -84,10 +84,8 @@ class RestrictedCoupling:
 
     def expand(self, N: int) -> CouplingVector:
         """Unfold into the full coupling vector for N bodies."""
-        n = N // 2
-        kappas = [self.kappa_o if ell % 2 else self.kappa_e
-                  for ell in range(1, n + 1)]
-        return CouplingVector(N, np.array(kappas))
+        ell = np.arange(1, N // 2 + 1)
+        return CouplingVector(N, np.where(ell % 2, self.kappa_o, self.kappa_e))
 
 
 def _rhs(p: int) -> np.ndarray:
@@ -119,8 +117,9 @@ def build_matrix(N: int, p: int) -> np.ndarray:
     if N < 4:
         raise ValueError(f"balance matrix needs N >= 4, got {N}")
     n = N // 2
-    entries = np.array([[_chord(ell * q, N) for ell in range(1, n + 1)]
-                        for q in (1, p)])
+    # Preallocated, so an n that no memory holds fails at once.
+    entries = np.fromiter((_chord(ell * q, N) for q in (1, p) for ell in range(1, n + 1)),
+                          dtype=float, count=2 * n).reshape(2, n)
     if N % 2 == 0:
         # Diametral bond: single term, half the generic pair value.
         entries[:, n - 1] /= 2.0

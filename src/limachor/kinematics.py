@@ -185,18 +185,21 @@ def eom_residual(config: ChoreoConfig, couplings: CouplingVector,
             [0, 2*pi).
 
     Raises:
-        ValueError: If the coupling vector does not match config.N.
+        ValueError: If the coupling vector does not match config.N, or
+            the grid is empty (it would certify nothing).
     """
     if couplings.N != config.N:
         raise ValueError(
             f"couplings sized for N={couplings.N}, config has N={config.N}"
         )
     grid = certification_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("residual grid is empty, so it would certify nothing")
     kmat = couplings.pair_matrix()
     row_sum = kmat.sum(axis=1)
     pos, _, acc = bodies_at(config, np.arange(config.N), grid[:, None])
     force = np.matmul(kmat, pos) - row_sum[:, None] * pos
-    return float(np.max(np.linalg.norm(acc - force, axis=-1), initial=0.0))
+    return float(np.max(np.linalg.norm(acc - force, axis=-1)))
 
 
 def _sample_times(t0: float, t1: float, count: int) -> np.ndarray:

@@ -434,12 +434,16 @@ class TestLargeTimes:
             "1000000000000.0,0,1.2025100596567009,-1.7010116639433646,")
 
 
-class TestGridBelowOne:
+class TestGridOutOfRange:
+    # np.linspace returns an empty grid from 2**63 - 512 on, which
+    # would certify nothing.
     @pytest.mark.parametrize("argv", [
         ("verify", "--N", "4", "--p", "2", "--grid", "0"),
         ("verify", "--N", "4", "--p", "2", "--grid", "-3"),
         ("constants", "--N", "4", "--p", "2", "--grid", "0"),
-    ])
+    ] + [(command, "--N", "4", "--p", "2", "--grid", str(grid))
+         for command in ("verify", "constants")
+         for grid in (2**60 - 1, 2**63 - 512, 2**63 - 1, 10**20)])
     def test_is_usage_error_naming_grid(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -562,6 +566,26 @@ class TestStepAndCountFlags:
         assert (code, out) == (1, "")
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("coeffs", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
+        (("restricted", "--N", str(2**60 - 2), "--p", str(2**59 - 1)), "Unable to allocate"),
+        # Odd N: the balance matrix that the restricted solve folds.
+        (("restricted", "--N", str(2**59 + 1), "--p", "2"), "Unable to allocate"),
+        (("simulate", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
+        (("verify", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
+        (("constants", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
+        # np.linspace builds its grid with np.arange, which refuses
+        # lengths above 2**60 - 65 with this message.
+        (("verify", "--N", "4", "--p", "2", "--grid", str(2**60 - 2)), "array is too big"),
+        (("constants", "--N", "4", "--p", "2", "--grid", str(2**60 - 2)), "array is too big"),
+    ])
+    def test_counts_within_bound_fail_at_once(self, capsys, argv, message):
+        # Nothing this large is really allocated.  collide is left out:
+        # it allocates only after its per-k loop certifies a separation.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_smallest_counts_run(self, capsys):
         assert run_cli(capsys, "verify", "--N", "4", "--p", "2", "--steps", "2")[0] == 0
         code, out, _ = run_cli(capsys, "simulate", "--N", "4", "--p", "2",
@@ -595,18 +619,17 @@ class TestBodyCountBeyondIndexRange:
         assert out == ""
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["coeffs", "verify", "simulate",
+    @pytest.mark.parametrize("command", ["coeffs", "restricted", "verify", "simulate",
                                          "constants", "collide"])
     def test_array_beyond_byte_range_names_n(self, capsys, command):
-        # Inside the index range, but 2**62 float64 values are 2**65
-        # bytes, which numpy refuses without naming the flag.
-        n = 2**62
-        code, out, err = run_cli(capsys, command, "--p", "5", "--N", str(n))
-        assert code == 1
-        assert out == ""
-        assert err == (f"error: --N {n} needs float64 arrays of {n} values "
-                       f"({8 * n} bytes), more than numpy can allocate "
-                       f"({np.iinfo(np.intp).max} bytes)\n")
+        # Inside the index range, but n + 1 float64 values exceed numpy's
+        # byte limit, which numpy reports without naming the flag.
+        for n in (2**60 - 1, 2**62):
+            code, out, err = run_cli(capsys, command, "--p", "5", "--N", str(n))
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"error: argument --N: need at most {2**60 - 2} "
+                                  f"bodies, got {n}\n")
 
     @pytest.mark.parametrize("n", _BEYOND_INDEX, ids=["1e200", "intp-max+1"])
     def test_admissibility_still_decides(self, capsys, n):

@@ -444,6 +444,14 @@ class TestChunkedFold:
                    rk4=1e-6, spectral=1e-9, drift=1e-8, inertia_rate=1e-6)
         assert str(err.value) == f"verify needs at least 2 steps, got steps={steps}"
 
+    def test_verify_refuses_an_empty_grid_before_any_work(self):
+        # The conserved series for 10**15 steps is more than any memory
+        # holds, so RK4 work begun before the check would fail on it.
+        config, couplings, _, _ = self.run(9, 2, None)
+        with pytest.raises(ValueError, match="residual grid is empty"):
+            verify(config, couplings, self.DT, 10**15, 0, residual=1e-10,
+                   rk4=1e-6, spectral=1e-9, drift=1e-8, inertia_rate=1e-6)
+
     def test_verify_never_holds_the_trajectory(self):
         # At N = 64 and 8192 steps the RK4 array alone took 16.8 MB and
         # the Laplacian product array 8.5 MB; folding chunk by chunk

@@ -350,6 +350,13 @@ class TestEomResidual:
         config = ChoreoConfig(4, 2, 1.2, 1.0)
         assert eom_residual(config, solve_couplings(4, 2), [0.0, 2.0]) < 1e-12
 
+    def test_empty_grid_is_refused(self):
+        # Wrong couplings: a grid that checks nothing must not certify them.
+        config, wrong = ChoreoConfig(4, 2), CouplingVector(4, [5.0, 5.0])
+        assert eom_residual(config, wrong, [0.0, 1.0]) > 38
+        with pytest.raises(ValueError, match="residual grid is empty"):
+            eom_residual(config, wrong, [])
+
 
 class TestSampleTrajectory:
     def test_endpoints_and_spacing(self):
