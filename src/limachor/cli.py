@@ -7,12 +7,22 @@ inputs (decision JSON on stderr), 3 verification failure.
 Every count flag (``--N`` of each per-body command, ``--steps``,
 ``--grid``) has one parse-time bound: a count sizes float64 arrays of
 up to count + 1 values, which numpy's byte limit caps at 2^60 - 2.
+Where a count's arrays also scale with N (``simulate --steps``,
+``--grid``), the product is checked against that limit at run time,
+with an error naming both flags.
 
 Identical argument vectors produce byte-identical output: floats are
 serialized in their shortest exact round-trip form and nothing here is
-randomized.  JSON output is exactly ``json.dumps(payload, indent=2,
-allow_nan=False)`` plus a newline, written by a one-pass emitter
-(``_dumps``) because the stdlib's indented encoder runs in pure Python.
+randomized.
+
+A handler returns one of two payload kinds: a JSON-ready dict, or CSV
+text as an iterable of blocks (the RK4 export as one string, the
+analytic export one sample block at a time).  ``run`` writes either
+through one loop over blocks, to stdout or ``--out``, so the analytic
+export's whole text is never held.  JSON output is exactly
+``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline,
+written by a one-pass emitter (``_dumps``) because the stdlib's
+indented encoder runs in pure Python.
 A list of flat records (``collide``'s ratios and witnesses: dicts with
 one key order whose values are plain ints, finite plain floats or
 equal-length lists of those) is written with one ``%`` per record.
@@ -192,6 +202,14 @@ _MAX_BYTES = np.iinfo(np.intp).max
 _MAX_COUNT = _MAX_BYTES // 8 - 1
 
 
+def _check_values(flag: str, count: int, n_bodies: int, values: int) -> None:
+    """Refuse a ``flag`` count whose float64 arrays of ``values`` values numpy cannot hold."""
+    if 8 * values > _MAX_BYTES:
+        raise ValueError(f"{flag} {count} with --N {n_bodies} needs float64 arrays "
+                         f"of {values} values ({8 * values} bytes), more than numpy "
+                         f"can allocate ({_MAX_BYTES} bytes)")
+
+
 def _config(args: argparse.Namespace) -> kinematics.ChoreoConfig:
     return kinematics.ChoreoConfig(args.N, args.p, args.a, args.b)
 
@@ -201,9 +219,10 @@ def _solve(args: argparse.Namespace) -> coefficients.CouplingVector:
     return coefficients.solve_couplings(args.N, args.p, free)
 
 
-# Each handler returns its payload (a JSON-ready dict, or CSV text) and
-# its exit code.  Solving comes before building the configuration, so an
-# inadmissible pair is reported ahead of a bad amplitude.
+# Each handler returns its payload (a JSON-ready dict, or CSV text
+# blocks) and its exit code.  Solving comes before building the
+# configuration, so an inadmissible pair is reported ahead of a bad
+# amplitude.
 
 
 def _cmd_admissible(args: argparse.Namespace):
@@ -257,24 +276,27 @@ def _cmd_simulate(args: argparse.Namespace):
                          f"is not finite")
     # The RK4 state holds 4N float64 per sample; the CSV text, on
     # either engine, is larger still.
-    values = 4 * args.N * (args.steps + 1)
-    if 8 * values > _MAX_BYTES:
-        raise ValueError(f"--steps {args.steps} with --N {args.N} needs float64 arrays "
-                         f"of {values} values ({8 * values} bytes), more than numpy "
-                         f"can allocate ({_MAX_BYTES} bytes)")
+    _check_values("--steps", args.steps, args.N, 4 * args.N * (args.steps + 1))
     if args.engine == "rk4":
         spec = dynamics.build_interaction(args.N, couplings)
         traj = dynamics.rk4_integrate(kinematics.state_at(config, 0.0),
                                       spec, args.dt, args.steps)
-        return kinematics.trajectory_csv(traj), EXIT_OK
+        return [kinematics.trajectory_csv(traj)], EXIT_OK
     return kinematics.orbit_csv(config, 0.0, args.dt * args.steps,
                                 args.steps + 1), EXIT_OK
 
 
+def _check_grid(args: argparse.Namespace) -> None:
+    # Positions on up to grid + 1 times hold 2N float64 each.
+    _check_values("--grid", args.grid, args.N, 2 * args.N * (args.grid + 1))
+
+
 def _cmd_verify(args: argparse.Namespace):
     couplings = _solve(args)
+    config = _config(args)
+    _check_grid(args)
     payload = verification.verify(
-        _config(args), couplings, args.dt, args.steps, args.grid,
+        config, couplings, args.dt, args.steps, args.grid,
         residual=args.tol_residual, rk4=args.tol_rk4, spectral=args.tol_spectral,
         drift=args.tol_drift, inertia_rate=args.tol_inertia_rate)
     return payload, EXIT_OK if payload["ok"] else EXIT_VERIFY_FAILED
@@ -295,6 +317,7 @@ def _cmd_collide(args: argparse.Namespace):
 def _cmd_constants(args: argparse.Namespace):
     couplings = _solve(args)
     config = _config(args)
+    _check_grid(args)
     traj = kinematics.sample_trajectory(config, 0.0, math.tau, args.grid + 1)
     payload = constants.drift_report(traj, couplings).to_json_dict()
     payload["closed_form"] = constants.closed_form_constants(config).to_json_dict()
@@ -438,7 +461,7 @@ def run(argv) -> int:
         return int(err.code or 0)
     try:
         payload, code = _HANDLERS[args.command](args)
-        text = payload if isinstance(payload, str) else _dumps(payload)
+        blocks = [_dumps(payload)] if isinstance(payload, dict) else payload
     except admissibility.InadmissibleError as err:
         sys.stderr.write(_dumps(err.decision.to_json_dict()))
         return EXIT_INADMISSIBLE
@@ -446,17 +469,17 @@ def run(argv) -> int:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
         except OSError as err:
             sys.stderr.write(f"error: cannot write --out {args.out}: "
                              f"{err.strerror or err}\n")
             return EXIT_USAGE
     if code == EXIT_INADMISSIBLE:  # admissible: the decision goes to both streams
-        sys.stderr.write(text)
+        sys.stderr.writelines(blocks)
     return code
 
 

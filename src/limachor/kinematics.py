@@ -8,13 +8,15 @@ caller asks it for only the leading derivatives it reads.  The
 equations-of-motion residual measures how well a given coupling vector
 reproduces those accelerations.  The analytic CSV export evaluates and
 formats each distinct curve angle once, since body k at time t sits at
-angle t + 2*pi*k/N and the bodies retrace the same points; any other
-trajectory is formatted row by row.
+angle t + 2*pi*k/N and the bodies retrace the same points, and hands
+the text out one sample block at a time, so it is never held whole;
+any other trajectory is formatted row by row into one string.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ from limachor.coefficients import CouplingVector
 # Distinct CSV rows formatted by one ``%``: their Python floats exist
 # one chunk at a time, so they never outweigh the text they become.
 _FORMAT_CHUNK = 1 << 12
+_CSV_HEADER = "t,body,x,y,vx,vy\n"
 
 
 @dataclass(frozen=True)
@@ -222,50 +225,70 @@ def sample_trajectory(config: ChoreoConfig, t0: float, t1: float,
     return Trajectory(times, q, v)
 
 
-def _csv(times: np.ndarray, n_bodies: int, row_format: str, rows) -> str:
-    """The CSV header, then one block of N rows per sample.
+def _angle_texts(config: ChoreoConfig, times: np.ndarray):
+    """Each distinct angle's ``x,y,vx,vy\\n`` text, formatted once, and its use.
 
-    ``rows`` yields one sequence per sample: the values that fill
-    ``row_format`` for body 0, then body 1, and so on.  Each block is
-    its time joined between per-body pieces that carry the body index,
-    filled by one ``%``.
+    Returns the texts as an object array and, of shape (S, N), the
+    index of the text every (sample, body) row reads.
     """
-    pieces = [""] + [f",{k},{row_format}\n" for k in range(n_bodies)]
-    return "".join(["t,body,x,y,vx,vy\n"] + [
-        repr(t).join(pieces) % tuple(row) for t, row in zip(times.tolist(), rows)])
-
-
-def _angle_texts(config: ChoreoConfig, times: np.ndarray) -> list[list[str]]:
-    """``x,y,vx,vy`` text of every (sample, body), each distinct angle formatted once."""
     # bodies_at's own expression, so every angle has the bits it computes.
     theta = times[:, None] + (math.tau * np.arange(config.N)) / config.N
-    bits, inverse = np.unique(theta.reshape(-1).view(np.int64), return_inverse=True)
+    angles = theta.view(np.int64)
+    # Sorted distinct bit patterns, then a binary search for each angle:
+    # beside the angles this holds two S*N integer arrays at most, where
+    # np.unique's inverse holds five.
+    ordered = np.sort(angles, axis=None)
+    bits = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    inverse = np.searchsorted(bits, angles)
     rows = np.concatenate(bodies_at(config, 0, bits.view(np.float64), 2), axis=1)
     texts = np.empty(len(rows), dtype=object)
-    # One ``%`` per chunk of rows, split at the newlines between them.
+    # One ``%`` per chunk of rows, split after the newline ending each.
     for start in range(0, len(rows), _FORMAT_CHUNK):
         chunk = rows[start:start + _FORMAT_CHUNK]
-        texts[start:start + len(chunk)] = ("\n".join(["%r,%r,%r,%r"] * len(chunk))
-                                           % tuple(chunk.reshape(-1).tolist())).split("\n")
-    return texts[inverse.reshape(theta.shape)].tolist()
+        texts[start:start + len(chunk)] = (("%r,%r,%r,%r\n" * len(chunk))
+                                           % tuple(chunk.reshape(-1).tolist())
+                                           ).splitlines(keepends=True)
+    return texts, inverse
 
 
-def orbit_csv(config: ChoreoConfig, t0: float, t1: float, count: int) -> str:
-    """``trajectory_csv(sample_trajectory(config, t0, t1, count))``, byte for byte.
+def _orbit_blocks(times: np.ndarray, texts: np.ndarray,
+                  inverse: np.ndarray) -> Iterator[str]:
+    """The CSV header, then each sample's N rows, built by one join."""
+    yield _CSV_HEADER
+    n_bodies = inverse.shape[1]
+    # Body k's row is its three slots: the time, ",k," and its angle's text.
+    slots = [""] * (3 * n_bodies)
+    slots[1::3] = [f",{k}," for k in range(n_bodies)]
+    for t, row in zip(times.tolist(), inverse):
+        slots[0::3] = [repr(t)] * n_bodies
+        slots[2::3] = texts[row].tolist()
+        yield "".join(slots)
+
+
+def orbit_csv(config: ChoreoConfig, t0: float, t1: float, count: int) -> Iterator[str]:
+    """``trajectory_csv(sample_trajectory(config, t0, t1, count))`` in blocks.
+
+    Returns an iterator of text blocks: the header, then one block of N
+    rows per sample.  Joined, they are that export byte for byte.
 
     Body k at time t sits at curve angle t + 2*pi*k/N, so the export is
     built from the distinct angles: each is evaluated and its
     ``x,y,vx,vy`` text formatted once, and every (sample, body) row
     reuses the text of its angle.  Angles are grouped by bit pattern.
     An angle is never -0.0, so re-evaluating it as body 0 (adding
-    2*pi*0/N = +0.0) leaves it unchanged.  The angle and row arrays are
-    freed before the blocks are built.
+    2*pi*0/N = +0.0) leaves it unchanged.
+
+    Every check, the one curve evaluation and the formatting of each
+    distinct row happen before this returns, so a ValueError comes
+    before any block.  The iterator only joins each sample's block from
+    the formatted texts; beside them it holds one block at a time.
 
     Raises:
         ValueError: As ``sample_trajectory``.
     """
     times = _sample_times(t0, t1, count)
-    return _csv(times, config.N, "%s", _angle_texts(config, times))
+    texts, inverse = _angle_texts(config, times)
+    return _orbit_blocks(times, texts, inverse)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -273,11 +296,14 @@ def trajectory_csv(traj: Trajectory) -> str:
 
     One row per (sample, body), sorted by t then body.  Coordinates are
     formatted as float64 in the shortest representation that round-trips
-    exactly, row by row: each sample's block is filled by one ``%`` with
+    exactly, row by row: each sample's block is its time joined between
+    per-body pieces that carry the body index, filled by one ``%`` with
     its 4N floats.  Memory is O(S*N), the text itself; only one sample's
     floats are held as Python objects at a time.  ``orbit_csv`` writes
     the same bytes for an analytic trajectory without sampling it.
     """
-    rows = (np.concatenate((q, v), axis=1, dtype=np.float64).reshape(-1).tolist()
-            for q, v in zip(traj.q, traj.v))
-    return _csv(traj.t, traj.q.shape[1], "%r,%r,%r,%r", rows)
+    pieces = [""] + [f",{k},%r,%r,%r,%r\n" for k in range(traj.q.shape[1])]
+    return "".join([_CSV_HEADER] + [
+        repr(t).join(pieces) % tuple(
+            np.concatenate((q, v), axis=1, dtype=np.float64).reshape(-1).tolist())
+        for t, q, v in zip(traj.t.tolist(), traj.q, traj.v)])

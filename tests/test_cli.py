@@ -201,6 +201,27 @@ class TestSimulateCommand:
         assert out == ""
         assert target.read_text().startswith("t,body,x,y,vx,vy")
 
+    @pytest.mark.parametrize("engine", ["analytic", "rk4"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, engine):
+        argv = ("simulate", "--N", "7", "--p", "3", "--dt", "0.37", "--steps", "40",
+                "--engine", engine)
+        target = tmp_path / "traj.csv"
+        _, expected, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == expected.encode()
+        assert expected.count("\n") == 1 + 41 * 7
+
+    def test_failed_export_creates_no_out_file(self, capsys, tmp_path):
+        # The horizon is finite, but its curve angle p*t is not: the
+        # export fails before any block is written or --out is opened.
+        target = tmp_path / "traj.csv"
+        code, out, err = run_cli(capsys, "simulate", "--N", "4", "--p", "2",
+                                 "--dt", "1e308", "--steps", "1", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.exists()
+
     @pytest.mark.parametrize("name", ["missing/traj.csv", "."])
     def test_unwritable_out_is_error_naming_path(self, capsys, tmp_path, name):
         # A missing parent directory, and a directory in place of a file.
@@ -554,6 +575,21 @@ class TestStepAndCountFlags:
                        f"{values} values ({8 * values} bytes), more than numpy "
                        f"can allocate ({2**63 - 1} bytes)\n")
 
+    @pytest.mark.parametrize("command", ["verify", "constants"])
+    @pytest.mark.parametrize("grid", [2**57 - 1, 2**60 - 2])
+    def test_grid_beyond_byte_range_names_grid_and_n(self, capsys, command, grid):
+        # The grid is within --grid's bound, but positions at grid + 1
+        # times take 2N = 8 float64 values each, which numpy refuses
+        # (np.arange above length 2**60 - 65 says "array is too big")
+        # without naming a flag.
+        values = 8 * (grid + 1)
+        code, out, err = run_cli(capsys, command, "--N", "4", "--p", "2",
+                                 "--grid", str(grid))
+        assert (code, out) == (1, "")
+        assert err == (f"error: --grid {grid} with --N 4 needs float64 arrays of "
+                       f"{values} values ({8 * values} bytes), more than numpy "
+                       f"can allocate ({2**63 - 1} bytes)\n")
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--steps", str(2**60 - 2)),
         ("simulate", "--steps", str(10**14)),
@@ -574,10 +610,9 @@ class TestStepAndCountFlags:
         (("simulate", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
         (("verify", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
         (("constants", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
-        # np.linspace builds its grid with np.arange, which refuses
-        # lengths above 2**60 - 65 with this message.
-        (("verify", "--N", "4", "--p", "2", "--grid", str(2**60 - 2)), "array is too big"),
-        (("constants", "--N", "4", "--p", "2", "--grid", str(2**60 - 2)), "array is too big"),
+        # The largest --grid whose 2N(grid + 1) values fit the byte limit.
+        (("verify", "--N", "4", "--p", "2", "--grid", str(2**57 - 2)), "Unable to allocate"),
+        (("constants", "--N", "4", "--p", "2", "--grid", str(2**57 - 2)), "Unable to allocate"),
     ])
     def test_counts_within_bound_fail_at_once(self, capsys, argv, message):
         # Nothing this large is really allocated.  collide is left out:

@@ -507,14 +507,14 @@ class TestOrbitCsv:
     @settings(max_examples=25, deadline=None)
     @given(case=orbit_exports())
     def test_matches_the_sampled_trajectory_export(self, case):
-        assert orbit_csv(*case) == trajectory_csv(sample_trajectory(*case))
+        assert "".join(orbit_csv(*case)) == trajectory_csv(sample_trajectory(*case))
 
     @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
     @pytest.mark.parametrize("t0, t1, count", [
         (0.0, math.tau, 129), (-3e7, -3e7 + math.tau, 65), (1e6 - 2.0, 1e6 + 2.0, 33)])
     def test_matches_on_reference_configs(self, config, t0, t1, count):
         expected = trajectory_csv(sample_trajectory(config, t0, t1, count))
-        assert orbit_csv(config, t0, t1, count) == expected
+        assert "".join(orbit_csv(config, t0, t1, count)) == expected
 
     @pytest.mark.parametrize("t0, t1, count", [
         (1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1), (0.0, 1.0, 0),
@@ -539,9 +539,32 @@ class TestOrbitCsv:
             return bodies_at(config, k, t, count)
 
         monkeypatch.setattr(kinematics, "bodies_at", counted)
-        orbit_csv(config, 0.0, t1, steps + 1)
+        "".join(orbit_csv(config, 0.0, t1, steps + 1))
         assert seen == [distinct_angles(config, 0.0, t1, steps + 1)]
         assert seen[0] <= 910
+
+    def test_streams_one_sample_block_at_a_time(self):
+        # 1025 samples of N = 256 over one period: 262,400 rows.
+        config, count = ChoreoConfig(256, 5, 1.3, -0.7), 1025
+        times = np.linspace(0.0, math.tau, count).tolist()
+        blocks = orbit_csv(config, 0.0, math.tau, count)
+        assert next(blocks) == "t,body,x,y,vx,vy\n"
+        for t, block in zip(times, blocks):
+            rows = block.split("\n")
+            assert rows.pop() == "" and len(rows) == config.N
+            for k, row in enumerate(rows):
+                assert row.startswith(f"{t!r},{k},")
+        assert next(blocks, None) is None
+        # Consumed without keeping a block, the export never holds half
+        # of its text.
+        tracemalloc.start()
+        try:
+            total = sum(map(len, orbit_csv(config, 0.0, math.tau, count)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total > 25e6
+        assert peak < total / 2
 
 
 class TestArrayEvaluatorMatchesScalarReference:
