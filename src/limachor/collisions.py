@@ -166,8 +166,19 @@ def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
 
 
 def _witnesses_for(config: ChoreoConfig, k: int) -> list[CollisionWitness]:
-    """All collision events with separation k, assuming the locus is hit."""
+    """All collision events with separation k, assuming the locus is hit.
+
+    Raises:
+        ValueError: If the |p - 1| N events' (2, 2) float64 positions
+            pass numpy's byte limit, before anything is allocated.
+    """
     n, p = config.N, config.p
+    events = abs(p - 1) * n
+    if 32 * events > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"separation k={k} with N={n}, p={p} has |p - 1| N = {events} "
+            f"collision events, whose positions ({32 * events} bytes) are more "
+            f"than numpy can allocate ({np.iinfo(np.intp).max} bytes)")
     first, second = _pair_amplitudes(config, k)
     # Bodies 0 and k meet when the two rotating terms of their
     # difference anti-align: (p-1) t + pi (p-1) k / N = phase0 mod 2*pi.

@@ -5,11 +5,11 @@ splits into discrete Fourier modes whose stiffnesses are set by the
 couplings.  Two engines exercise that system without reference to the
 analytic orbit: a classical fixed-step RK4 integrator whose step
 matrix is built from the direct O(N^2) pairwise force matrix, and an
-exact spectral propagator in the real circulant eigenbasis.  The two
-share no force code, which is what makes their agreement a meaningful
-oracle.  RK4 yields its run in bounded chunks (``rk4_chunks``), so a
-caller that reduces each chunk never holds the whole trajectory;
-``rk4_integrate`` joins them.
+exact spectral propagator over the discrete Fourier modes via rfft.
+The two share no force code, which is what makes their agreement a
+meaningful oracle.  RK4 yields its run in bounded chunks
+(``rk4_chunks``), so a caller that reduces each chunk never holds the
+whole trajectory; ``rk4_integrate`` joins them.
 """
 
 from __future__ import annotations
@@ -38,15 +38,13 @@ class InteractionSpec:
     ``mode_stiffness[m]`` is the restoring stiffness of Fourier mode m
     over the body index; mode 0 (rigid translation) always has
     stiffness exactly zero, and mode m mirrors mode N - m.  The dense
-    ``pair_matrix`` drives the direct force path; ``mode_basis`` is an
-    orthonormal real cos/sin eigenbasis whose column c belongs to mode
-    (c + 1) // 2.
+    ``pair_matrix`` drives the direct force path; the spectral path
+    evolves the discrete Fourier modes via rfft, whose bin m is mode m.
     """
 
     N: int
     mode_stiffness: np.ndarray    # (N,)
     pair_matrix: np.ndarray       # (N, N)
-    mode_basis: np.ndarray        # (N, N), orthonormal columns
 
 
 def _stiffness_spectrum(N: int, kappas: np.ndarray) -> np.ndarray:
@@ -61,25 +59,6 @@ def _stiffness_spectrum(N: int, kappas: np.ndarray) -> np.ndarray:
     # Mode m mirrors mode N - m.
     k = np.arange(N)
     return half[np.minimum(k, N - k)]
-
-
-def _real_mode_basis(N: int) -> np.ndarray:
-    """Orthonormal cos/sin eigenbasis of any symmetric circulant on Z_N.
-
-    Columns 2m - 1 and 2m are the cosine and sine of mode m, and the
-    last column of even N is mode N / 2, so column c belongs to mode
-    (c + 1) // 2.
-    """
-    basis = np.empty((N, N))
-    k = np.arange(N)
-    basis[:, 0] = 1.0 / math.sqrt(N)
-    for m in range(1, (N - 1) // 2 + 1):
-        ang = math.tau * m * k / N
-        basis[:, 2 * m - 1] = math.sqrt(2.0 / N) * np.cos(ang)
-        basis[:, 2 * m] = math.sqrt(2.0 / N) * np.sin(ang)
-    if N % 2 == 0:
-        basis[:, N - 1] = np.where(k % 2 == 0, 1.0, -1.0) / math.sqrt(N)
-    return basis
 
 
 def build_interaction(N: int, couplings: CouplingVector) -> InteractionSpec:
@@ -97,7 +76,7 @@ def build_interaction(N: int, couplings: CouplingVector) -> InteractionSpec:
             f"couplings sized for N={couplings.N}, expected N={N}"
         )
     lam = _stiffness_spectrum(N, couplings.kappas)
-    return InteractionSpec(N, lam, couplings.pair_matrix(), _real_mode_basis(N))
+    return InteractionSpec(N, lam, couplings.pair_matrix())
 
 
 def _rk4_step(spec: InteractionSpec, dt: float) -> np.ndarray:
@@ -237,7 +216,7 @@ def _overflow(t: float, lam: np.ndarray) -> ValueError:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def spectral_propagate(initial: SystemState, spec: InteractionSpec,
                        times) -> Trajectory:
-    """Exact propagation through the circulant eigenbasis, at a vector of times.
+    """Exact propagation of the discrete Fourier modes via rfft, at a vector of times.
 
     ``times`` is a 1-D array of offsets in any order, repeats allowed;
     sample i of the result is the state at ``initial.t + times[i]``, and
@@ -264,13 +243,12 @@ def spectral_propagate(initial: SystemState, spec: InteractionSpec,
     if bad.any():
         raise ValueError(
             f"spectral propagation needs finite times, got t={times[bad][0]}")
-    basis = spec.mode_basis
-    # Stiffness of each basis column.
-    lam = spec.mode_stiffness[(np.arange(spec.N) + 1) // 2]
+    # rfft bin m is mode m, for m = 0 .. N // 2.
+    lam = spec.mode_stiffness[:spec.N // 2 + 1]
     rate = np.sqrt(np.abs(lam))
     phase = times[:, None] * rate
     # q(t) = C q0 + S v0, v(t) = -lam S q0 + C v0 in every branch; the
-    # (T, N) tables hold C and S for every time and basis column.
+    # (T, N // 2 + 1) tables hold C and S for every time and mode.
     cos_f = np.where(lam > 0.0, np.cos(phase), 1.0)
     sin_f = np.where(lam > 0.0, np.sin(phase) / rate, times[:, None])
     # Unstable entries use math.cosh and math.sinh, which raise on
@@ -281,12 +259,14 @@ def spectral_propagate(initial: SystemState, spec: InteractionSpec,
             sin_f[i, j] = math.sinh(phase[i, j]) / rate[j]
         except OverflowError:
             raise _overflow(float(times[i]), lam) from None
-    # Mode amplitudes of each coordinate.
-    aq = basis.T @ initial.positions
-    av = basis.T @ initial.velocities
+    # Mode amplitudes of each coordinate.  Positions and velocities go
+    # through one transform each way: every call has a fixed cost that
+    # dominates at small N.
+    aq, av = np.fft.rfft(np.stack((initial.positions, initial.velocities)), axis=1)
     cos_f, sin_f = cos_f[:, :, None], sin_f[:, :, None]
-    q = basis @ (cos_f * aq + sin_f * av)
-    v = basis @ ((-lam[:, None] * sin_f) * aq + cos_f * av)
+    q, v = np.fft.irfft(np.stack((cos_f * aq + sin_f * av,
+                                  (-lam[:, None] * sin_f) * aq + cos_f * av)),
+                        n=spec.N, axis=2)
     at_start = times == 0.0
     q[at_start] = initial.positions
     v[at_start] = initial.velocities

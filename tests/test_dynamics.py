@@ -128,11 +128,6 @@ class TestBuildInteraction:
             assert lam[1 % n] == pytest.approx(1.0, abs=1e-10)
             assert lam[p % n] == pytest.approx(p * p, abs=1e-10)
 
-    def test_basis_is_orthonormal(self):
-        spec = solved_spec(7, 2)
-        gram = spec.mode_basis.T @ spec.mode_basis
-        assert gram == pytest.approx(np.eye(7), abs=1e-13)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             build_interaction(6, CouplingVector(4, [1.0, -0.5]))
@@ -156,9 +151,7 @@ class TestEnginesShareNoData:
     # Their agreement is the oracle, so neither may read the other's data.
     def test_rk4_never_reads_the_eigenbasis(self):
         initial, spec, dt = _solved_case()
-        blind = dataclasses.replace(
-            spec, mode_stiffness=np.full(6, np.nan),
-            mode_basis=np.full((6, 6), np.nan))
+        blind = dataclasses.replace(spec, mode_stiffness=np.full(6, np.nan))
         assert np.array_equal(rk4_integrate(initial, blind, dt, 64).q,
                               rk4_integrate(initial, spec, dt, 64).q)
 
@@ -440,6 +433,14 @@ class TestSpectralPropagate:
                 ref = state_at(config, t)
                 assert np.max(np.abs(q - ref.positions)) <= 1e-9
 
+    @pytest.mark.parametrize("p", [2, 5, -3])
+    def test_engine_agreement_at_n_1024(self, p):
+        config = ChoreoConfig(1024, p, 1.2, 0.7)
+        times = np.array([0.9, 4.2])
+        out = spectral_propagate(state_at(config, 0.0), solved_spec(1024, p), times)
+        ref = bodies_at(config, np.arange(1024), times[:, None], 1)[0]
+        assert np.max(np.abs(out.q - ref)) <= 1e-9 * (1.2 + 0.7)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t, amplitude", [
         (400.0, 1.0),     # cosh(2 t) itself overflows
@@ -486,11 +487,55 @@ def _spec_of_kind(kind, n):
 
 spec_kinds = st.sampled_from(["harmonic", "free", "hyperbolic"])
 offsets = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
+# Small N, and large ones, even and odd, where the transforms take
+# several factor stages.
+body_counts = st.one_of(st.integers(4, 9), st.sampled_from([64, 255, 1000]))
+
+
+def _mode_factors(lam, t):
+    """(C, S) of one mode: q(t) = C q0 + S v0, and C', S' for v(t)."""
+    if lam > 0.0:
+        w = math.sqrt(lam)
+        return (math.cos(w * t), math.sin(w * t) / w,
+                -w * math.sin(w * t), math.cos(w * t))
+    if lam < 0.0:
+        mu = math.sqrt(-lam)
+        return (math.cosh(mu * t), math.sinh(mu * t) / mu,
+                mu * math.sinh(mu * t), math.cosh(mu * t))
+    return 1.0, t, 0.0, 1.0
+
+
+class TestModeMapping:
+    # Couplings 1 and -1 at separations 1 and 2 give positive and
+    # negative modes; mode 0 is the zero one.  N = 8 has a Nyquist mode,
+    # and every m > N / 2 mirrors N - m.
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("in_velocity", [False, True], ids=["position", "velocity"])
+    def test_single_fourier_mode_evolves_with_its_stiffness(self, n, in_velocity):
+        kappas = np.zeros(n // 2)
+        kappas[:2] = [1.0, -1.0]
+        spec = build_interaction(n, CouplingVector(n, kappas))
+        lam = spec.mode_stiffness
+        assert lam.max() > 0.0 > lam.min() and lam[0] == 0.0
+        times = [0.7, 2.3]
+        for m in range(n):
+            ang = math.tau * m * np.arange(n) / n
+            pattern = np.stack((np.cos(ang), np.sin(ang)), axis=1)
+            still = np.zeros((n, 2))
+            init = (SystemState(0.0, still, pattern) if in_velocity
+                    else SystemState(0.0, pattern, still))
+            out = spectral_propagate(init, spec, times)
+            for row, t in enumerate(times):
+                c, s, dc, ds = _mode_factors(float(lam[m]), t)
+                fq, fv = (s, ds) if in_velocity else (c, dc)
+                scale = max(1.0, abs(fq), abs(fv))
+                assert np.max(np.abs(out.q[row] - fq * pattern)) <= 1e-13 * scale
+                assert np.max(np.abs(out.v[row] - fv * pattern)) <= 1e-13 * scale
 
 
 class TestSpectralProperties:
     @settings(max_examples=40, deadline=None)
-    @given(spec_kinds, st.integers(4, 9), st.integers(0, 2 ** 32 - 1),
+    @given(spec_kinds, body_counts, st.integers(0, 2 ** 32 - 1),
            st.lists(offsets, min_size=1, max_size=6), st.randoms())
     def test_batch_matches_each_time_alone(self, kind, n, seed, drawn, shuffle):
         rng = np.random.default_rng(seed)
@@ -507,7 +552,7 @@ class TestSpectralProperties:
             assert np.array_equal(batch.v[row], alone.v[0])
 
     @settings(max_examples=40, deadline=None)
-    @given(spec_kinds, st.integers(4, 9), st.integers(0, 2 ** 32 - 1),
+    @given(spec_kinds, body_counts, st.integers(0, 2 ** 32 - 1),
            offsets, offsets)
     def test_semigroup(self, kind, n, seed, t1, t2):
         rng = np.random.default_rng(seed)
