@@ -49,11 +49,15 @@ class CouplingVector:
             raise ValueError("couplings must be finite, got " + ", ".join(
                 f"kappa_{ell + 1}={self.kappas[ell]}" for ell in bad))
 
-    def kappa(self, ell: int) -> float:
-        """Coupling for separation ell, 1-based."""
-        if not 1 <= ell <= self.N // 2:
-            raise IndexError(f"separation {ell} outside [1, {self.N // 2}]")
-        return float(self.kappas[ell - 1])
+    def bonds(self) -> list[tuple[int, float]]:
+        """The nonzero couplings as (ell, w * kappa_ell), in ascending ell.
+
+        The force on body k sums w kappa_ell (q_{k+ell} + q_{k-ell} - 2 q_k)
+        over the bonds, indices mod N.  w = 1/2 for the diametral bond
+        ell = N/2 of even N, which joins each body to one partner once.
+        """
+        return [(ell, float(self.kappas[ell - 1]) * (0.5 if 2 * ell == self.N else 1.0))
+                for ell in (np.flatnonzero(self.kappas) + 1).tolist()]
 
     def pair_matrix(self) -> np.ndarray:
         """Full N x N coupling matrix: entry (j, l) couples bodies j and l.

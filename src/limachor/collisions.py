@@ -11,7 +11,6 @@ about it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -97,20 +96,23 @@ def collision_ratios(N: int, p: int) -> list[CollisionRatio]:
     # With a = b = 1 the pair amplitudes are the two sines themselves.
     unit = ChoreoConfig(N, p, 1.0, 1.0)
     found: list[CollisionRatio] = []
-    accepted: list[float] = []  # the ratios in found, sorted
+    # The ratios in found by floor(ratio * 1e12): values within 1e-12 of
+    # each other have keys at most 2 apart, the products' rounding included.
+    accepted: dict[int, list[float]] = {}
     for k in range(1, N // 2 + 1):
         first, second = _pair_amplitudes(unit, k)
         if second == 0.0:
             continue  # sine vanishes exactly: no finite a/b
         magnitude = abs(second / first)
         for value in (magnitude, -magnitude):
-            # Rounded subtraction is monotone: if any accepted value lies
-            # within 1e-12, the nearest one on either side does.
-            i = bisect.bisect_left(accepted, value)
-            if (i < len(accepted) and accepted[i] - value <= 1e-12
-                    or i and value - accepted[i - 1] <= 1e-12):
+            key = math.floor(value * 1e12)
+            # The membership tests skip the scan when no key is near.
+            if (key - 2 in accepted or key - 1 in accepted or key in accepted
+                    or key + 1 in accepted or key + 2 in accepted) and any(
+                        abs(near - value) <= 1e-12 for bucket in range(key - 2, key + 3)
+                        for near in accepted.get(bucket, ())):
                 continue
-            accepted.insert(i, value)
+            accepted.setdefault(key, []).append(value)
             found.append(CollisionRatio(k, value))
     return sorted(found, key=lambda r: (r.k, r.ratio))
 

@@ -264,20 +264,16 @@ def potential_parts(config: ChoreoConfig, ell: int) -> PotentialParts:
 def potential_from_parts(config: ChoreoConfig, couplings: CouplingVector) -> float:
     """Assemble the potential from its per-separation closed forms.
 
-    The diametral part of even N is halved, since each such bond exists
-    only once.
+    Each of the couplings' ``bonds()`` weights its part, so the
+    diametral part of even N counts half: each such bond exists once.
     """
     if couplings.N != config.N:
         raise ValueError(
             f"couplings sized for N={couplings.N}, config has N={config.N}"
         )
-    n_half = config.N // 2
     total = 0.0
-    for ell in range(1, n_half + 1):
-        part = potential_parts(config, ell).v_minus
-        if config.N % 2 == 0 and ell == n_half:
-            part *= 0.5
-        total += couplings.kappa(ell) * part
+    for ell, coupling in couplings.bonds():
+        total += coupling * potential_parts(config, ell).v_minus
     return 0.5 * total
 
 

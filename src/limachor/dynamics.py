@@ -35,38 +35,33 @@ _RK4_CHUNK = 32 * _RK4_BLOCK
 class InteractionSpec:
     """A coupling network with its precomputed spectral data.
 
-    ``mode_stiffness[m]`` is the restoring stiffness of Fourier mode m
-    over the body index; mode 0 (rigid translation) always has
-    stiffness exactly zero, and mode m mirrors mode N - m.  The dense
-    ``pair_matrix`` drives the direct force path; the spectral path
-    evolves the discrete Fourier modes via rfft, whose bin m is mode m.
+    ``mode_stiffness[m]`` is the restoring stiffness of rfft bin m over
+    the body index: Fourier mode p shares bin min(p mod N, N - p mod N)
+    with mode N - p, and bin 0 (rigid translation) always has stiffness
+    exactly zero.  The dense ``pair_matrix`` drives the direct force
+    path; the spectral path evolves the discrete Fourier modes via rfft.
     """
 
     N: int
-    mode_stiffness: np.ndarray    # (N,)
+    mode_stiffness: np.ndarray    # (N // 2 + 1,)
     pair_matrix: np.ndarray       # (N, N)
 
 
-def _stiffness_spectrum(N: int, kappas: np.ndarray) -> np.ndarray:
-    n = N // 2
-    m = np.arange(n + 1)
-    half = np.zeros(n + 1)
-    for ell in range(1, n + 1):
-        # The diametral bond of even N has no mirror partner, so it
-        # enters once instead of twice.
-        weight = 1.0 if (N % 2 == 0 and ell == n) else 2.0
-        half += kappas[ell - 1] * weight * (1.0 - np.cos(math.tau * ell * m / N))
-    # Mode m mirrors mode N - m.
-    k = np.arange(N)
-    return half[np.minimum(k, N - k)]
+def _stiffness_spectrum(couplings: CouplingVector) -> np.ndarray:
+    m = np.arange(couplings.N // 2 + 1)
+    lam = np.zeros(m.size)
+    for ell, coupling in couplings.bonds():
+        # The bond's stencil q_{k+ell} + q_{k-ell} - 2 q_k, in mode m.
+        lam += 2.0 * coupling * (1.0 - np.cos(math.tau * ell * m / couplings.N))
+    return lam
 
 
 def build_interaction(N: int, couplings: CouplingVector) -> InteractionSpec:
     """Precompute force and spectral data for a coupling network.
 
     For couplings solved on an admissible (N, p), the spectrum pins
-    mode 1 to stiffness 1 and mode p mod N to stiffness p^2; that is
-    the mode-space restatement of the balance condition.
+    mode 1 to stiffness 1 and mode p (in bin min(p mod N, N - p mod N))
+    to stiffness p^2: the mode-space restatement of the balance condition.
 
     Raises:
         ValueError: If the coupling vector is not sized for N.
@@ -75,8 +70,7 @@ def build_interaction(N: int, couplings: CouplingVector) -> InteractionSpec:
         raise ValueError(
             f"couplings sized for N={couplings.N}, expected N={N}"
         )
-    lam = _stiffness_spectrum(N, couplings.kappas)
-    return InteractionSpec(N, lam, couplings.pair_matrix())
+    return InteractionSpec(N, _stiffness_spectrum(couplings), couplings.pair_matrix())
 
 
 def _rk4_step(spec: InteractionSpec, dt: float) -> np.ndarray:
@@ -243,8 +237,7 @@ def spectral_propagate(initial: SystemState, spec: InteractionSpec,
     if bad.any():
         raise ValueError(
             f"spectral propagation needs finite times, got t={times[bad][0]}")
-    # rfft bin m is mode m, for m = 0 .. N // 2.
-    lam = spec.mode_stiffness[:spec.N // 2 + 1]
+    lam = spec.mode_stiffness
     rate = np.sqrt(np.abs(lam))
     phase = times[:, None] * rate
     # q(t) = C q0 + S v0, v(t) = -lam S q0 + C v0 in every branch; the

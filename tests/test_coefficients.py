@@ -328,8 +328,13 @@ class TestCouplingVector:
         assert mat[0, 2] == 2.0 and mat[0, 3] == 2.0
         assert np.array_equal(mat, mat.T)
 
-    def test_kappa_accessor(self):
-        vec = CouplingVector(6, [1.0, 2.0, 3.0])
-        assert vec.kappa(3) == 3.0
-        with pytest.raises(IndexError):
-            vec.kappa(4)
+    def test_bonds_skip_zeros_and_halve_the_diametral_bond(self):
+        # Ascending separations; 0.0 and -0.0 couplings are no bonds.
+        assert CouplingVector(9, [0.0, -1.5, -0.0, 2.0]).bonds() == [(2, -1.5), (4, 2.0)]
+        # Odd N has no diametral bond.
+        assert CouplingVector(7, [1.0, 2.0, 3.0]).bonds() == [(1, 1.0), (2, 2.0), (3, 3.0)]
+        # Even N: separation N / 2 joins each body to one partner, once.
+        assert CouplingVector(8, [1.0, 0.0, -3.0, 5.0]).bonds() == \
+            [(1, 1.0), (3, -3.0), (4, 2.5)]
+        assert CouplingVector(4, [-0.0, -0.5]).bonds() == [(2, -0.25)]
+        assert CouplingVector(6, [0.0, -0.0, 0.0]).bonds() == []

@@ -59,18 +59,21 @@ def staged_rk4(initial, spec, dt, steps):
 
 
 def reference_stiffness_spectrum(N, kappas):
-    """The double loop over modes m and bond lengths ell, one cosine at a time."""
+    """The double loop over rfft bins m and bond lengths ell, one cosine at a time."""
     n = N // 2
-    lam = np.zeros(N)
+    lam = np.zeros(n + 1)
     for m in range(n + 1):
         total = 0.0
         for ell in range(1, n + 1):
             weight = 1.0 if (N % 2 == 0 and ell == n) else 2.0
             total += kappas[ell - 1] * weight * (1.0 - math.cos(math.tau * ell * m / N))
         lam[m] = total
-        if 0 < m < N - m:
-            lam[N - m] = total
     return lam
+
+
+def mode_bin(N, m):
+    """The rfft bin of Fourier mode m: modes m and N - m share one."""
+    return min(m % N, -m % N)
 
 
 def _solved_case():
@@ -102,7 +105,7 @@ def _hyperbolic_case():
 class TestBuildInteraction:
     def test_four_body_spectrum(self):
         spec = build_interaction(4, CouplingVector(4, [1.0, -0.5]))
-        assert spec.mode_stiffness == pytest.approx([0.0, 1.0, 4.0, 1.0])
+        assert spec.mode_stiffness == pytest.approx([0.0, 1.0, 4.0])
 
     def test_six_body_spectrum_pins_modes(self):
         spec = build_interaction(6, CouplingVector(6, [1.5, -1 / 6, 0.0]))
@@ -111,22 +114,18 @@ class TestBuildInteraction:
 
     def test_no_couplings_no_stiffness(self):
         spec = build_interaction(4, CouplingVector(4, [0.0, 0.0]))
-        assert np.array_equal(spec.mode_stiffness, np.zeros(4))
+        assert np.array_equal(spec.mode_stiffness, np.zeros(3))
 
     def test_translation_mode_exactly_zero(self):
         for p, n in admissible_pairs(5, 11):
             assert solved_spec(n, p).mode_stiffness[0] == 0.0
 
-    def test_mirror_symmetry_exact(self):
-        spec = solved_spec(9, 4)
-        for m in range(9):
-            assert spec.mode_stiffness[m] == spec.mode_stiffness[(9 - m) % 9]
-
     def test_mode_pinning_across_sweep(self):
         for p, n in admissible_pairs(7, 12):
             lam = solved_spec(n, p).mode_stiffness
-            assert lam[1 % n] == pytest.approx(1.0, abs=1e-10)
-            assert lam[p % n] == pytest.approx(p * p, abs=1e-10)
+            assert lam.shape == (n // 2 + 1,)
+            assert lam[mode_bin(n, 1)] == pytest.approx(1.0, abs=1e-10)
+            assert lam[mode_bin(n, p)] == pytest.approx(p * p, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -136,22 +135,21 @@ class TestBuildInteraction:
     def test_spectrum_matches_double_loop(self, N, p):
         rng = np.random.default_rng(N)
         tail = rng.normal(size=N // 2 - 2)
-        for kappas in (solve_couplings(N, p).kappas,
-                       solve_couplings(N, p, tail).kappas):
-            got = _stiffness_spectrum(N, kappas)
-            want = reference_stiffness_spectrum(N, kappas)
+        for couplings in (solve_couplings(N, p), solve_couplings(N, p, tail)):
+            got = _stiffness_spectrum(couplings)
+            want = reference_stiffness_spectrum(N, couplings.kappas)
             # Relative to the terms' magnitudes: modes can cancel to ~0.
-            scale = 4.0 * np.abs(kappas).sum()
+            scale = 4.0 * np.abs(couplings.kappas).sum()
+            assert got.shape == (N // 2 + 1,)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale
             assert got[0] == 0.0
-            assert np.array_equal(got[1:], got[1:][::-1])
 
 
 class TestEnginesShareNoData:
     # Their agreement is the oracle, so neither may read the other's data.
     def test_rk4_never_reads_the_eigenbasis(self):
         initial, spec, dt = _solved_case()
-        blind = dataclasses.replace(spec, mode_stiffness=np.full(6, np.nan))
+        blind = dataclasses.replace(spec, mode_stiffness=np.full(4, np.nan))
         assert np.array_equal(rk4_integrate(initial, blind, dt, 64).q,
                               rk4_integrate(initial, spec, dt, 64).q)
 
@@ -508,7 +506,7 @@ def _mode_factors(lam, t):
 class TestModeMapping:
     # Couplings 1 and -1 at separations 1 and 2 give positive and
     # negative modes; mode 0 is the zero one.  N = 8 has a Nyquist mode,
-    # and every m > N / 2 mirrors N - m.
+    # and every m > N / 2 shares the bin of N - m.
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("in_velocity", [False, True], ids=["position", "velocity"])
     def test_single_fourier_mode_evolves_with_its_stiffness(self, n, in_velocity):
@@ -526,7 +524,7 @@ class TestModeMapping:
                     else SystemState(0.0, pattern, still))
             out = spectral_propagate(init, spec, times)
             for row, t in enumerate(times):
-                c, s, dc, ds = _mode_factors(float(lam[m]), t)
+                c, s, dc, ds = _mode_factors(float(lam[mode_bin(n, m)]), t)
                 fq, fv = (s, ds) if in_velocity else (c, dc)
                 scale = max(1.0, abs(fq), abs(fv))
                 assert np.max(np.abs(out.q[row] - fq * pattern)) <= 1e-13 * scale

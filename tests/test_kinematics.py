@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from limachor import kinematics
+from limachor.admissibility import is_admissible
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.dynamics import build_interaction, rk4_integrate
 from limachor.kinematics import (
@@ -323,7 +324,55 @@ class TestAnalyticAccel:
         assert pos_big == pytest.approx(pos_ref, abs=1e-8)
 
 
+def dense_residual(config, couplings, grid):
+    """The residual through the N x N pair matrix: every partner's force in one product."""
+    kmat = couplings.pair_matrix()
+    row_sum = kmat.sum(axis=1)
+    pos, _, acc = bodies_at(config, np.arange(config.N), grid[:, None])
+    force = np.matmul(kmat, pos) - row_sum[:, None] * pos
+    return float(np.max(np.linalg.norm(acc - force, axis=-1)))
+
+
+@st.composite
+def coupled_systems(draw):
+    """A curve with couplings: solved (where admissible, with or without
+    a free tail) or random.
+
+    Random couplings have every separation nonzero, or each one zero with
+    even odds, or only separations 1 and 2 nonzero.
+    """
+    n = draw(st.integers(4, 64))
+    p = draw(st.integers(2, 30)) * draw(st.sampled_from([1, -1]))
+    amplitude = st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)
+    config = ChoreoConfig(n, p, draw(amplitude), draw(amplitude))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["solved", "dense", "sparse", "leading"]))
+    scale = 10.0 ** rng.uniform(-2.0, 2.0)
+    if kind == "solved" and is_admissible(p, n).admissible:
+        tail = rng.normal(size=n // 2 - 2, scale=scale) * draw(st.sampled_from([0.0, 1.0]))
+        return config, solve_couplings(n, p, tail)
+    kappas = rng.normal(size=n // 2, scale=scale)
+    if kind == "sparse":
+        kappas[rng.random(n // 2) < 0.5] = 0.0
+    elif kind == "leading":
+        kappas[2:] = 0.0
+    return config, CouplingVector(n, kappas)
+
+
 class TestEomResidual:
+    @settings(max_examples=150, deadline=None)
+    @given(coupled_systems())
+    def test_stencil_matches_dense_pair_matrix(self, system):
+        config, couplings = system
+        grid = kinematics.certification_grid()
+        got = eom_residual(config, couplings, grid)
+        want = dense_residual(config, couplings, grid)
+        # The defect subtracts forces, sums of Sigma|kappa|-sized terms on
+        # positions of size |a| + |b|, from accelerations of size
+        # |a| + p^2 |b|: roundoff in either side scales with their sum.
+        accel = abs(config.a) + config.p ** 2 * abs(config.b)
+        assert abs(got - want) <= 1e-13 * (1.0 + np.abs(couplings.kappas).sum()) * accel
+
     def test_certifies_four_body_solution(self):
         config = ChoreoConfig(4, 2, 1.2, 1.0)
         assert eom_residual(config, solve_couplings(4, 2)) < 1e-12
