@@ -59,6 +59,7 @@ from limachor.collisions import (
     CollisionReport,
     CollisionWitness,
     PairMinimum,
+    WitnessColumns,
     collision_ratios,
     has_collision,
     min_pair_distance,

@@ -23,9 +23,10 @@ export's whole text is never held.  JSON output is exactly
 ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline,
 written by a one-pass emitter (``_dumps``) because the stdlib's
 indented encoder runs in pure Python.
-A list of flat records (``collide``'s ratios and witnesses: dicts with
-one key order whose values are plain ints, finite plain floats or
-equal-length lists of those) is written with one ``%`` per record.
+A list of flat records (``collide``'s ratios and witnesses) reaches the
+emitter as columns (``_Records``): each distinct value of a long
+column is formatted once, and the records' text interleaves the column
+texts with the constant text between them.
 """
 
 from __future__ import annotations
@@ -70,8 +71,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Records:
+    """A list of flat records held by column, for ``_emit``.
+
+    json writes it as ``[{key: row i of column, ...} for each row i]``.
+    At least one column is given; each is an int64 or float64 array with
+    one row per record, of shape (M,) for a number or (M, w), w >= 1,
+    for a list of w numbers.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, **columns: np.ndarray):
+        self.columns = columns
+
+
 _encode_str = json.encoder.encode_basestring_ascii
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, _Records)
 
 
 def _scalar(value) -> str:
@@ -123,10 +139,6 @@ def _emit(value, pad: str, parts: list) -> None:
             parts.append("[]")
             return
         inner = pad + "  "
-        rows = _records(value, inner)
-        if rows is not None:
-            parts.append("[" + inner + ("," + inner).join(rows) + pad + "]")
-            return
         sep = "[" + inner
         for item in value:
             if isinstance(item, _CONTAINERS):
@@ -136,54 +148,69 @@ def _emit(value, pad: str, parts: list) -> None:
                 parts.append(sep + _scalar(item))
             sep = "," + inner
         parts.append(pad + "]")
+    elif isinstance(value, _Records):
+        _emit_records(value.columns, pad, parts)
     else:
         parts.append(_scalar(value))
 
 
-def _records(value, pad: str):
-    """JSON texts of a list of flat records at indent ``pad``, or None.
+# Below this many values, np.unique's fixed cost exceeds what it saves.
+_UNIQUE_MIN = 64
 
-    A flat record is a dict with the first record's key order whose
-    values are plain ints, finite plain floats, or non-empty lists of
-    those with the first record's lengths.  For these ``%r`` prints what
-    json prints, so one template built from the first record formats
-    them all.  Anything else (bool, np.float64, str, None, nesting,
-    inf, nan) returns None and goes through ``_emit``'s general path.
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """The JSON text of each value, as an object array of the same shape.
+
+    ``repr`` of a plain int or float is the text json writes for it.
+    From _UNIQUE_MIN values on, each distinct bit pattern is formatted
+    once.
     """
-    if type(value) is not list or type(value[0]) is not dict or not value[0]:
-        return None
-    keys = list(value[0])
-    inner = pad + "  "
-    fields, widths = [], []
-    for key, item in value[0].items():
-        text, width = "%r", 0
-        if type(item) is list:
-            if not item:
-                return None
-            deeper, width = inner + "  ", len(item)
-            text = "[" + deeper + ("," + deeper).join(["%r"] * width) + inner + "]"
-        fields.append(_encode_str(key).replace("%", "%%") + ": " + text)
-        widths.append(width)
-    template = "{" + inner + ("," + inner).join(fields) + pad + "}"
-    rows = []
-    for record in value:
-        if type(record) is not dict or list(record) != keys:
-            return None
-        args = []
-        for item, width in zip(record.values(), widths):
-            if not width:
-                args.append(item)
-            elif type(item) is list and len(item) == width:
-                args += item
-            else:
-                return None
-        for x in args:
-            # An int is checked by type alone: math.isfinite would raise
-            # on one beyond float range.
-            if type(x) is not int and (type(x) is not float or not math.isfinite(x)):
-                return None
-        rows.append(template % tuple(args))
-    return rows
+    if values.size < _UNIQUE_MIN:
+        return np.array(list(map(repr, values.ravel().tolist())),
+                        dtype=object).reshape(values.shape)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(values.dtype).tolist())), dtype=object)
+    return texts[inverse.reshape(values.shape)]
+
+
+def _emit_records(columns: dict, pad: str, parts: list) -> None:
+    """Append the JSON text of the records ``columns`` holds, nested at indent ``pad``.
+
+    The text before each value of a record is built once and each
+    column's values are formatted by ``_texts``; ``parts`` gets the two
+    interleaved, record after record.  A non-finite float raises json's
+    ValueError for the first one json would reach.
+    """
+    count = len(next(iter(columns.values())))
+    if not count:
+        parts.append("[]")
+        return
+    blocks = [column if column.ndim > 1 else column[:, None] for column in columns.values()]
+    # Row-major order is json's order; an int is finite as a float too.
+    merged = np.concatenate(blocks, axis=1, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(merged))
+    if bad.size:
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         f"{float(merged.flat[bad[0]])!r}")
+    inner, field, item = pad + "  ", pad + "    ", pad + "      "
+    pieces, before = [], "{" + field
+    for key, column in columns.items():
+        before += _encode_str(key) + ": "
+        if column.ndim == 1:
+            pieces.append(before)
+            after = ""
+        else:
+            pieces += [before + "[" + item] + ["," + item] * (column.shape[1] - 1)
+            after = field + "]"
+        before = after + "," + field
+    close = after + inner + "}"
+    slots = np.empty((count, 2 * len(pieces)), dtype=object)
+    slots[:, 0::2] = pieces
+    slots[0, 0] = "[" + inner + pieces[0]
+    slots[1:, 0] = close + "," + inner + pieces[0]
+    slots[:, 1::2] = np.concatenate([_texts(block) for block in blocks], axis=1)
+    parts += slots.ravel().tolist()
+    parts.append(close + pad + "]")
 
 
 def _dumps(payload) -> str:
@@ -306,10 +333,13 @@ def _cmd_collide(args: argparse.Namespace):
     config = _config(args)
     report = collisions.has_collision(config)
     ratios = collisions.collision_ratios(args.N, args.p)
+    witnesses = report.witnesses
     return {
         "collides": report.collides,
-        "ratios": [{"k": r.k, "ratio": r.ratio} for r in ratios],
-        "witnesses": [w.to_json_dict() for w in report.witnesses],
+        "ratios": _Records(k=np.array([r.k for r in ratios], dtype=np.int64),
+                           ratio=np.array([r.ratio for r in ratios], dtype=np.float64)),
+        "witnesses": _Records(k=witnesses.k, t=witnesses.t, bodies=witnesses.bodies,
+                              point=witnesses.point, distance=witnesses.distance),
         "suspects": report.suspects,
     }, EXIT_OK
 

@@ -12,7 +12,9 @@ about it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +42,8 @@ class CollisionRatio:
     ratio: float
 
 
-@dataclass(frozen=True)
-class CollisionWitness:
-    """A concrete collision event: who meets whom, when, and where."""
+class CollisionWitness(NamedTuple):
+    """One collision event: who meets whom, when, and where."""
 
     k: int
     t_star: float
@@ -50,26 +51,41 @@ class CollisionWitness:
     point: np.ndarray  # (2,)
     min_distance: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t_star,
-            "bodies": [self.bodies[0], self.bodies[1]],
-            "point": self.point.tolist(),
-            "distance": self.min_distance,
-        }
+
+@dataclass(frozen=True, eq=False)
+class WitnessColumns:
+    """Collision events as columns, one row per event.
+
+    ``k`` (M,) separations, ``t`` (M,) times, ``bodies`` (M, 2) body
+    pairs, ``point`` (M, 2) midpoints and ``distance`` (M,) pair
+    distances.  ``len()`` is M; iterating yields each event as a
+    CollisionWitness.
+    """
+
+    k: np.ndarray
+    t: np.ndarray
+    bodies: np.ndarray
+    point: np.ndarray
+    distance: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __iter__(self) -> Iterator[CollisionWitness]:
+        return map(CollisionWitness, self.k.tolist(), self.t.tolist(),
+                   map(tuple, self.bodies.tolist()), self.point, self.distance.tolist())
 
 
 @dataclass(frozen=True)
 class CollisionReport:
-    """Collision verdict with witnesses sorted by separation then time.
+    """Collision verdict with witnesses sorted by separation, time, then bodies.
 
     ``suspects`` lists separations that sit within SUSPECT_TOL * (|a| + |b|)
     of the collision locus without being certified by the oracle.
     """
 
     collides: bool
-    witnesses: list[CollisionWitness]
+    witnesses: WitnessColumns
     suspects: list[int] = field(default_factory=list)
 
 
@@ -167,8 +183,10 @@ def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
                        float(ts[best]) % math.tau)
 
 
-def _witnesses_for(config: ChoreoConfig, k: int) -> list[CollisionWitness]:
+def _witnesses_for(config: ChoreoConfig, k: int) -> tuple[np.ndarray, ...]:
     """All collision events with separation k, assuming the locus is hit.
+
+    Returns WitnessColumns' five columns, unsorted.
 
     Raises:
         ValueError: If the |p - 1| N events' (2, 2) float64 positions
@@ -199,11 +217,13 @@ def _witnesses_for(config: ChoreoConfig, k: int) -> list[CollisionWitness]:
     # last bit.
     distances = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
     points = 0.5 * (pos[..., 0, :] + pos[..., 1, :])
-    bodies = list(zip(range(n), pairs[:, 1].tolist())) * len(roots)
-    return [CollisionWitness(k, t_j, pair, point, distance)
-            for t_j, pair, point, distance in zip(
-                times.ravel().tolist(), bodies, points.reshape(-1, 2),
-                distances.ravel().tolist())]
+    return (np.full(times.size, k), times.ravel(), np.tile(pairs, (len(roots), 1)),
+            points.reshape(-1, 2), distances.ravel())
+
+
+# WitnessColumns' columns with no event.
+_NO_EVENTS = (np.empty(0, np.int64), np.empty(0), np.empty((0, 2), np.int64),
+              np.empty((0, 2)), np.empty(0))
 
 
 def has_collision(config: ChoreoConfig) -> CollisionReport:
@@ -220,12 +240,13 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     {k, N - k}: bodies 0 and N - k are bodies k and 0 shifted in index,
     so |q_0 - q_(N-k)| is |q_0 - q_k| shifted in time, with the same
     minimum, and k's verdict holds for N - k.  Witnesses are still
-    built for each separation of a certified pair.
+    built for each separation of a certified pair, as columns that one
+    lexsort orders by (k, t, bodies).
     """
     n = config.N
     scale = abs(config.a) + abs(config.b)
     suspect_tol, certify_tol = SUSPECT_TOL * scale, CERTIFY_TOL * scale
-    witnesses: list[CollisionWitness] = []
+    found = []
     suspects: list[int] = []
     for k in range(1, n // 2 + 1):
         first, second = _pair_amplitudes(config, k)
@@ -234,10 +255,14 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
             continue
         pair = (k,) if 2 * k == n else (k, n - k)
         if min_pair_distance(config, k).min_distance <= certify_tol:
-            for j in pair:
-                witnesses.extend(_witnesses_for(config, j))
+            found.extend(_witnesses_for(config, j) for j in pair)
         else:
             suspects.extend(pair)
-    witnesses.sort(key=lambda w: (w.k, w.t_star, w.bodies))
     suspects.sort()
-    return CollisionReport(bool(witnesses), witnesses, suspects)
+    if not found:
+        return CollisionReport(False, WitnessColumns(*_NO_EVENTS), suspects)
+    columns = [np.concatenate(column) for column in zip(*found)]
+    ks, times, bodies = columns[:3]
+    order = np.lexsort((bodies[:, 1], bodies[:, 0], times, ks))
+    return CollisionReport(True, WitnessColumns(*(column[order] for column in columns)),
+                           suspects)

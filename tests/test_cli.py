@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import limachor
-from limachor import admissibility, cli, coefficients, constants, dynamics, kinematics
+from limachor import admissibility, cli, coefficients, collisions, constants, dynamics
+from limachor import kinematics
 from util import admissible_pairs
 
 
@@ -386,6 +387,41 @@ class TestCollideCommand:
         code, out, _ = run_cli(capsys, "collide", *argv)
         assert code == 0
         assert json.loads(out)["collides"] is collides
+
+    # On the locus of a drawn separation, just off it (a suspect), or at
+    # an arbitrary ratio.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(4, 32), p_mag=st.integers(2, 9), p_sign=st.sampled_from([1, -1]),
+           k_index=st.integers(0, 62), kind=st.sampled_from(["on", "near", "off"]),
+           b=st.floats(0.5, 2.0), sign_a=st.sampled_from([1.0, -1.0]),
+           sign_b=st.sampled_from([1.0, -1.0]), off_ratio=st.floats(0.1, 10.0))
+    def test_stdout_matches_stdlib_on_plain_payload(self, capsys, n, p_mag, p_sign, k_index,
+                                                    kind, b, sign_a, sign_b, off_ratio):
+        p = p_sign * p_mag
+        ratios = collisions.collision_ratios(n, p)
+        ratio = abs(ratios[k_index % len(ratios)].ratio) if ratios else off_ratio
+        if kind == "near":
+            ratio *= 1.0 + 1e-9
+        elif kind == "off":
+            ratio = off_ratio
+        a, b = sign_a * ratio * b, sign_b * b
+        code, out, _ = run_cli(capsys, "collide", "--N", str(n), "--p", str(p),
+                               f"--a={a!r}", f"--b={b!r}")
+        report = collisions.has_collision(kinematics.ChoreoConfig(n, p, a, b))
+        witnesses = list(report.witnesses)
+        keys = [(w.k, w.t_star, w.bodies) for w in witnesses]
+        assert keys == sorted(keys)
+        want = {
+            "collides": report.collides,
+            "ratios": [{"k": r.k, "ratio": r.ratio} for r in ratios],
+            "witnesses": [{"k": w.k, "t": w.t_star, "bodies": list(w.bodies),
+                           "point": w.point.tolist(), "distance": w.min_distance}
+                          for w in witnesses],
+            "suspects": report.suspects,
+        }
+        assert code == 0
+        assert lines(out) == lines(json.dumps(want, indent=2) + "\n")
 
     def test_p_beyond_float_range_is_one_error_line(self, capsys):
         p = "1" + "0" * 200
@@ -773,6 +809,16 @@ def stdlib_dumps(value):
     return json.dumps(value, indent=2, allow_nan=False) + "\n"
 
 
+def lines(text):
+    """``text`` split at each newline, for comparing long outputs.
+
+    pytest explains a mismatch of two lists by the first differing
+    item; for two strings it diffs every line, which takes minutes on
+    thousands of near-identical JSON lines.
+    """
+    return text.split("\n")
+
+
 _ESCAPES = st.text(alphabet=st.sampled_from(
     ['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f",
      "é", "ß", "€", " ", "\ud800", "😀", "a", " "]))
@@ -798,43 +844,45 @@ _JSON_VALUES = st.recursive(
     max_leaves=25)
 
 
-_NUMBERS = st.one_of(st.integers(), _FLOATS)
-_ODD_SCALARS = st.sampled_from(
-    [True, None, 'say "%s"\\\n\u00e9', np.float64(0.1), 10**400, -0.0, 1e16, 5e-324])
+# Floats whose shortest repr is at a format boundary, and int64's extremes.
+_COLUMN_FLOATS = st.one_of(_FLOATS, st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-05, 0.1,
+     1.7976931348623157e308, -1.7976931348623157e308]))
+_COLUMN_INTS = st.one_of(st.integers(-(2**63), 2**63 - 1),
+                         st.sampled_from([-(2**63), 2**63 - 1, 0, -1]))
 
 
 @st.composite
-def _record_lists(draw):
-    """A list of records that mostly share one flat shape, and sometimes do not.
+def _record_columns(draw):
+    """Columns for ``cli._Records``, keyed as they are drawn.
 
-    The shape is a key order and, per key, a scalar or a list length.
-    Each kind of departure (another key order, another or zero list
-    length, an odd scalar, a record nested in a record) is drawn on its
-    own, so lists that hit the one-template path and lists that miss
-    it both occur.
+    Each column picks its values from a few drawn ones, so repeats are
+    common; the record count spans ``cli._UNIQUE_MIN``.
     """
     keys = draw(st.lists(st.sampled_from(["k", "t", "point", 'q"%s', "\u00e9", "a%"]),
                          min_size=1, max_size=4, unique=True))
-    widths = [draw(st.integers(0, 3)) for _ in keys]  # 0: a scalar
-    value = st.one_of(_NUMBERS, _ODD_SCALARS) if draw(st.booleans()) else _NUMBERS
-    records = []
-    for _ in range(draw(st.integers(1, 5))):
-        records.append({key: draw(value) if not width
-                        else draw(st.lists(value, min_size=width, max_size=width))
-                        for key, width in zip(keys, widths)})
-    record = draw(st.sampled_from(records))
-    key = draw(st.sampled_from(keys))
-    change = draw(st.sampled_from(["none", "order", "length", "nested"]))
-    if change == "order":
-        for key in reversed(keys):
-            record[key] = record.pop(key)
-    elif change == "length":
-        item = record[key]
-        record[key] = item[1:] if isinstance(item, list) else [item] * draw(st.integers(0, 2))
-    elif change == "nested":
-        inner = dict(records[0])  # a copy, so no record contains itself
-        record[key] = draw(st.sampled_from([[inner], inner]))
-    return records
+    count = draw(st.integers(0, 3 * cli._UNIQUE_MIN))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for key in keys:
+        width = draw(st.sampled_from([None, 1, 2, 3]))
+        kind = draw(st.sampled_from([np.int64, np.float64]))
+        values = draw(st.lists(_COLUMN_INTS if kind is np.int64 else _COLUMN_FLOATS,
+                               min_size=1, max_size=8))
+        picks = rng.integers(0, len(values), (count,) if width is None else (count, width))
+        columns[key] = np.array(values, dtype=kind)[picks]
+    return columns
+
+
+def as_records(columns):
+    """The list of dicts json writes for ``cli._Records(**columns)``."""
+    count = len(next(iter(columns.values())))
+    return [{key: column[i].tolist() for key, column in columns.items()}
+            for i in range(count)]
+
+
+_WRAPS = [lambda v: v, lambda v: {"ratios": v, "suspects": [1, 2]},
+          lambda v: [[v], {"w": v}]]
 
 
 class TestJsonEmitter:
@@ -846,20 +894,38 @@ class TestJsonEmitter:
         assert cli._dumps(value) == stdlib_dumps(value)
 
     @settings(max_examples=300, deadline=None)
-    @given(records=_record_lists(), wrap=st.sampled_from([
-        lambda v: v, lambda v: {"ratios": v, "suspects": [1, 2]}, lambda v: [[v], {"w": v}],
-    ]))
-    def test_record_lists_match_stdlib(self, records, wrap):
-        value = wrap(records)
-        assert cli._dumps(value) == json.dumps(value, indent=2) + "\n"
+    @given(columns=_record_columns(), wrap=st.sampled_from(_WRAPS))
+    def test_record_columns_match_stdlib(self, columns, wrap):
+        got = cli._dumps(wrap(cli._Records(**columns)))
+        assert lines(got) == lines(json.dumps(wrap(as_records(columns)), indent=2) + "\n")
 
-    def test_collide_lists_take_the_record_path(self):
-        args = cli._parser().parse_args(
-            ["collide", "--N", "6", "--p", "2", "--a", "1", "--b", "1"])
-        payload, _ = cli._cmd_collide(args)
-        for name in ("ratios", "witnesses"):
-            assert payload[name]
-            assert cli._records(payload[name], "\n    ") is not None
+    @pytest.mark.parametrize("count", [1, cli._UNIQUE_MIN // 3, 3 * cli._UNIQUE_MIN])
+    def test_boundary_values_match_stdlib(self, count):
+        floats = np.array([0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-05,
+                           1.7976931348623157e308, -1.7976931348623157e308])
+        ints = np.array([-(2**63), 2**63 - 1, 0, -1])
+        columns = {"i": np.resize(ints, count), "x": np.resize(floats, count),
+                   "pair": np.resize(floats[::-1], (count, 2)),
+                   "ids": np.resize(ints, (count, 3))}
+        got = cli._dumps({"records": cli._Records(**columns)})
+        assert lines(got) == lines(stdlib_dumps({"records": as_records(columns)}))
+
+    # Some cells of a float column are non-finite: json names the first
+    # one in record order, then key order.
+    @settings(max_examples=150, deadline=None)
+    @given(columns=_record_columns(), data=st.data())
+    def test_non_finite_column_value_raises_as_stdlib_does(self, columns, data):
+        floats = [key for key, column in columns.items() if column.dtype == np.float64]
+        assume(floats and len(columns[floats[0]]))
+        for _ in range(data.draw(st.integers(1, 3))):
+            column = columns[data.draw(st.sampled_from(floats))]
+            cell = data.draw(st.integers(0, column.size - 1))
+            column.flat[cell] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(ValueError) as expected:
+            stdlib_dumps(as_records(columns))
+        with pytest.raises(ValueError) as got:
+            cli._dumps(cli._Records(**columns))
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("value", [
         [], {}, (), [[]], {"a": {}}, {"": [(), {}]}, [True, 1, 1.0, False, 0, None],

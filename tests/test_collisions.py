@@ -52,7 +52,9 @@ def collision_ratios_quadratic(n, p):
 
 
 def has_collision_every_k(config):
-    """has_collision with the oracle run on every candidate k, and the ks it ran on."""
+    """has_collision's (collides, witnesses, suspects) with the oracle run on
+    every candidate k, the witnesses as a list sorted by (k, t, bodies),
+    and the ks it ran on."""
     n = config.N
     scale = abs(config.a) + abs(config.b)
     witnesses, suspects, calls = [], [], []
@@ -63,11 +65,11 @@ def has_collision_every_k(config):
             continue
         calls.append(k)
         if min_pair_distance(config, k).min_distance <= CERTIFY_TOL * scale:
-            witnesses.extend(collisions._witnesses_for(config, k))
+            witnesses.extend(collisions.WitnessColumns(*collisions._witnesses_for(config, k)))
         else:
             suspects.append(k)
     witnesses.sort(key=lambda w: (w.k, w.t_star, w.bodies))
-    return collisions.CollisionReport(bool(witnesses), witnesses, suspects), calls
+    return (bool(witnesses), witnesses, suspects), calls
 
 
 class TestCollisionRatios:
@@ -139,7 +141,7 @@ class TestHasCollision:
     def test_four_bodies_equal_amplitudes_do_not(self):
         report = has_collision(ChoreoConfig(4, 2, 1.0, 1.0))
         assert not report.collides
-        assert report.witnesses == []
+        assert len(report.witnesses) == 0
 
     def test_nine_bodies_equal_amplitudes_collide(self):
         assert has_collision(ChoreoConfig(9, 2, 1.0, 1.0)).collides
@@ -288,12 +290,13 @@ class TestCollisionSymmetries:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(collisions, "min_pair_distance", counting)
             got = has_collision(config)
+        collides, witnesses, suspects = want
         assert sorted(calls) == sorted({min(k, n - k) for k in every_k})
-        assert (got.collides, got.suspects) == (want.collides, want.suspects)
+        assert (got.collides, got.suspects) == (collides, suspects)
         assert [(w.k, bits(w.t_star), w.bodies, bits(w.point), bits(w.min_distance))
                 for w in got.witnesses] == \
             [(w.k, bits(w.t_star), w.bodies, bits(w.point), bits(w.min_distance))
-             for w in want.witnesses]
+             for w in witnesses]
 
 
 def per_event_witnesses(config, k):
@@ -440,3 +443,21 @@ class TestMinPairDistance:
         direct = float(np.linalg.norm(pos_0 - pos_k))
         assert direct == pytest.approx(
             pair_distance_closed_form(config, k, t), abs=1e-12)
+
+
+class TestWitnessColumns:
+    @pytest.mark.parametrize("config, count", [
+        (ChoreoConfig(6, 2, 1.0, 1.0), 2 * 6),  # |p - 1| N events at k = 2 and k = 4
+        (ChoreoConfig(4, 2, 1.0, 1.0), 0),
+    ])
+    def test_column_shapes_and_types(self, config, count):
+        witnesses = has_collision(config).witnesses
+        assert len(witnesses) == count
+        for name, shape, dtype in [("k", (count,), np.int64), ("t", (count,), np.float64),
+                                   ("bodies", (count, 2), np.int64),
+                                   ("point", (count, 2), np.float64),
+                                   ("distance", (count,), np.float64)]:
+            column = getattr(witnesses, name)
+            assert (column.shape, column.dtype) == (shape, dtype), name
+        for w, k, pair in zip(witnesses, witnesses.k.tolist(), witnesses.bodies.tolist()):
+            assert (type(w.k), w.k, type(w.bodies), w.bodies) == (int, k, tuple, tuple(pair))
