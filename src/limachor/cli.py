@@ -305,9 +305,8 @@ def _cmd_simulate(args: argparse.Namespace):
     # either engine, is larger still.
     _check_values("--steps", args.steps, args.N, 4 * args.N * (args.steps + 1))
     if args.engine == "rk4":
-        spec = dynamics.build_interaction(args.N, couplings)
         traj = dynamics.rk4_integrate(kinematics.state_at(config, 0.0),
-                                      spec, args.dt, args.steps)
+                                      couplings, args.dt, args.steps)
         return [kinematics.trajectory_csv(traj)], EXIT_OK
     return kinematics.orbit_csv(config, 0.0, args.dt * args.steps,
                                 args.steps + 1), EXIT_OK

@@ -13,6 +13,9 @@ the small angles of large N, and no complex numbers are ever
 materialized.  Entries depend on p only through ell * p reduced to
 [0, N/2] in integers, which makes every solve exactly symmetric under
 p -> -p.
+
+A ``CouplingVector`` is read by separation, ``bonds()``, or whole as
+its dense N x N Laplacian D - K, ``laplacian()``.
 """
 
 from __future__ import annotations
@@ -59,19 +62,18 @@ class CouplingVector:
         return [(ell, float(self.kappas[ell - 1]) * (0.5 if 2 * ell == self.N else 1.0))
                 for ell in (np.flatnonzero(self.kappas) + 1).tolist()]
 
-    def pair_matrix(self) -> np.ndarray:
-        """Full N x N coupling matrix: entry (j, l) couples bodies j and l.
+    def laplacian(self) -> np.ndarray:
+        """The N x N Laplacian D - K of the coupling network.
 
-        Zero on the diagonal; off-diagonal entry is the coupling for
-        separation min(|j - l|, N - |j - l|).
+        K couples bodies j and l with kappa at separation
+        min(|j - l|, N - |j - l|), zero on the diagonal, and D holds
+        K's row sums, so (D - K) q is minus the force on every body.
         """
         idx = np.arange(self.N)
         diff = np.abs(idx[:, None] - idx[None, :])
-        sep = np.minimum(diff, self.N - diff)
-        mat = np.zeros((self.N, self.N))
-        off = sep > 0
-        mat[off] = self.kappas[sep[off] - 1]
-        return mat
+        # Separation 0, the diagonal, gathers the leading zero.
+        pair = np.concatenate(([0.0], self.kappas))[np.minimum(diff, self.N - diff)]
+        return np.diag(pair.sum(axis=1)) - pair
 
     def as_dict(self) -> dict[str, float]:
         """Couplings keyed by 1-based separation, for JSON reports."""

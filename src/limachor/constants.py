@@ -7,7 +7,8 @@ yields further constants: the per-separation parts of the potential,
 and for composite N = m*n, conserved sub-sums over each Z_m subgroup
 orbit of the body indices.
 
-One kernel, ``_conserved``, evaluates the quantities per sample.  A
+One kernel, ``_conserved``, evaluates the quantities per sample from
+the couplings' Laplacian (``CouplingVector.laplacian``).  A
 ``ConservedSeries`` folds a trajectory into them piece by piece, keeping
 only the per-sample values; ``drift_report`` folds a whole trajectory
 as one piece, and ``verify`` folds RK4's chunks as they come.
@@ -97,11 +98,11 @@ class PartialSumReport:
     predicted: dict[str, float] = field(default_factory=dict)
 
 
-def _kernel(pair: np.ndarray) -> np.ndarray:
-    """[D - K | 1] for the pair matrix K, D = diag(row sums of K): an (N, N + 1) matrix."""
-    n = pair.shape[0]
+def _kernel(laplacian: np.ndarray) -> np.ndarray:
+    """[L | 1] for a Laplacian L = D - K: an (N, N + 1) matrix."""
+    n = laplacian.shape[0]
     kernel = np.empty((n, n + 1))
-    kernel[:, :n] = np.diag(pair.sum(axis=1)) - pair
+    kernel[:, :n] = laplacian
     kernel[:, n] = 1.0
     return kernel
 
@@ -115,7 +116,7 @@ def _conserved(pos: np.ndarray, vel: np.ndarray, kernel: np.ndarray):
     """First moment, angular momentum, inertia, kinetic and potential energy per sample.
 
     ``pos`` and ``vel`` are (S, N, 2) and ``kernel`` is ``_kernel`` of
-    the pair matrix; each quantity comes back with leading dimension S.
+    the Laplacian; each quantity comes back with leading dimension S.
     The potential, half the sum over unordered pairs of
     kappa_jl |q_j - q_l|^2, is evaluated as the Laplacian quadratic form
     1/2 sum_c q_c^T (D - K) q_c, so memory stays O(S*N).  The work is
@@ -156,7 +157,7 @@ class ConservedSeries:
     """
 
     def __init__(self, couplings: CouplingVector, samples: int):
-        self._kernel = _kernel(couplings.pair_matrix())
+        self._kernel = _kernel(couplings.laplacian())
         self.t = np.empty(samples)
         self.g = np.empty((samples, 2))
         self.c, self.inertia, self.kinetic, self.potential = (
@@ -297,11 +298,11 @@ def partial_sums(config: ChoreoConfig, m: int, n: int, ell: int,
     p = config.p
     state = state_at(config, t)
     idx = ell + n * np.arange(m)
-    # Unit coupling between every pair of the orbit: its potential is
-    # half the sum of squared separations.
+    # Unit coupling between every pair of the orbit, Laplacian m I - J:
+    # its potential is half the sum of squared separations.
     g, ang, inertia, kin, half_pair_sq = _conserved(
         state.positions[None, idx], state.velocities[None, idx],
-        _kernel(np.ones((m, m)) - np.eye(m)))
+        _kernel(m * np.eye(m) - np.ones((m, m))))
 
     first_moment_full = (n * p) % config.N == 0
     subgroup_constant = (n * (p - 1)) % config.N != 0

@@ -4,10 +4,11 @@ The force network is circulant over the body index, so the motion
 splits into discrete Fourier modes whose stiffnesses are set by the
 couplings.  Two engines exercise that system without reference to the
 analytic orbit: a classical fixed-step RK4 integrator whose step
-matrix is built from the direct O(N^2) pairwise force matrix, and an
-exact spectral propagator over the discrete Fourier modes via rfft.
-The two share no force code, which is what makes their agreement a
-meaningful oracle.  RK4 yields its run in bounded chunks
+matrix is built from the couplings' dense Laplacian, and an exact
+spectral propagator over the discrete Fourier modes via rfft, which
+reads only the mode spectrum.  Each builds its own operator from the
+couplings and they share no force code, which is what makes their
+agreement a meaningful oracle.  RK4 yields its run in bounded chunks
 (``rk4_chunks``), so a caller that reduces each chunk never holds the
 whole trajectory; ``rk4_integrate`` joins them.
 """
@@ -33,18 +34,16 @@ _RK4_CHUNK = 32 * _RK4_BLOCK
 
 @dataclass(frozen=True)
 class InteractionSpec:
-    """A coupling network with its precomputed spectral data.
+    """The mode spectrum of a coupling network, as the spectral engine reads it.
 
     ``mode_stiffness[m]`` is the restoring stiffness of rfft bin m over
     the body index: Fourier mode p shares bin min(p mod N, N - p mod N)
     with mode N - p, and bin 0 (rigid translation) always has stiffness
-    exactly zero.  The dense ``pair_matrix`` drives the direct force
-    path; the spectral path evolves the discrete Fourier modes via rfft.
+    exactly zero.
     """
 
     N: int
     mode_stiffness: np.ndarray    # (N // 2 + 1,)
-    pair_matrix: np.ndarray       # (N, N)
 
 
 def _stiffness_spectrum(couplings: CouplingVector) -> np.ndarray:
@@ -56,30 +55,23 @@ def _stiffness_spectrum(couplings: CouplingVector) -> np.ndarray:
     return lam
 
 
-def build_interaction(N: int, couplings: CouplingVector) -> InteractionSpec:
-    """Precompute force and spectral data for a coupling network.
+def build_interaction(couplings: CouplingVector) -> InteractionSpec:
+    """The mode spectrum of a coupling network, in O(N bonds) work.
 
     For couplings solved on an admissible (N, p), the spectrum pins
     mode 1 to stiffness 1 and mode p (in bin min(p mod N, N - p mod N))
     to stiffness p^2: the mode-space restatement of the balance condition.
-
-    Raises:
-        ValueError: If the coupling vector is not sized for N.
     """
-    if couplings.N != N:
-        raise ValueError(
-            f"couplings sized for N={couplings.N}, expected N={N}"
-        )
-    return InteractionSpec(N, _stiffness_spectrum(couplings), couplings.pair_matrix())
+    return InteractionSpec(couplings.N, _stiffness_spectrum(couplings))
 
 
-def _rk4_step(spec: InteractionSpec, dt: float) -> np.ndarray:
-    """R(dt A), built from the direct pair matrix (no eigenbasis)."""
-    n, pair = spec.N, spec.pair_matrix
+def _rk4_step(couplings: CouplingVector, dt: float) -> np.ndarray:
+    """R(dt A), A = [[0, I], [-L, 0]] for the couplings' Laplacian L (no eigenbasis)."""
+    n = couplings.N
     eye = np.eye(2 * n)
     h_a = np.zeros((2 * n, 2 * n))
     h_a[:n, n:] = dt * np.eye(n)
-    h_a[n:, :n] = dt * (pair - np.diag(pair.sum(axis=1)))
+    h_a[n:, :n] = -dt * couplings.laplacian()
     with np.errstate(over="ignore", invalid="ignore"):
         # Horner form of R(z) = 1 + z (1 + z/2 (1 + z/3 (1 + z/4))).
         step = eye
@@ -88,15 +80,15 @@ def _rk4_step(spec: InteractionSpec, dt: float) -> np.ndarray:
     return step
 
 
-def rk4_chunks(initial: SystemState, spec: InteractionSpec,
+def rk4_chunks(initial: SystemState, couplings: CouplingVector,
                dt: float, steps: int) -> Iterator[Trajectory]:
     """Classical fixed-step 4th-order Runge-Kutta, yielded in chunks of samples.
 
     The system y' = A y, y = (q, v), is linear, so one RK4 step is
     exactly y <- R(dt A) y with the RK4 stability polynomial
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and B steps are exactly
-    y <- R(dt A)^B y.  R(dt A) is built once from the direct pair
-    matrix (no eigenbasis).  The first B = 64 samples are taken one
+    y <- R(dt A)^B y.  R(dt A) is built once from the couplings'
+    Laplacian (no eigenbasis).  The first B = 64 samples are taken one
     step at a time; every later block of B samples is then the block
     before it times R^B, one matrix product per block.  Each product
     has 2B rows, few enough that BLAS runs it on one thread at small
@@ -121,12 +113,12 @@ def rk4_chunks(initial: SystemState, spec: InteractionSpec,
         raise ValueError(f"step size must be finite and positive, got dt={dt}")
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
-    if initial.n_bodies != spec.N:
+    n = couplings.N
+    if initial.n_bodies != n:
         raise ValueError(
-            f"state has {initial.n_bodies} bodies, spec expects {spec.N}"
+            f"state has {initial.n_bodies} bodies, couplings are for N={n}"
         )
-    n = spec.N
-    step_t = _rk4_step(spec, dt).T
+    step_t = _rk4_step(couplings, dt).T
     if steps > _RK4_BLOCK:
         with np.errstate(over="ignore", invalid="ignore"):
             jump = np.linalg.matrix_power(step_t, _RK4_BLOCK)
@@ -174,7 +166,7 @@ def rk4_chunks(initial: SystemState, spec: InteractionSpec,
         start, stop = stop, min(stop + _RK4_CHUNK, steps + 1)
 
 
-def rk4_integrate(initial: SystemState, spec: InteractionSpec,
+def rk4_integrate(initial: SystemState, couplings: CouplingVector,
                   dt: float, steps: int) -> Trajectory:
     """The whole RK4 run of ``rk4_chunks``, as one trajectory.
 
@@ -187,8 +179,8 @@ def rk4_integrate(initial: SystemState, spec: InteractionSpec,
     Raises:
         ValueError: As ``rk4_chunks``.
     """
-    n, start = spec.N, 0
-    for chunk in rk4_chunks(initial, spec, dt, steps):
+    n, start = couplings.N, 0
+    for chunk in rk4_chunks(initial, couplings, dt, steps):
         if start == 0:   # the first chunk has passed the input checks
             state = np.empty((steps + 1, 2, 2 * n)).transpose(0, 2, 1)
             times = np.empty(steps + 1)

@@ -41,19 +41,19 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
     residual_max = kinematics.eom_residual(
         config, couplings, kinematics.certification_grid(grid))
 
-    spec = dynamics.build_interaction(n, couplings)
     init = kinematics.state_at(config, 0.0)
     # Each RK4 chunk is folded into per-sample conserved quantities and
     # dropped; the last chunk's final sample is what the rk4 gate reads.
     series = constants.ConservedSeries(couplings, steps + 1)
-    for chunk in dynamics.rk4_chunks(init, spec, dt, steps):
+    for chunk in dynamics.rk4_chunks(init, couplings, dt, steps):
         series.add(chunk)
         t_end, final = float(chunk.t[-1]), chunk.q[-1].copy()
         # Freed before the next chunk is allocated.
         del chunk
     probes = np.array([0.3, 1.7, 5.9, t_end])
     reference = kinematics.bodies_at(config, np.arange(n), probes[:, None], 1)[0]
-    propagated = dynamics.spectral_propagate(init, spec, probes).q
+    propagated = dynamics.spectral_propagate(
+        init, dynamics.build_interaction(couplings), probes).q
     # An error whose square overflows is inf and fails its gate.
     with np.errstate(over="ignore"):
         rk4_error = float(np.max(np.linalg.norm(final - reference[-1], axis=-1)))

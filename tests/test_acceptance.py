@@ -78,8 +78,7 @@ def rk4_runs(solved):
     """One full RK4 period per system at the reference step size."""
     runs = {}
     for (p, n), (config, couplings) in solved.items():
-        spec = build_interaction(n, couplings)
-        runs[(p, n)] = rk4_integrate(state_at(config, 0.0), spec,
+        runs[(p, n)] = rk4_integrate(state_at(config, 0.0), couplings,
                                      DT_REF, PERIOD_STEPS)
     return runs
 
@@ -162,9 +161,8 @@ def test_criterion_5_dynamics_oracle_equivalence(systems, solved, rk4_runs):
             assert float(np.max(np.linalg.norm(
                 q - target.positions, axis=1))) <= 1e-6
 
-        spec = build_interaction(config.N, couplings)
         init = state_at(config, 0.0)
-        propagated = spectral_propagate(init, spec, probe_times)
+        propagated = spectral_propagate(init, build_interaction(couplings), probe_times)
         for t, q in zip(probe_times, propagated.q):
             target = state_at(config, float(t))
             worst_spectral = max(worst_spectral, float(np.max(np.linalg.norm(
@@ -172,8 +170,8 @@ def test_criterion_5_dynamics_oracle_equivalence(systems, solved, rk4_runs):
     assert worst_rk4 <= 1e-6
     assert worst_spectral <= 1e-9
 
-    def final_error(config, spec, steps):
-        traj = rk4_integrate(state_at(config, 0.0), spec,
+    def final_error(config, couplings, steps):
+        traj = rk4_integrate(state_at(config, 0.0), couplings,
                              math.tau / steps, steps)
         ref = state_at(config, float(traj.t[-1]))
         return float(np.max(np.linalg.norm(
@@ -182,8 +180,7 @@ def test_criterion_5_dynamics_oracle_equivalence(systems, solved, rk4_runs):
     ratios = []
     for key in systems:
         config, couplings = solved[key]
-        spec = build_interaction(config.N, couplings)
-        ratio = final_error(config, spec, 512) / final_error(config, spec, 1024)
+        ratio = final_error(config, couplings, 512) / final_error(config, couplings, 1024)
         assert 12.0 <= ratio <= 20.0
         ratios.append(ratio)
     criterion_pass(5, f"worst RK4 error {worst_rk4:.2e}, worst spectral error "

@@ -321,12 +321,16 @@ class TestCouplingVector:
         with pytest.raises(ValueError):
             CouplingVector(6, [1.0, 2.0])
 
-    def test_pair_matrix_structure(self):
-        mat = CouplingVector(5, [1.0, 2.0]).pair_matrix()
-        assert np.array_equal(np.diag(mat), np.zeros(5))
-        assert mat[0, 1] == 1.0 and mat[0, 4] == 1.0
-        assert mat[0, 2] == 2.0 and mat[0, 3] == 2.0
+    def test_laplacian_structure(self):
+        mat = CouplingVector(5, [1.0, 2.0]).laplacian()
+        assert np.array_equal(np.diag(mat), np.full(5, 6.0))
+        assert mat[0, 1] == -1.0 and mat[0, 4] == -1.0
+        assert mat[0, 2] == -2.0 and mat[0, 3] == -2.0
         assert np.array_equal(mat, mat.T)
+        assert np.array_equal(mat.sum(axis=1), np.zeros(5))
+        # Even N: the diametral partner is one body, counted once.
+        assert np.array_equal(CouplingVector(4, [1.0, -0.5]).laplacian()[0],
+                              [1.5, -1.0, 0.5, -1.0])
 
     def test_bonds_skip_zeros_and_halve_the_diametral_bond(self):
         # Ascending separations; 0.0 and -0.0 couplings are no bonds.

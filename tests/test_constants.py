@@ -19,7 +19,7 @@ from limachor.constants import (
     potential_from_parts,
     potential_parts,
 )
-from limachor.dynamics import _RK4_CHUNK, build_interaction, rk4_chunks, rk4_integrate
+from limachor.dynamics import _RK4_CHUNK, rk4_chunks, rk4_integrate
 from limachor.kinematics import (
     ChoreoConfig,
     SystemState,
@@ -28,7 +28,7 @@ from limachor.kinematics import (
     state_at,
 )
 from limachor.verification import verify
-from util import admissible_pairs, measure
+from util import admissible_pairs, measure, pair_matrix, tailed_couplings
 
 
 def pairwise_potential(positions, pair):
@@ -83,7 +83,7 @@ class TestMeasure:
                               rng.normal(size=(n, 2))) for _ in range(5)]
         # Mixed-sign couplings can cancel the sum itself, so the error is
         # measured against the sum of the terms' magnitudes.
-        reference = [pairwise_potential(s.positions, couplings.pair_matrix())
+        reference = [pairwise_potential(s.positions, pair_matrix(couplings))
                      for s in states]
         for state, (value, scale) in zip(states, reference):
             assert abs(measure(state, couplings).potential - value) <= 1e-12 * scale
@@ -124,20 +124,30 @@ class TestBlockedKernel:
     SAMPLES = [2, 511, 512, 513, 1025, 8193]
 
     def check(self, traj, couplings):
-        pair = couplings.pair_matrix()
-        got = dict(zip("gcIKV", _conserved(traj.q, traj.v, _kernel(pair))))
+        pair = pair_matrix(couplings)
+        got = dict(zip("gcIKV", _conserved(traj.q, traj.v, _kernel(couplings.laplacian()))))
         for key, (value, scale) in conserved_reference(traj.q, traj.v, pair).items():
             assert got[key].shape == value.shape
             assert np.all(np.abs(got[key] - value) <= 1e-12 * scale), key
+
+    @pytest.mark.parametrize("tail", ["zero", "random", "diametral"])
+    @pytest.mark.parametrize("n, p", [(4, 2), (5, 2), (7, 2), (12, 5), (64, 7)])
+    def test_kernel_keeps_the_pair_matrix_bits(self, n, p, tail):
+        # The reference builds D - K from the pair matrix K itself.
+        couplings = tailed_couplings(n, p, tail)
+        pair = pair_matrix(couplings)
+        old = np.hstack((np.diag(pair.sum(axis=1)) - pair, np.ones((n, 1))))
+        got = _kernel(couplings.laplacian())
+        assert np.array_equal(got, old)
+        assert np.array_equal(np.signbit(got), np.signbit(old))
 
     @pytest.mark.parametrize("samples", SAMPLES)
     @pytest.mark.parametrize("p, n, tail", [(2, 5, None), (-3, 7, [0.25]), (5, 12, None)])
     def test_rk4_trajectory(self, samples, p, n, tail):
         config = ChoreoConfig(n, p, 1.2, 0.7)
         couplings = solve_couplings(n, p, tail)
-        spec = build_interaction(n, couplings)
         # RK4's q and v are strided views of its (S, 2, 2N) state array.
-        traj = rk4_integrate(state_at(config, 0.0), spec, math.tau / 8192, samples - 1)
+        traj = rk4_integrate(state_at(config, 0.0), couplings, math.tau / 8192, samples - 1)
         assert not traj.q.flags.c_contiguous
         self.check(traj, couplings)
 
@@ -304,8 +314,7 @@ class TestDriftReport:
     def test_rk4_trajectory_drift(self):
         config = ChoreoConfig(4, 2, 1.2, 1.0)
         couplings = solve_couplings(4, 2)
-        spec = build_interaction(4, couplings)
-        traj = rk4_integrate(state_at(config, 0.0), spec, math.tau / 8192, 8192)
+        traj = rk4_integrate(state_at(config, 0.0), couplings, math.tau / 8192, 8192)
         report = drift_report(traj, couplings)
         for key in ("c", "I", "K", "V", "E"):
             baseline = {
@@ -318,8 +327,7 @@ class TestDriftReport:
         # Rotationally invariant force: c stays put even off the curve.
         config = ChoreoConfig(4, 2, 1.2, 1.0)
         couplings = CouplingVector(4, [1.0, 1.0])
-        spec = build_interaction(4, couplings)
-        traj = rk4_integrate(state_at(config, 0.0), spec, math.tau / 2048, 2048)
+        traj = rk4_integrate(state_at(config, 0.0), couplings, math.tau / 2048, 2048)
         report = drift_report(traj, couplings)
         assert report.drift["c"] <= 1e-7
         assert report.drift["I"] > 0.01   # the motion has left the curve
@@ -350,8 +358,7 @@ class TestInertiaRate:
     def test_flat_along_solved_motion(self):
         config = ChoreoConfig(5, 3, 1.2, 0.7)
         couplings = solve_couplings(5, 3)
-        spec = build_interaction(5, couplings)
-        traj = rk4_integrate(state_at(config, 0.0), spec, math.tau / 4096, 4096)
+        traj = rk4_integrate(state_at(config, 0.0), couplings, math.tau / 4096, 4096)
         assert inertia_rate_max(traj) <= 1e-6
 
     def test_requires_three_samples(self):
@@ -376,7 +383,7 @@ class TestChunkedFold:
     def run(n, p, tail, a=1.2, b=0.7):
         config = ChoreoConfig(n, p, a, b)
         couplings = solve_couplings(n, p, tail)
-        return config, couplings, build_interaction(n, couplings), state_at(config, 0.0)
+        return config, couplings, state_at(config, 0.0)
 
     def test_rk4_chunks_are_whole_kernel_blocks(self):
         # ConservedSeries folds each chunk in one _conserved call, whose
@@ -390,12 +397,12 @@ class TestChunkedFold:
         (5, 2, None), (9, 2, None), (10, 3, [0.05, -0.03, 0.02]),
         (16, 3, None), (64, 7, None)])
     def test_series_has_the_whole_run_bits(self, n, p, tail, steps):
-        _, couplings, spec, init = self.run(n, p, tail)
+        _, couplings, init = self.run(n, p, tail)
         series = ConservedSeries(couplings, steps + 1)
-        for chunk in rk4_chunks(init, spec, self.DT, steps):
+        for chunk in rk4_chunks(init, couplings, self.DT, steps):
             series.add(chunk)
-        traj = rk4_integrate(init, spec, self.DT, steps)
-        whole = _conserved(traj.q, traj.v, _kernel(couplings.pair_matrix()))
+        traj = rk4_integrate(init, couplings, self.DT, steps)
+        whole = _conserved(traj.q, traj.v, _kernel(couplings.laplacian()))
         assert np.array_equal(series.t, traj.t)
         for got, expected in zip((series.g, series.c, series.inertia,
                                   series.kinetic, series.potential), whole):
@@ -406,10 +413,10 @@ class TestChunkedFold:
         (7, -2, None, 4161), (10, 3, [0.05, -0.03, 0.02], 8192),
         (12, 5, None, 8192)])
     def test_verify_reports_the_whole_run_values(self, n, p, tail, steps):
-        config, couplings, spec, init = self.run(n, p, tail)
+        config, couplings, init = self.run(n, p, tail)
         payload = verify(config, couplings, self.DT, steps, 64, residual=1e-10,
                          rk4=1e-6, spectral=1e-9, drift=1e-8, inertia_rate=1e-6)
-        traj = rk4_integrate(init, spec, self.DT, steps)
+        traj = rk4_integrate(init, couplings, self.DT, steps)
         report = drift_report(traj, couplings)
         a, b = config.a, config.b
         assert payload["drift"] == report.drift
@@ -424,10 +431,10 @@ class TestChunkedFold:
         assert payload["t_end"] == traj.t[-1]
 
     def test_incomplete_series_is_refused(self):
-        _, couplings, spec, init = self.run(9, 2, None)
+        _, couplings, init = self.run(9, 2, None)
         series = ConservedSeries(couplings, 4097)
         # Two chunks of 2048 and 2049 samples; only the first is in.
-        for chunk in rk4_chunks(init, spec, self.DT, 4096):
+        for chunk in rk4_chunks(init, couplings, self.DT, 4096):
             series.add(chunk)
             break
         for read in (series.report, series.inertia_rate_max):
@@ -438,7 +445,7 @@ class TestChunkedFold:
     def test_verify_refuses_too_few_steps_before_any_work(self, steps):
         # The residual grid is more than any memory holds, so work begun
         # before the check would fail on it instead.
-        config, couplings, _, _ = self.run(9, 2, None)
+        config, couplings, _ = self.run(9, 2, None)
         with pytest.raises(ValueError) as err:
             verify(config, couplings, self.DT, steps, 10**15, residual=1e-10,
                    rk4=1e-6, spectral=1e-9, drift=1e-8, inertia_rate=1e-6)
@@ -447,7 +454,7 @@ class TestChunkedFold:
     def test_verify_refuses_an_empty_grid_before_any_work(self):
         # The conserved series for 10**15 steps is more than any memory
         # holds, so RK4 work begun before the check would fail on it.
-        config, couplings, _, _ = self.run(9, 2, None)
+        config, couplings, _ = self.run(9, 2, None)
         with pytest.raises(ValueError, match="residual grid is empty"):
             verify(config, couplings, self.DT, 10**15, 0, residual=1e-10,
                    rk4=1e-6, spectral=1e-9, drift=1e-8, inertia_rate=1e-6)
@@ -456,7 +463,7 @@ class TestChunkedFold:
         # At N = 64 and 8192 steps the RK4 array alone took 16.8 MB and
         # the Laplacian product array 8.5 MB; folding chunk by chunk
         # peaks at about 8 MB.
-        config, couplings, _, _ = self.run(64, 5, None)
+        config, couplings, _ = self.run(64, 5, None)
         tracemalloc.start()
         try:
             payload = verify(config, couplings, self.DT, 8192, 64, residual=1e-10,

@@ -1,10 +1,11 @@
-import dataclasses
+import decimal
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limachor import dynamics
 from limachor.coefficients import CouplingVector, solve_couplings
 from limachor.dynamics import (
     _RK4_BLOCK,
@@ -22,19 +23,19 @@ from limachor.kinematics import (
     bodies_at,
     state_at,
 )
-from util import admissible_pairs
+from util import PI_80, admissible_pairs, pair_matrix, tailed_couplings
 
 
 def solved_spec(N, p):
-    return build_interaction(N, solve_couplings(N, p))
+    return build_interaction(solve_couplings(N, p))
 
 
-def staged_rk4(initial, spec, dt, steps):
+def staged_rk4(initial, couplings, dt, steps):
     """Reference: the textbook four-stage RK4 on direct pairwise forces.
 
     Returns the stacked (steps + 1, 2N, 2) states, positions first.
     """
-    kmat = spec.pair_matrix
+    kmat = pair_matrix(couplings)
     row_sum = kmat.sum(axis=1)[:, None]
 
     def force(q):
@@ -78,42 +79,42 @@ def mode_bin(N, m):
 
 def _solved_case():
     config = ChoreoConfig(6, 2, 1.2, 0.7)
-    return state_at(config, 0.0), solved_spec(6, 2), math.tau / 8192
+    return state_at(config, 0.0), solve_couplings(6, 2), math.tau / 8192
 
 
 def _perturbed_case():
-    initial, spec, dt = _solved_case()
+    initial, couplings, dt = _solved_case()
     rng = np.random.default_rng(11)
     return (SystemState(0.0,
                         initial.positions + rng.normal(size=(6, 2), scale=0.1),
                         initial.velocities + rng.normal(size=(6, 2), scale=0.1)),
-            spec, dt)
+            couplings, dt)
 
 
 def _free_case():
     rng = np.random.default_rng(7)
     return (SystemState(0.0, rng.normal(size=(4, 2)), rng.normal(size=(4, 2))),
-            build_interaction(4, CouplingVector(4, [0.0, 0.0])), 0.01)
+            CouplingVector(4, [0.0, 0.0]), 0.01)
 
 
 def _hyperbolic_case():
     rng = np.random.default_rng(3)
     return (SystemState(0.0, rng.normal(size=(4, 2)), rng.normal(size=(4, 2))),
-            build_interaction(4, CouplingVector(4, [-1.0, 0.0])), 0.5 / 4096)
+            CouplingVector(4, [-1.0, 0.0]), 0.5 / 4096)
 
 
 class TestBuildInteraction:
     def test_four_body_spectrum(self):
-        spec = build_interaction(4, CouplingVector(4, [1.0, -0.5]))
+        spec = build_interaction(CouplingVector(4, [1.0, -0.5]))
         assert spec.mode_stiffness == pytest.approx([0.0, 1.0, 4.0])
 
     def test_six_body_spectrum_pins_modes(self):
-        spec = build_interaction(6, CouplingVector(6, [1.5, -1 / 6, 0.0]))
+        spec = build_interaction(CouplingVector(6, [1.5, -1 / 6, 0.0]))
         assert spec.mode_stiffness[1] == pytest.approx(1.0)
         assert spec.mode_stiffness[2] == pytest.approx(4.0)
 
     def test_no_couplings_no_stiffness(self):
-        spec = build_interaction(4, CouplingVector(4, [0.0, 0.0]))
+        spec = build_interaction(CouplingVector(4, [0.0, 0.0]))
         assert np.array_equal(spec.mode_stiffness, np.zeros(3))
 
     def test_translation_mode_exactly_zero(self):
@@ -126,10 +127,6 @@ class TestBuildInteraction:
             assert lam.shape == (n // 2 + 1,)
             assert lam[mode_bin(n, 1)] == pytest.approx(1.0, abs=1e-10)
             assert lam[mode_bin(n, p)] == pytest.approx(p * p, abs=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            build_interaction(6, CouplingVector(4, [1.0, -0.5]))
 
     @pytest.mark.parametrize("N, p", [(4, 2), (5, 2), (12, 5), (64, 7), (256, 5)])
     def test_spectrum_matches_double_loop(self, N, p):
@@ -145,29 +142,108 @@ class TestBuildInteraction:
             assert got[0] == 0.0
 
 
-class TestEnginesShareNoData:
-    # Their agreement is the oracle, so neither may read the other's data.
-    def test_rk4_never_reads_the_eigenbasis(self):
-        initial, spec, dt = _solved_case()
-        blind = dataclasses.replace(spec, mode_stiffness=np.full(4, np.nan))
-        assert np.array_equal(rk4_integrate(initial, blind, dt, 64).q,
-                              rk4_integrate(initial, spec, dt, 64).q)
+def _decimal_sin(x):
+    """sin x at the current precision: the recipe of the decimal module's docs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec += 2
+        i, lasts, s, fact, num, sign = 1, 0, x, 1, x, 1
+        while s != lasts:
+            lasts = s
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign *= -1
+            s += num / fact * sign
+    return +s
 
-    def test_spectral_never_reads_the_pair_matrix(self):
-        initial, spec, _ = _solved_case()
-        blind = dataclasses.replace(spec, pair_matrix=np.full((6, 6), np.nan))
-        assert np.array_equal(spectral_propagate(initial, blind, [1.3]).q,
-                              spectral_propagate(initial, spec, [1.3]).q)
+
+# Every admissible pair with N <= 300 and |p| <= 60.
+STABILITY_PAIRS = admissible_pairs(60, 300)
+
+
+class TestDefaultChoreographyIsStable:
+    # With the free tail at zero, every nonzero Fourier mode has
+    # stiffness >= 1, with equality at mode 1 (README, "Linear stability").
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(STABILITY_PAIRS))
+    def test_every_nonzero_mode_is_at_least_mode_one(self, pair):
+        p, n = pair
+        couplings = solve_couplings(n, p)
+        lam = build_interaction(couplings).mode_stiffness
+        scale = sum(abs(coupling) for _, coupling in couplings.bonds())
+        assert np.all(lam[1:] >= 1.0 - 4.0 * np.finfo(float).eps * scale)
+        assert np.argmin(lam[1:]) == 0
+
+    def test_key_step_holds_in_forty_digits(self):
+        # f(x_p) / f(x_1) = p^2 sin^2(pi/N) / sin^2(pi p/N) > 1, with
+        # p reduced in integers to [0, N/2] inside the sine.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            pi, sin_sq = +PI_80, {}
+            for p, n in STABILITY_PAIRS:
+                k = min(p % n, -p % n)
+                for j in (1, k):
+                    if (j, n) not in sin_sq:
+                        sin_sq[j, n] = _decimal_sin(pi * j / n) ** 2
+                assert p * p * sin_sq[1, n] > sin_sq[k, n], (p, n)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("read by the other engine")
+
+
+class TestEnginesShareNoData:
+    # Their agreement is the oracle, so neither may read the other's
+    # operator: with it made to raise, each gives the same bits.
+    def test_spectral_never_reads_the_laplacian(self, monkeypatch):
+        initial, couplings, _ = _perturbed_case()
+        times = [0.0, 1.3, 5.9]
+        want = spectral_propagate(initial, build_interaction(couplings), times)
+        monkeypatch.setattr(CouplingVector, "laplacian", _refuse)
+        got = spectral_propagate(initial, build_interaction(couplings), times)
+        assert np.array_equal(got.q, want.q) and np.array_equal(got.v, want.v)
+
+    def test_rk4_never_reads_the_mode_spectrum(self, monkeypatch):
+        initial, couplings, dt = _perturbed_case()
+        want = list(rk4_chunks(initial, couplings, dt, 2100))
+        monkeypatch.setattr(dynamics, "_stiffness_spectrum", _refuse)
+        got = list(rk4_chunks(initial, couplings, dt, 2100))
+        assert len(got) == len(want) == 2
+        for chunk, expected in zip(got, want):
+            for key in ("t", "q", "v"):
+                assert np.array_equal(getattr(chunk, key), getattr(expected, key))
+
+
+class TestRk4Step:
+    @pytest.mark.parametrize("dt", [math.tau / 8192, 0.9])
+    @pytest.mark.parametrize("tail", ["zero", "random", "diametral"])
+    @pytest.mark.parametrize("n, p", [(4, 2), (5, 2), (7, 2), (12, 5), (64, 7)])
+    def test_laplacian_keeps_the_pair_matrix_bits(self, n, p, tail, dt):
+        # The reference builds the step's lower block from the pair
+        # matrix K as dt (K - D); the Laplacian must give its bits.
+        couplings = tailed_couplings(n, p, tail)
+        pair = pair_matrix(couplings)
+        h_a = np.zeros((2 * n, 2 * n))
+        h_a[:n, n:] = dt * np.eye(n)
+        h_a[n:, :n] = dt * (pair - np.diag(pair.sum(axis=1)))
+        eye = np.eye(2 * n)
+        want = eye
+        for k in (4.0, 3.0, 2.0, 1.0):
+            want = eye + (h_a @ want) / k
+        got = _rk4_step(couplings, dt)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestRk4Force:
-    # RK4's step matrix and eom_residual both apply the direct force
-    # K q - D q, K the pair matrix and D its row sums.
+    # RK4's step matrix applies the direct force -(D - K) q, K the
+    # pair matrix and D its row sums.
 
     def test_coincident_bodies_feel_nothing(self):
-        spec = build_interaction(4, CouplingVector(4, [1.0, -0.5]))
+        couplings = CouplingVector(4, [1.0, -0.5])
         state = SystemState(0.0, np.ones((4, 2)), np.zeros((4, 2)))
-        traj = rk4_integrate(state, spec, 0.1, 10)
+        traj = rk4_integrate(state, couplings, 0.1, 10)
         assert traj.q == pytest.approx(np.ones((11, 4, 2)), abs=1e-15)
         assert traj.v == pytest.approx(np.zeros((11, 4, 2)), abs=1e-15)
 
@@ -177,7 +253,7 @@ class TestRk4Force:
         start = state_at(config, 0.0)
         at_rest = SystemState(0.0, start.positions, np.zeros((4, 2)))
         h = 1e-8
-        forces = rk4_integrate(at_rest, solved_spec(4, 2), h, 1).v[1] / h
+        forces = rk4_integrate(at_rest, solve_couplings(4, 2), h, 1).v[1] / h
         acc = bodies_at(config, np.arange(4), 0.0)[2]
         assert forces == pytest.approx(acc, abs=1e-12)
 
@@ -190,34 +266,32 @@ class TestRk4Force:
         kappas = rng.normal(size=n // 2)
         state = SystemState(0.0, rng.normal(size=(n, 2), scale=3.0),
                             rng.normal(size=(n, 2)))
-        spec = build_interaction(n, CouplingVector(n, kappas))
-        traj = rk4_integrate(state, spec, 0.01, 20)
+        traj = rk4_integrate(state, CouplingVector(n, kappas), 0.01, 20)
         drift = traj.v.sum(axis=1) - state.velocities.sum(axis=0)
         scale = n * (1 + np.abs(kappas).max()) * np.abs(traj.q).max()
         assert np.max(np.abs(drift)) <= 1e-12 * scale
 
     def test_dimension_mismatch(self):
-        spec = build_interaction(4, CouplingVector(4, [1.0, -0.5]))
+        couplings = CouplingVector(4, [1.0, -0.5])
         state = SystemState(0.0, np.zeros((6, 2)), np.zeros((6, 2)))
+        with pytest.raises(ValueError, match="6 bodies, couplings are for N=4"):
+            rk4_integrate(state, couplings, 0.1, 10)
         with pytest.raises(ValueError, match="6 bodies"):
-            rk4_integrate(state, spec, 0.1, 10)
-        with pytest.raises(ValueError, match="6 bodies"):
-            spectral_propagate(state, spec, [0.1])
+            spectral_propagate(state, build_interaction(couplings), [0.1])
 
 
 class TestRk4:
     def test_free_particles_move_linearly(self):
-        spec = build_interaction(4, CouplingVector(4, [0.0, 0.0]))
         rng = np.random.default_rng(7)
         state = SystemState(0.0, rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
-        traj = rk4_integrate(state, spec, 0.01, 100)
+        traj = rk4_integrate(state, CouplingVector(4, [0.0, 0.0]), 0.01, 100)
         expected = state.positions + float(traj.t[-1]) * state.velocities
         assert traj.q[-1] == pytest.approx(expected, abs=1e-12)
         assert traj.v[-1] == pytest.approx(state.velocities, abs=1e-14)
 
     def test_tracks_analytic_choreography(self):
         config = ChoreoConfig(4, 2, 1.2, 1.0)
-        traj = rk4_integrate(state_at(config, 0.0), solved_spec(4, 2),
+        traj = rk4_integrate(state_at(config, 0.0), solve_couplings(4, 2),
                              math.tau / 4096, 4096)
         reference = state_at(config, float(traj.t[-1]))
         err = np.max(np.linalg.norm(traj.q[-1] - reference.positions, axis=1))
@@ -225,11 +299,11 @@ class TestRk4:
 
     def test_fourth_order_convergence(self):
         config = ChoreoConfig(4, 2, 1.2, 1.0)
-        spec = solved_spec(4, 2)
+        couplings = solve_couplings(4, 2)
         init = state_at(config, 0.0)
 
         def final_error(steps):
-            traj = rk4_integrate(init, spec, math.tau / steps, steps)
+            traj = rk4_integrate(init, couplings, math.tau / steps, steps)
             ref = state_at(config, float(traj.t[-1]))
             return np.max(np.linalg.norm(
                 traj.q[-1] - ref.positions, axis=1))
@@ -238,18 +312,17 @@ class TestRk4:
         assert 12.0 <= ratio <= 20.0
 
     def test_sample_times(self):
-        spec = build_interaction(4, CouplingVector(4, [0.0, 0.0]))
         state = SystemState(0.0, np.zeros((4, 2)), np.zeros((4, 2)))
-        traj = rk4_integrate(state, spec, 0.25, 4)
+        traj = rk4_integrate(state, CouplingVector(4, [0.0, 0.0]), 0.25, 4)
         assert traj.t == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
     @pytest.mark.parametrize("case", [_solved_case, _perturbed_case,
                                       _free_case, _hyperbolic_case])
     def test_matches_staged_reference(self, case):
-        initial, spec, dt = case()
+        initial, couplings, dt = case()
         steps = 2048
-        reference = staged_rk4(initial, spec, dt, steps)
-        traj = rk4_integrate(initial, spec, dt, steps)
+        reference = staged_rk4(initial, couplings, dt, steps)
+        traj = rk4_integrate(initial, couplings, dt, steps)
         got = np.concatenate([traj.q, traj.v], axis=1)
         gap = np.max(np.abs(got - reference), axis=(1, 2))
         scale = np.max(np.abs(reference), axis=(1, 2))
@@ -268,9 +341,9 @@ class TestRk4:
             initial = SystemState(
                 0.0, initial.positions + rng.normal(size=(N, 2), scale=0.1),
                 initial.velocities + rng.normal(size=(N, 2), scale=0.1))
-        spec, dt = solved_spec(N, p), math.tau / 8192
-        reference = staged_rk4(initial, spec, dt, steps)
-        traj = rk4_integrate(initial, spec, dt, steps)
+        couplings, dt = solve_couplings(N, p), math.tau / 8192
+        reference = staged_rk4(initial, couplings, dt, steps)
+        traj = rk4_integrate(initial, couplings, dt, steps)
         assert traj.q.shape == traj.v.shape == (steps + 1, N, 2)
         assert np.array_equal(traj.t, initial.t + np.arange(steps + 1) * dt)
         got = np.concatenate([traj.q, traj.v], axis=1)
@@ -282,32 +355,31 @@ class TestRk4:
     def test_unstable_step_raises_instead_of_returning_nan(self):
         initial = state_at(ChoreoConfig(8, 3, 1.2, 1.0), 0.0)
         with pytest.raises(ValueError, match="dt=0.9"):
-            rk4_integrate(initial, solved_spec(8, 3), 0.9, 2000)
+            rk4_integrate(initial, solve_couplings(8, 3), 0.9, 2000)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_step_rejected(self, dt):
-        spec = build_interaction(4, CouplingVector(4, [0.0, 0.0]))
         state = SystemState(0.0, np.zeros((4, 2)), np.zeros((4, 2)))
         with pytest.raises(ValueError, match="dt"):
-            rk4_integrate(state, spec, dt, 10)
+            rk4_integrate(state, CouplingVector(4, [0.0, 0.0]), dt, 10)
 
     def test_bad_step_rejected(self):
-        spec = build_interaction(4, CouplingVector(4, [0.0, 0.0]))
+        couplings = CouplingVector(4, [0.0, 0.0])
         state = SystemState(0.0, np.zeros((4, 2)), np.zeros((4, 2)))
         with pytest.raises(ValueError):
-            rk4_integrate(state, spec, 0.0, 10)
+            rk4_integrate(state, couplings, 0.0, 10)
         with pytest.raises(ValueError):
-            rk4_integrate(state, spec, 0.1, 0)
+            rk4_integrate(state, couplings, 0.1, 0)
 
 
-def whole_run_rk4(initial, spec, dt, steps):
+def whole_run_rk4(initial, couplings, dt, steps):
     """Reference: RK4's block products over one (steps + 1, 2, 2N) array.
 
     The same step matrix and the same row groups as rk4_chunks, with
     nothing chunked, so the two must agree bit for bit.
     """
-    n = spec.N
-    step_t = _rk4_step(spec, dt).T
+    n = couplings.N
+    step_t = _rk4_step(couplings, dt).T
     y = np.empty((steps + 1, 2, 2 * n))
     y[0, :, :n] = initial.positions.T
     y[0, :, n:] = initial.velocities.T
@@ -331,9 +403,9 @@ class TestRk4Chunks:
     @pytest.mark.parametrize("N, p", [(5, 2), (9, 2), (12, 5), (64, 7)])
     def test_chunks_are_the_whole_run(self, N, p, steps):
         initial = state_at(ChoreoConfig(N, p, 1.2, 0.7), 0.0)
-        spec, dt = solved_spec(N, p), math.tau / 8192
+        couplings, dt = solve_couplings(N, p), math.tau / 8192
         chunks, kept = [], []
-        for chunk in rk4_chunks(initial, spec, dt, steps):
+        for chunk in rk4_chunks(initial, couplings, dt, steps):
             chunks.append(chunk)
             kept.append((chunk.t.copy(), chunk.q.copy(), chunk.v.copy()))
         # Chunk i starts at sample i * _RK4_CHUNK; the last one runs
@@ -348,10 +420,10 @@ class TestRk4Chunks:
             assert np.array_equal(chunk.q, q) and np.array_equal(chunk.v, v)
         joined = [np.concatenate([getattr(chunk, key) for chunk in chunks])
                   for key in ("t", "q", "v")]
-        whole = rk4_integrate(initial, spec, dt, steps)
+        whole = rk4_integrate(initial, couplings, dt, steps)
         for got, integrated, reference in zip(
                 joined, (whole.t, whole.q, whole.v),
-                whole_run_rk4(initial, spec, dt, steps)):
+                whole_run_rk4(initial, couplings, dt, steps)):
             assert np.array_equal(got, reference)
             assert np.array_equal(integrated, reference)
 
@@ -359,7 +431,7 @@ class TestRk4Chunks:
     def test_overflow_raises_the_integrator_message(self):
         initial = state_at(ChoreoConfig(8, 3, 1.2, 1.0), 0.0)
         with pytest.raises(ValueError) as err:
-            for _ in rk4_chunks(initial, solved_spec(8, 3), 0.9, 2000):
+            for _ in rk4_chunks(initial, solve_couplings(8, 3), 0.9, 2000):
                 pass
         assert str(err.value) == (
             "RK4 left the finite float range with dt=0.9, steps=2000: the step "
@@ -387,10 +459,10 @@ class TestSpectralPropagate:
 
     def test_agrees_with_rk4_over_one_period(self):
         config = ChoreoConfig(4, 2, 1.2, 1.0)
-        spec = solved_spec(4, 2)
+        couplings = solve_couplings(4, 2)
         init = state_at(config, 0.0)
-        traj = rk4_integrate(init, spec, math.tau / 8192, 8192)
-        spectral = spectral_propagate(init, spec, traj.t[-1:])
+        traj = rk4_integrate(init, couplings, math.tau / 8192, 8192)
+        spectral = spectral_propagate(init, build_interaction(couplings), traj.t[-1:])
         gap = np.max(np.linalg.norm(
             spectral.q[0] - traj.q[-1], axis=1))
         assert gap <= 1e-7
@@ -398,12 +470,13 @@ class TestSpectralPropagate:
     def test_hyperbolic_branch_against_rk4(self):
         # Repulsive nearest-neighbor coupling: every non-translation mode
         # has negative stiffness, so the motion grows hyperbolically.
-        spec = build_interaction(4, CouplingVector(4, [-1.0, 0.0]))
+        couplings = CouplingVector(4, [-1.0, 0.0])
+        spec = build_interaction(couplings)
         assert spec.mode_stiffness[1] < 0
         rng = np.random.default_rng(3)
         init = SystemState(0.0, rng.normal(size=(4, 2)),
                            rng.normal(size=(4, 2)))
-        traj = rk4_integrate(init, spec, 0.5 / 4096, 4096)
+        traj = rk4_integrate(init, couplings, 0.5 / 4096, 4096)
         out = spectral_propagate(init, spec, [0.5])
         assert out.q[0] == pytest.approx(traj.q[-1], abs=1e-9)
 
@@ -411,14 +484,14 @@ class TestSpectralPropagate:
         # Perturbations leave the solution manifold; both engines must
         # still integrate the same linear system.
         config = ChoreoConfig(6, 2, 1.2, 0.7)
-        spec = solved_spec(6, 2)
+        couplings = solve_couplings(6, 2)
         rng = np.random.default_rng(11)
         base = state_at(config, 0.0)
         init = SystemState(0.0,
                            base.positions + rng.normal(size=(6, 2), scale=0.1),
                            base.velocities + rng.normal(size=(6, 2), scale=0.1))
-        traj = rk4_integrate(init, spec, math.tau / 8192, 2048)
-        out = spectral_propagate(init, spec, traj.t[-1:])
+        traj = rk4_integrate(init, couplings, math.tau / 8192, 2048)
+        out = spectral_propagate(init, build_interaction(couplings), traj.t[-1:])
         assert out.q[0] == pytest.approx(traj.q[-1], abs=1e-8)
 
     def test_engine_agreement_across_small_sweep(self):
@@ -447,7 +520,7 @@ class TestSpectralPropagate:
     def test_overflow_names_time_and_stiffness(self, t, amplitude):
         # Repulsive nearest-neighbour coupling: the alternating mode has
         # stiffness -4, so it grows like cosh(2 t).
-        spec = build_interaction(4, CouplingVector(4, [-1.0, 0.0]))
+        spec = build_interaction(CouplingVector(4, [-1.0, 0.0]))
         alternating = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         init = SystemState(0.0, amplitude * alternating, np.zeros((4, 2)))
         with pytest.raises(ValueError, match=rf"t={t}\b.*stiffness -4\.0"):
@@ -457,7 +530,7 @@ class TestSpectralPropagate:
     def test_stable_overflow_says_the_motion_outgrows_float64(self):
         # No mode is unstable (the spectrum is 0, 1, 4, 1); the state
         # itself is too large to propagate.
-        spec = build_interaction(4, CouplingVector(4, [1.0, -0.5]))
+        spec = build_interaction(CouplingVector(4, [1.0, -0.5]))
         init = SystemState(0.0, np.full((4, 2), 1e308), np.full((4, 2), 1e308))
         with pytest.raises(ValueError, match=r"t=0\.3\b.*outgrows float64") as err:
             spectral_propagate(init, spec, [0.0, 0.3])
@@ -480,7 +553,7 @@ def _spec_of_kind(kind, n):
     """Harmonic, free or hyperbolic: nearest-neighbour coupling 1, 0 or -1."""
     kappas = np.zeros(n // 2)
     kappas[0] = {"harmonic": 1.0, "free": 0.0, "hyperbolic": -1.0}[kind]
-    return build_interaction(n, CouplingVector(n, kappas))
+    return build_interaction(CouplingVector(n, kappas))
 
 
 spec_kinds = st.sampled_from(["harmonic", "free", "hyperbolic"])
@@ -512,7 +585,7 @@ class TestModeMapping:
     def test_single_fourier_mode_evolves_with_its_stiffness(self, n, in_velocity):
         kappas = np.zeros(n // 2)
         kappas[:2] = [1.0, -1.0]
-        spec = build_interaction(n, CouplingVector(n, kappas))
+        spec = build_interaction(CouplingVector(n, kappas))
         lam = spec.mode_stiffness
         assert lam.max() > 0.0 > lam.min() and lam[0] == 0.0
         times = [0.7, 2.3]

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from limachor import kinematics
 from limachor.admissibility import is_admissible
 from limachor.coefficients import CouplingVector, solve_couplings
-from limachor.dynamics import build_interaction, rk4_integrate
+from limachor.dynamics import rk4_integrate
 from limachor.kinematics import (
     ChoreoConfig,
     Trajectory,
@@ -24,7 +24,7 @@ from limachor.kinematics import (
     state_at,
     trajectory_csv,
 )
-from util import admissible_pairs
+from util import PI_80, admissible_pairs, pair_matrix
 
 
 def reference_derivatives(config, theta):
@@ -68,8 +68,8 @@ def reference_csv(traj):
 def rk4_export(N, steps):
     """RK4 output over one period, where almost no coordinate repeats."""
     config = ChoreoConfig(N, 5, 1.3, -0.7)
-    spec = build_interaction(N, solve_couplings(N, 5))
-    return rk4_integrate(state_at(config, 0.0), spec, math.tau / steps, steps)
+    return rk4_integrate(state_at(config, 0.0), solve_couplings(N, 5),
+                         math.tau / steps, steps)
 
 
 # Signed zeros, the smallest subnormal, both sides of repr's switch to
@@ -175,11 +175,6 @@ class TestCurvePoint:
         # a = b, p = 2: the curve crosses itself at (-a, 0).
         assert bodies_at(ChoreoConfig(4, 2, 1.0, 1.0), 0, t)[0] == \
             pytest.approx([-1.0, 0.0], abs=1e-15)
-
-
-# pi to 80 significant digits.
-PI_80 = decimal.Decimal(
-    "3.1415926535897932384626433832795028841971693993751058209749445923078164062862090")
 
 
 def exact_cos_sin(x: float) -> tuple[float, float]:
@@ -326,7 +321,7 @@ class TestAnalyticAccel:
 
 def dense_residual(config, couplings, grid):
     """The residual through the N x N pair matrix: every partner's force in one product."""
-    kmat = couplings.pair_matrix()
+    kmat = pair_matrix(couplings)
     row_sum = kmat.sum(axis=1)
     pos, _, acc = bodies_at(config, np.arange(config.N), grid[:, None])
     force = np.matmul(kmat, pos) - row_sum[:, None] * pos

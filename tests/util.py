@@ -1,10 +1,17 @@
 """Shared helpers for the test suite."""
 
+import decimal
+
 import numpy as np
 
 from limachor.admissibility import is_admissible
+from limachor.coefficients import solve_couplings
 from limachor.constants import drift_report
 from limachor.kinematics import Trajectory
+
+# pi to 80 significant digits.
+PI_80 = decimal.Decimal(
+    "3.1415926535897932384626433832795028841971693993751058209749445923078164062862090")
 
 
 def admissible_pairs(max_abs_p: int, max_n: int, min_n: int = 4):
@@ -16,6 +23,37 @@ def admissible_pairs(max_abs_p: int, max_n: int, min_n: int = 4):
                 if is_admissible(p, n).admissible:
                     pairs.append((p, n))
     return pairs
+
+
+def pair_matrix(couplings):
+    """Reference N x N coupling matrix K: entry (j, l) couples bodies j and l.
+
+    Zero on the diagonal; the off-diagonal entry is the coupling for
+    separation min(|j - l|, N - |j - l|).  The library reads the
+    couplings by bond or as the Laplacian D - K, never as K itself.
+    """
+    n = couplings.N
+    idx = np.arange(n)
+    diff = np.abs(idx[:, None] - idx[None, :])
+    sep = np.minimum(diff, n - diff)
+    mat = np.zeros((n, n))
+    off = sep > 0
+    mat[off] = couplings.kappas[sep[off] - 1]
+    return mat
+
+
+def tailed_couplings(n, p, tail):
+    """Couplings solved on (n, p) with a "zero", "random" or "diametral" free tail.
+
+    The diametral tail sets only the last coupling, kappa_{n // 2}: for
+    even n the bond that joins each body to one partner.
+    """
+    free = np.zeros(n // 2 - 2)
+    if tail == "random":
+        free = np.random.default_rng(n).normal(size=free.size, scale=0.1)
+    elif tail == "diametral" and free.size:
+        free[-1] = 0.3
+    return solve_couplings(n, p, free)
 
 
 def measure(state, couplings):
