@@ -28,7 +28,6 @@ from limachor.coefficients import (
 )
 from limachor.kinematics import (
     ChoreoConfig,
-    SystemState,
     Trajectory,
     bodies_at,
     body_state,
@@ -39,7 +38,6 @@ from limachor.kinematics import (
     trajectory_csv,
 )
 from limachor.dynamics import (
-    InteractionSpec,
     build_interaction,
     rk4_integrate,
     spectral_propagate,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from limachor.kinematics import ChoreoConfig, bodies_at
+from limachor.kinematics import ChoreoConfig, bodies_at, unit_scaled
 
 # Relative to |a| + |b|: a configuration this close to the ratio locus
 # is examined by the refined oracle; it is certified as colliding only
@@ -234,7 +234,10 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     certified by the refined numeric oracle at CERTIFY_TOL * (|a| + |b|)
     and expanded into the full set of colliding body pairs.  Candidates
     the oracle cannot certify are reported as suspects.  Both tolerances
-    scale with the curve, so the verdict does not depend on its size.
+    scale with the curve, and the analysis runs on ``unit_scaled(config)``
+    (its witness points and distances scaled back), so the verdict does
+    not depend on the curve's size down to the smallest amplitudes,
+    whose squared distances underflow.
 
     Only k <= N/2 is examined, and the oracle runs once per mirror pair
     {k, N - k}: bodies 0 and N - k are bodies k and 0 shifted in index,
@@ -243,6 +246,7 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     built for each separation of a certified pair, as columns that one
     lexsort orders by (k, t, bodies).
     """
+    config, e = unit_scaled(config)
     n = config.N
     scale = abs(config.a) + abs(config.b)
     suspect_tol, certify_tol = SUSPECT_TOL * scale, CERTIFY_TOL * scale
@@ -261,8 +265,8 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     suspects.sort()
     if not found:
         return CollisionReport(False, WitnessColumns(*_NO_EVENTS), suspects)
-    columns = [np.concatenate(column) for column in zip(*found)]
-    ks, times, bodies = columns[:3]
+    ks, times, bodies, points, distances = (np.concatenate(column) for column in zip(*found))
+    columns = (ks, times, bodies, np.ldexp(points, e), np.ldexp(distances, e))
     order = np.lexsort((bodies[:, 1], bodies[:, 0], times, ks))
     return CollisionReport(True, WitnessColumns(*(column[order] for column in columns)),
                            suspects)

@@ -301,7 +301,7 @@ def partial_sums(config: ChoreoConfig, m: int, n: int, ell: int,
     # Unit coupling between every pair of the orbit, Laplacian m I - J:
     # its potential is half the sum of squared separations.
     g, ang, inertia, kin, half_pair_sq = _conserved(
-        state.positions[None, idx], state.velocities[None, idx],
+        state.q[:, idx], state.v[:, idx],
         _kernel(m * np.eye(m) - np.ones((m, m))))
 
     first_moment_full = (n * p) % config.N == 0

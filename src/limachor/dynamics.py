@@ -6,23 +6,24 @@ couplings.  Two engines exercise that system without reference to the
 analytic orbit: a classical fixed-step RK4 integrator whose step
 matrix is built from the couplings' dense Laplacian, and an exact
 spectral propagator over the discrete Fourier modes via rfft, which
-reads only the mode spectrum.  Each builds its own operator from the
-couplings and they share no force code, which is what makes their
-agreement a meaningful oracle.  RK4 yields its run in bounded chunks
-(``rk4_chunks``), so a caller that reduces each chunk never holds the
-whole trajectory; ``rk4_integrate`` joins them.
+reads only the mode spectrum (``build_interaction``).  Both take the
+same arguments, a one-sample ``Trajectory`` to start from and the
+couplings, and each builds its own operator from the couplings; they
+share no force code, which is what makes their agreement a meaningful
+oracle.  RK4 yields its run in bounded chunks (``rk4_chunks``), so a
+caller that reduces each chunk never holds the whole trajectory;
+``rk4_integrate`` joins them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from limachor.coefficients import CouplingVector
-from limachor.kinematics import SystemState, Trajectory
+from limachor.kinematics import Trajectory
 
 # Samples per RK4 block: each block after the first is one product
 # with R^64 (see rk4_chunks).
@@ -32,21 +33,17 @@ _RK4_BLOCK = 64
 _RK4_CHUNK = 32 * _RK4_BLOCK
 
 
-@dataclass(frozen=True)
-class InteractionSpec:
-    """The mode spectrum of a coupling network, as the spectral engine reads it.
+def build_interaction(couplings: CouplingVector) -> np.ndarray:
+    """The mode spectrum of a coupling network, in O(N bonds) work.
 
-    ``mode_stiffness[m]`` is the restoring stiffness of rfft bin m over
-    the body index: Fourier mode p shares bin min(p mod N, N - p mod N)
-    with mode N - p, and bin 0 (rigid translation) always has stiffness
-    exactly zero.
+    Entry m of the (N // 2 + 1,) result is the restoring stiffness of
+    rfft bin m over the body index: Fourier mode p shares bin
+    min(p mod N, N - p mod N) with mode N - p, and bin 0 (rigid
+    translation) always has stiffness exactly zero.  For couplings
+    solved on an admissible (N, p), the spectrum pins mode 1 to
+    stiffness 1 and mode p to stiffness p^2: the mode-space restatement
+    of the balance condition.
     """
-
-    N: int
-    mode_stiffness: np.ndarray    # (N // 2 + 1,)
-
-
-def _stiffness_spectrum(couplings: CouplingVector) -> np.ndarray:
     m = np.arange(couplings.N // 2 + 1)
     lam = np.zeros(m.size)
     for ell, coupling in couplings.bonds():
@@ -55,14 +52,13 @@ def _stiffness_spectrum(couplings: CouplingVector) -> np.ndarray:
     return lam
 
 
-def build_interaction(couplings: CouplingVector) -> InteractionSpec:
-    """The mode spectrum of a coupling network, in O(N bonds) work.
-
-    For couplings solved on an admissible (N, p), the spectrum pins
-    mode 1 to stiffness 1 and mode p (in bin min(p mod N, N - p mod N))
-    to stiffness p^2: the mode-space restatement of the balance condition.
-    """
-    return InteractionSpec(couplings.N, _stiffness_spectrum(couplings))
+def _start(initial: Trajectory, n: int):
+    """``initial``'s one sample as (t, q, v); a ValueError unless it is one sample of n bodies."""
+    if initial.t.size != 1:
+        raise ValueError(f"initial state must be one sample, got {initial.t.size} samples")
+    if initial.n_bodies != n:
+        raise ValueError(f"state has {initial.n_bodies} bodies, couplings are for N={n}")
+    return initial.t[0], initial.q[0], initial.v[0]
 
 
 def _rk4_step(couplings: CouplingVector, dt: float) -> np.ndarray:
@@ -80,7 +76,7 @@ def _rk4_step(couplings: CouplingVector, dt: float) -> np.ndarray:
     return step
 
 
-def rk4_chunks(initial: SystemState, couplings: CouplingVector,
+def rk4_chunks(initial: Trajectory, couplings: CouplingVector,
                dt: float, steps: int) -> Iterator[Trajectory]:
     """Classical fixed-step 4th-order Runge-Kutta, yielded in chunks of samples.
 
@@ -104,20 +100,17 @@ def rk4_chunks(initial: SystemState, couplings: CouplingVector,
     never changes.  Memory is O(_RK4_CHUNK * N + N^2).
 
     Raises:
-        ValueError: If dt is not finite and positive, steps < 1 or on a
-            dimension mismatch (when the first chunk is requested), or
-            if a sample leaves the finite float range (in place of the
-            chunk that holds it).
+        ValueError: If dt is not finite and positive, steps < 1, or
+            ``initial`` is not one sample of N bodies (when the first
+            chunk is requested), or if a sample leaves the finite float
+            range (in place of the chunk that holds it).
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"step size must be finite and positive, got dt={dt}")
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
     n = couplings.N
-    if initial.n_bodies != n:
-        raise ValueError(
-            f"state has {initial.n_bodies} bodies, couplings are for N={n}"
-        )
+    t0, q0, v0 = _start(initial, n)
     step_t = _rk4_step(couplings, dt).T
     if steps > _RK4_BLOCK:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -135,8 +128,8 @@ def rk4_chunks(initial: SystemState, couplings: CouplingVector,
         rows = y.reshape(-1, 2 * n)
         with np.errstate(over="ignore", invalid="ignore"):
             if tail is None:
-                y[0, :, :n] = initial.positions.T
-                y[0, :, n:] = initial.velocities.T
+                y[0, :, :n] = q0.T
+                y[0, :, n:] = v0.T
                 for i in range(min(_RK4_BLOCK, steps)):
                     np.matmul(y[i], step_t, out=y[i + 1])
                 first = _RK4_BLOCK + 1
@@ -158,7 +151,7 @@ def rk4_chunks(initial: SystemState, couplings: CouplingVector,
                 f"outgrows float64")
         tail = y[-_RK4_BLOCK:].copy()
         state = piece.transpose(0, 2, 1)
-        yield Trajectory(initial.t + np.arange(begin, begin + len(piece)) * dt,
+        yield Trajectory(t0 + np.arange(begin, begin + len(piece)) * dt,
                          state[:, :n], state[:, n:])
         # The caller's reference is then the only one, so a chunk the
         # caller drops is freed before the next one is allocated.
@@ -166,7 +159,7 @@ def rk4_chunks(initial: SystemState, couplings: CouplingVector,
         start, stop = stop, min(stop + _RK4_CHUNK, steps + 1)
 
 
-def rk4_integrate(initial: SystemState, couplings: CouplingVector,
+def rk4_integrate(initial: Trajectory, couplings: CouplingVector,
                   dt: float, steps: int) -> Trajectory:
     """The whole RK4 run of ``rk4_chunks``, as one trajectory.
 
@@ -200,13 +193,15 @@ def _overflow(t: float, lam: np.ndarray) -> ValueError:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def spectral_propagate(initial: SystemState, spec: InteractionSpec,
+def spectral_propagate(initial: Trajectory, couplings: CouplingVector,
                        times) -> Trajectory:
     """Exact propagation of the discrete Fourier modes via rfft, at a vector of times.
 
-    ``times`` is a 1-D array of offsets in any order, repeats allowed;
-    sample i of the result is the state at ``initial.t + times[i]``, and
-    an offset of zero returns the initial state exactly.  Each mode
+    ``initial`` is one sample, and the modes evolve under the couplings'
+    ``build_interaction`` spectrum.  ``times`` is a 1-D array of offsets
+    in any order, repeats allowed; sample i of the result is the state
+    at ``initial.t[0] + times[i]``, and an offset of zero returns the
+    initial state exactly.  Each mode
     evolves in closed form: harmonically for positive stiffness,
     linearly for zero, hyperbolically for negative (free coupling tails
     can produce unstable modes; the choreography never excites them,
@@ -215,13 +210,11 @@ def spectral_propagate(initial: SystemState, spec: InteractionSpec,
     batch.
 
     Raises:
-        ValueError: On a dimension mismatch, if times is not 1-D or
-            holds a non-finite time, or if a sample overflows.
+        ValueError: If ``initial`` is not one sample of N bodies, if
+            times is not 1-D or holds a non-finite time, or if a sample
+            overflows.
     """
-    if initial.n_bodies != spec.N:
-        raise ValueError(
-            f"state has {initial.n_bodies} bodies, spec expects {spec.N}"
-        )
+    t0, q0, v0 = _start(initial, couplings.N)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
@@ -229,7 +222,7 @@ def spectral_propagate(initial: SystemState, spec: InteractionSpec,
     if bad.any():
         raise ValueError(
             f"spectral propagation needs finite times, got t={times[bad][0]}")
-    lam = spec.mode_stiffness
+    lam = build_interaction(couplings)
     rate = np.sqrt(np.abs(lam))
     phase = times[:, None] * rate
     # q(t) = C q0 + S v0, v(t) = -lam S q0 + C v0 in every branch; the
@@ -247,15 +240,15 @@ def spectral_propagate(initial: SystemState, spec: InteractionSpec,
     # Mode amplitudes of each coordinate.  Positions and velocities go
     # through one transform each way: every call has a fixed cost that
     # dominates at small N.
-    aq, av = np.fft.rfft(np.stack((initial.positions, initial.velocities)), axis=1)
+    aq, av = np.fft.rfft(np.stack((q0, v0)), axis=1)
     cos_f, sin_f = cos_f[:, :, None], sin_f[:, :, None]
     q, v = np.fft.irfft(np.stack((cos_f * aq + sin_f * av,
                                   (-lam[:, None] * sin_f) * aq + cos_f * av)),
-                        n=spec.N, axis=2)
+                        n=couplings.N, axis=2)
     at_start = times == 0.0
-    q[at_start] = initial.positions
-    v[at_start] = initial.velocities
+    q[at_start] = q0
+    v[at_start] = v0
     finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(v).all(axis=(1, 2))
     if not finite.all():
         raise _overflow(float(times[np.argmin(finite)]), lam)
-    return Trajectory(initial.t + times, q, v)
+    return Trajectory(t0 + times, q, v)

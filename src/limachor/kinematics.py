@@ -4,9 +4,14 @@ The shared orbit is a(cos t, sin t) + b(cos pt, sin pt); body k runs
 the same curve with its parameter advanced by 2*pi*k/N.  Positions,
 velocities and accelerations are exact trigonometric expressions, all
 computed by one array evaluator over any grid of bodies and times; a
-caller asks it for only the leading derivatives it reads.  The
-equations-of-motion residual measures how well a given coupling vector
-reproduces those accelerations.  The analytic CSV export evaluates and
+caller asks it for only the leading derivatives it reads.  Every
+motion value is a ``Trajectory`` of array samples: ``state_at`` gives
+the one-sample state that both dynamics engines start from, and
+``sample_trajectory`` a uniform run.  ``unit_scaled`` rescales a
+curve exactly by a power of two, for the analyses (``verify``,
+``has_collision``) whose squares would underflow at tiny amplitudes.
+The equations-of-motion residual measures how well a given coupling
+vector reproduces those accelerations.  The analytic CSV export evaluates and
 formats each distinct curve angle once, since body k at time t sits at
 angle t + 2*pi*k/N and the bodies retrace the same points, and hands
 the text out one sample block at a time, so it is never held whole;
@@ -67,17 +72,22 @@ class ChoreoConfig:
                 f"overflows for p={p}, N={self.N}")
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """Positions and velocities of all bodies at one instant."""
+def unit_scaled(config: ChoreoConfig) -> tuple[ChoreoConfig, int]:
+    """``config`` with a and b scaled by 2^-e, and e = min(frexp(|a| + |b|)[1], 0).
 
-    t: float
-    positions: np.ndarray   # shape (N, 2)
-    velocities: np.ndarray  # shape (N, 2)
-
-    @property
-    def n_bodies(self) -> int:
-        return self.positions.shape[0]
+    IEEE arithmetic commutes with power-of-two scaling wherever nothing
+    underflows, so a length computed from the scaled curve is 2^-e
+    times the original's and a quadratic quantity 2^-2e times, bit for
+    bit.  On the scaled curve |a| + |b| >= 1/2, so the squares of tiny
+    amplitudes no longer underflow; callers scale their results back
+    with ``ldexp``.  Only curves with |a| + |b| < 1/2 are scaled, up,
+    which is exact for every float: scaling down would round a
+    subnormal amplitude, and ChoreoConfig already keeps N (a^2 + p^2 b^2)
+    finite.
+    """
+    e = min(math.frexp(abs(config.a) + abs(config.b))[1], 0)
+    return ChoreoConfig(config.N, config.p, math.ldexp(config.a, -e),
+                        math.ldexp(config.b, -e)), e
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +96,7 @@ class Trajectory:
 
     ``t`` has shape (S,); ``q`` and ``v`` have shape (S, N, 2) and hold
     every body's position and velocity at every sample.  Other shapes
-    raise ValueError.
+    raise ValueError.  One instant is a one-sample trajectory (S = 1).
     """
 
     t: np.ndarray
@@ -100,6 +110,10 @@ class Trajectory:
             raise ValueError(
                 f"trajectory arrays must be (S,), (S, N, 2), (S, N, 2); got "
                 f"{t.shape}, {q.shape}, {v.shape}")
+
+    @property
+    def n_bodies(self) -> int:
+        return self.q.shape[1]
 
 
 def bodies_at(config: ChoreoConfig, k, t, count: int = 3):
@@ -152,14 +166,14 @@ def body_state(config: ChoreoConfig, k: int, t: float):
     return bodies_at(config, k, t, 2)
 
 
-def state_at(config: ChoreoConfig, t: float) -> SystemState:
-    """Analytic state of the whole system at time t.
+def state_at(config: ChoreoConfig, t: float) -> Trajectory:
+    """Analytic state of the whole system at time t, as a one-sample trajectory.
 
     Raises:
         ValueError: If t is not finite or p*t overflows.
     """
     pos, vel = bodies_at(config, np.arange(config.N), t, 2)
-    return SystemState(t, pos, vel)
+    return Trajectory(np.array([t], dtype=float), pos[None], vel[None])
 
 
 def certification_grid(count: int = 64) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 The analytic orbit is certified on a residual grid and compared with the
 RK4 and spectral engines; the RK4 trajectory's conserved quantities and
-inertia rate are measured.  Gates scale with the amplitudes, so the
-verdict does not depend on the curve's size.  RK4 is folded chunk by
+inertia rate are measured.  Gates scale with the amplitudes, and the
+pipeline runs on the curve scaled by a power of two (``unit_scaled``),
+so the verdict does not depend on the curve's size down to the
+smallest amplitudes, whose squares underflow.  RK4 is folded chunk by
 chunk into per-sample conserved quantities, so memory is
 O(chunk * N + N^2 + samples), never the whole trajectory.
 """
@@ -28,7 +30,9 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
     other drifts are relative.  ``failures`` names the failed gates in
     order, and ``ok`` is true when there are none.  ``t_end`` is the last
     RK4 time and ``periods`` the number of orbit periods (tau) it covers.
-    A layer's ValueError (bad input, or a quantity that overflows)
+    Every check runs on ``kinematics.unit_scaled(config)``, and the
+    report scales lengths and quadratic quantities back to ``config``'s
+    amplitudes.  A layer's ValueError (bad input, or a quantity that overflows)
     propagates.
 
     Raises:
@@ -37,11 +41,12 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
     """
     if steps < 2:
         raise ValueError(f"verify needs at least 2 steps, got steps={steps}")
-    n, a, b, p = config.N, config.a, config.b, config.p
+    scaled, e = kinematics.unit_scaled(config)
+    n, a, b, p = scaled.N, scaled.a, scaled.b, scaled.p
     residual_max = kinematics.eom_residual(
-        config, couplings, kinematics.certification_grid(grid))
+        scaled, couplings, kinematics.certification_grid(grid))
 
-    init = kinematics.state_at(config, 0.0)
+    init = kinematics.state_at(scaled, 0.0)
     # Each RK4 chunk is folded into per-sample conserved quantities and
     # dropped; the last chunk's final sample is what the rk4 gate reads.
     series = constants.ConservedSeries(couplings, steps + 1)
@@ -51,9 +56,8 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
         # Freed before the next chunk is allocated.
         del chunk
     probes = np.array([0.3, 1.7, 5.9, t_end])
-    reference = kinematics.bodies_at(config, np.arange(n), probes[:, None], 1)[0]
-    propagated = dynamics.spectral_propagate(
-        init, dynamics.build_interaction(couplings), probes).q
+    reference = kinematics.bodies_at(scaled, np.arange(n), probes[:, None], 1)[0]
+    propagated = dynamics.spectral_propagate(init, couplings, probes).q
     # An error whose square overflows is inf and fails its gate.
     with np.errstate(over="ignore"):
         rk4_error = float(np.max(np.linalg.norm(final - reference[-1], axis=-1)))
@@ -88,20 +92,22 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
     # Written so that a NaN value or tolerance fails the gate.
     failures = [name for name, value, limit in gates if not value <= limit]
 
+    # Lengths scale back by 2^e and quadratic quantities by 2^2e.
     return {
         "N": n,
         "p": p,
-        "a": a,
-        "b": b,
+        "a": config.a,
+        "b": config.b,
         "kappa": couplings.as_dict(),
-        "residual_max": residual_max,
-        "rk4_final_error": rk4_error,
+        "residual_max": math.ldexp(residual_max, e),
+        "rk4_final_error": math.ldexp(rk4_error, e),
         "t_end": t_end,
         "periods": t_end / math.tau,
-        "spectral_error": spectral_error,
-        "drift": report.drift,
+        "spectral_error": math.ldexp(spectral_error, e),
+        "drift": {key: math.ldexp(value, e if key == "g" else 2 * e)
+                  for key, value in report.drift.items()},
         "relative_drift": relative_drift,
-        "inertia_rate_max": inertia_rate_max,
+        "inertia_rate_max": math.ldexp(inertia_rate_max, 2 * e),
         "ok": not failures,
         "failures": failures,
     }

@@ -34,14 +34,13 @@ from limachor.constants import (
     partial_sums,
     potential_from_parts,
 )
-from limachor.dynamics import build_interaction, rk4_integrate, spectral_propagate
+from limachor.dynamics import rk4_integrate, spectral_propagate
 from limachor.kinematics import (
     ChoreoConfig,
     certification_grid,
     eom_residual,
     state_at,
 )
-from util import measure
 
 A_REF, B_REF = 1.2, 0.7
 PERIOD_STEPS = 8192
@@ -152,21 +151,21 @@ def test_criterion_5_dynamics_oracle_equivalence(systems, solved, rk4_runs):
         traj = rk4_runs[key]
         reference = state_at(config, float(traj.t[-1]))
         worst_rk4 = max(worst_rk4, float(np.max(np.linalg.norm(
-            traj.q[-1] - reference.positions, axis=1))))
+            traj.q[-1] - reference.q[0], axis=1))))
         # Agreement must hold along the whole trajectory, not just at
         # the end; spot-check a 32-point grid of stored samples.
         for t, q in zip(traj.t[:: PERIOD_STEPS // 32].tolist(),
                         traj.q[:: PERIOD_STEPS // 32]):
             target = state_at(config, t)
             assert float(np.max(np.linalg.norm(
-                q - target.positions, axis=1))) <= 1e-6
+                q - target.q[0], axis=1))) <= 1e-6
 
         init = state_at(config, 0.0)
-        propagated = spectral_propagate(init, build_interaction(couplings), probe_times)
+        propagated = spectral_propagate(init, couplings, probe_times)
         for t, q in zip(probe_times, propagated.q):
             target = state_at(config, float(t))
             worst_spectral = max(worst_spectral, float(np.max(np.linalg.norm(
-                q - target.positions, axis=1))))
+                q - target.q[0], axis=1))))
     assert worst_rk4 <= 1e-6
     assert worst_spectral <= 1e-9
 
@@ -175,7 +174,7 @@ def test_criterion_5_dynamics_oracle_equivalence(systems, solved, rk4_runs):
                              math.tau / steps, steps)
         ref = state_at(config, float(traj.t[-1]))
         return float(np.max(np.linalg.norm(
-            traj.q[-1] - ref.positions, axis=1)))
+            traj.q[-1] - ref.q[0], axis=1)))
 
     ratios = []
     for key in systems:
@@ -194,7 +193,7 @@ def test_criterion_6_conserved_quantities(systems, solved, rk4_runs):
         config, couplings = solved[key]
         predicted = closed_form_constants(config)
         for t in sample_times:
-            report = measure(state_at(config, float(t)), couplings)
+            report = drift_report(state_at(config, float(t)), couplings)
             assert report.moment_of_inertia == pytest.approx(
                 predicted.moment_of_inertia, abs=1e-10)
             assert report.angular_momentum == pytest.approx(
@@ -226,7 +225,7 @@ def test_criterion_7_necessity_witnesses():
 
     # (p - 1)/N integral: angular momentum of the forced motion swings.
     zero = CouplingVector(4, [0.0, 0.0])
-    values = [measure(state_at(config, float(t)), zero).angular_momentum
+    values = [drift_report(state_at(config, float(t)), zero).angular_momentum
               for t in np.linspace(0.0, math.tau, 64, endpoint=False)]
     swing = max(values) - min(values)
     assert swing > 0.5 * abs(1.2 * 1.0) * 4
@@ -277,7 +276,7 @@ def test_criterion_8_collisions():
 def test_criterion_9_additional_constants(systems, solved):
     for key in systems:
         config, couplings = solved[key]
-        expected = measure(state_at(config, 0.0), couplings).potential
+        expected = drift_report(state_at(config, 0.0), couplings).potential
         assert potential_from_parts(config, couplings) == pytest.approx(
             expected, abs=1e-10)
 

@@ -346,9 +346,12 @@ class TestVerifyCommand:
     @given(pair=st.sampled_from(admissible_pairs(7, 12)),
            a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0),
            sign_a=st.sampled_from([1.0, -1.0]), sign_b=st.sampled_from([1.0, -1.0]),
-           exponent=st.floats(-6.0, 6.0))
+           exponent=st.floats(-323.0, 152.0))
     def test_verdict_independent_of_amplitude_scale(self, capsys, pair, a, b,
                                                     sign_a, sign_b, exponent):
+        # Every scale ChoreoConfig accepts: 10^-323 a is a nonzero
+        # subnormal, and 12 (a^2 + 49 b^2) 10^304 is finite.  Squares of
+        # amplitudes below about 1e-154 underflow.
         p, n = pair
         a, b = sign_a * a, sign_b * b
         s = 10.0 ** exponent
@@ -378,15 +381,27 @@ class TestCollideCommand:
         assert payload["collides"] is False
         assert payload["ratios"]
 
-    @pytest.mark.parametrize("argv, collides", [
-        (("--N", "6", "--p", "2", "--a", "1e6", "--b", "1e6"), True),
-        (("--N", "4", "--p", "2", "--a", "1e-12", "--b", "1e-12"), False),
+    @pytest.mark.parametrize("argv, collides, suspects", [
+        (("--N", "6", "--p", "2", "--a", "1e6", "--b", "1e6"), True, []),
+        (("--N", "4", "--p", "2", "--a", "1e-12", "--b", "1e-12"), False, []),
+        # Just off the locus: at unit scale a suspect, never certified,
+        # though the squared distances of tiny amplitudes underflow to 0.
+        (("--N", "6", "--p", "2", "--a=1.0000000019999999", "--b=1.0"), False, [2, 4]),
+        (("--N", "6", "--p", "2", "--a=1.0000000019999999e-160", "--b=1e-160"),
+         False, [2, 4]),
+        (("--N", "6", "--p", "2", "--a=1.0000000019999999e-200", "--b=1e-200"),
+         False, [2, 4]),
+        (("--N", "6", "--p", "2", "--a=1.0000000019999999e-300", "--b=1e-300"),
+         False, [2, 4]),
     ])
-    def test_verdict_independent_of_amplitude_scale(self, capsys, argv, collides):
+    def test_verdict_independent_of_amplitude_scale(self, capsys, argv, collides,
+                                                    suspects):
         # Same a/b as the unit-scale hit and miss above.
         code, out, _ = run_cli(capsys, "collide", *argv)
         assert code == 0
-        assert json.loads(out)["collides"] is collides
+        payload = json.loads(out)
+        assert payload["collides"] is collides
+        assert payload["suspects"] == suspects
 
     # On the locus of a drawn separation, just off it (a suspect), or at
     # an arbitrary ratio.

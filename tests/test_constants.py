@@ -22,13 +22,12 @@ from limachor.constants import (
 from limachor.dynamics import _RK4_CHUNK, rk4_chunks, rk4_integrate
 from limachor.kinematics import (
     ChoreoConfig,
-    SystemState,
     Trajectory,
     sample_trajectory,
     state_at,
 )
 from limachor.verification import verify
-from util import admissible_pairs, measure, pair_matrix, tailed_couplings
+from util import admissible_pairs, one_state, pair_matrix, tailed_couplings
 
 
 def pairwise_potential(positions, pair):
@@ -46,7 +45,7 @@ def factorizations(n):
 class TestMeasure:
     def test_solved_four_body_values(self):
         config = ChoreoConfig(4, 2, 1.2, 1.0)
-        report = measure(state_at(config, 0.0), solve_couplings(4, 2))
+        report = drift_report(state_at(config, 0.0), solve_couplings(4, 2))
         assert report.moment_of_inertia == pytest.approx(9.76, abs=1e-12)
         assert report.angular_momentum == pytest.approx(13.76, abs=1e-12)
         assert report.kinetic == pytest.approx(10.88, abs=1e-12)
@@ -54,24 +53,24 @@ class TestMeasure:
         assert report.first_moment == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_bodies_at_rest(self):
-        state = SystemState(0.0, np.array([[1.0, 0.0], [0.0, 1.0],
+        state = one_state(np.array([[1.0, 0.0], [0.0, 1.0],
                                            [-1.0, 0.0], [0.0, -1.0]]),
                             np.zeros((4, 2)))
-        report = measure(state, CouplingVector(4, [1.0, -0.5]))
+        report = drift_report(state, CouplingVector(4, [1.0, -0.5]))
         assert report.angular_momentum == 0.0
         assert report.kinetic == 0.0
 
     def test_everything_zero_at_origin(self):
-        state = SystemState(0.0, np.zeros((4, 2)), np.zeros((4, 2)))
-        report = measure(state, CouplingVector(4, [1.0, -0.5]))
+        state = one_state(np.zeros((4, 2)), np.zeros((4, 2)))
+        report = drift_report(state, CouplingVector(4, [1.0, -0.5]))
         for value in (report.angular_momentum, report.moment_of_inertia,
                       report.kinetic, report.potential):
             assert value == 0.0
 
     def test_dimension_mismatch(self):
-        state = SystemState(0.0, np.zeros((6, 2)), np.zeros((6, 2)))
+        state = one_state(np.zeros((6, 2)), np.zeros((6, 2)))
         with pytest.raises(ValueError):
-            measure(state, CouplingVector(4, [1.0, -0.5]))
+            drift_report(state, CouplingVector(4, [1.0, -0.5]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -79,17 +78,17 @@ class TestMeasure:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 40))
         couplings = CouplingVector(n, rng.normal(size=n // 2))
-        states = [SystemState(0.0, rng.normal(size=(n, 2), scale=3.0),
+        states = [one_state(rng.normal(size=(n, 2), scale=3.0),
                               rng.normal(size=(n, 2))) for _ in range(5)]
         # Mixed-sign couplings can cancel the sum itself, so the error is
         # measured against the sum of the terms' magnitudes.
-        reference = [pairwise_potential(s.positions, pair_matrix(couplings))
+        reference = [pairwise_potential(s.q[0], pair_matrix(couplings))
                      for s in states]
         for state, (value, scale) in zip(states, reference):
-            assert abs(measure(state, couplings).potential - value) <= 1e-12 * scale
-        traj = Trajectory(np.array([s.t for s in states]),
-                          np.stack([s.positions for s in states]),
-                          np.stack([s.velocities for s in states]))
+            assert abs(drift_report(state, couplings).potential - value) <= 1e-12 * scale
+        traj = Trajectory(np.concatenate([s.t for s in states]),
+                          np.concatenate([s.q for s in states]),
+                          np.concatenate([s.v for s in states]))
         report = drift_report(traj, couplings)
         values = [value for value, _ in reference]
         want = max(abs(v - values[0]) for v in values)
@@ -190,7 +189,7 @@ class TestClosedFormConstants:
             couplings = solve_couplings(n, p)
             predicted = closed_form_constants(config)
             for t in np.linspace(0.0, math.tau, 7):
-                report = measure(state_at(config, float(t)), couplings)
+                report = drift_report(state_at(config, float(t)), couplings)
                 assert report.moment_of_inertia == pytest.approx(
                     predicted.moment_of_inertia, abs=1e-10)
                 assert report.angular_momentum == pytest.approx(
@@ -219,7 +218,7 @@ class TestPotentialParts:
         for ell in range(1, 4):
             expected = potential_parts(config, ell).v_minus
             for t in np.linspace(0.0, math.tau, 16, endpoint=False):
-                pos = state_at(config, float(t)).positions
+                pos = state_at(config, float(t)).q[0]
                 total = sum(
                     float(np.sum((pos[k] - pos[(k + ell) % 6]) ** 2))
                     for k in range(6))
@@ -260,7 +259,7 @@ class TestPartialSums:
         config = ChoreoConfig(12, 5, 1.1, 0.6)
         couplings = solve_couplings(12, 5)
         t = 0.83
-        whole = measure(state_at(config, t), couplings)
+        whole = drift_report(state_at(config, t), couplings)
         for m, n in factorizations(12):
             reports = [partial_sums(config, m, n, ell, t) for ell in range(n)]
             assert sum(r.moment_of_inertia for r in reports) == pytest.approx(

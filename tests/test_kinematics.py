@@ -23,6 +23,7 @@ from limachor.kinematics import (
     sample_trajectory,
     state_at,
     trajectory_csv,
+    unit_scaled,
 )
 from util import PI_80, admissible_pairs, pair_matrix
 
@@ -252,24 +253,30 @@ class TestBodyState:
 
 
 class TestInitialState:
+    def test_one_sample_trajectory(self):
+        state = state_at(ChoreoConfig(5, 2), 0.25)
+        assert isinstance(state, Trajectory) and state.n_bodies == 5
+        assert state.t.tolist() == [0.25]
+        assert state.q.shape == state.v.shape == (1, 5, 2)
+
     def test_four_body_positions(self):
         state = state_at(ChoreoConfig(4, 2, 1.0, 0.5), 0.0)
         expected = np.array([[1.5, 0.0], [-0.5, 1.0], [-0.5, 0.0], [-0.5, -1.0]])
-        assert state.positions == pytest.approx(expected, abs=1e-15)
+        assert state.q[0] == pytest.approx(expected, abs=1e-15)
 
     def test_center_of_mass_at_origin_when_p_not_multiple_of_n(self):
         for p, n in admissible_pairs(7, 12):
             state = state_at(ChoreoConfig(n, p, 1.2, 0.7), 0.0)
-            assert np.linalg.norm(state.positions.sum(axis=0)) <= 1e-10 * n
-            assert np.linalg.norm(state.velocities.sum(axis=0)) <= 1e-10 * n
+            assert np.linalg.norm(state.q[0].sum(axis=0)) <= 1e-10 * n
+            assert np.linalg.norm(state.v[0].sum(axis=0)) <= 1e-10 * n
 
     def test_first_moment_rotates_when_n_divides_p(self):
         # p a multiple of N: the first moment is a rotating vector of
         # norm |b| N, nowhere near constant.
         config = ChoreoConfig(6, 6, 1.0, 0.8)
-        g0 = state_at(config, 0.0).positions.sum(axis=0)
+        g0 = state_at(config, 0.0).q[0].sum(axis=0)
         variation = max(
-            float(np.linalg.norm(state_at(config, t).positions.sum(axis=0) - g0))
+            float(np.linalg.norm(state_at(config, t).q[0].sum(axis=0) - g0))
             for t in np.linspace(0.0, math.tau, 32, endpoint=False))
         assert variation > 0.1 * 0.8 * 6
 
@@ -277,6 +284,23 @@ class TestInitialState:
     def test_state_at_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError, match=rf"got t={t}$"):
             state_at(ChoreoConfig(6, 5), t)
+
+
+class TestUnitScaled:
+    @pytest.mark.parametrize("a, b", [(1.2, 1.0), (0.3, -0.2), (-1e300 / 1e154, 1e-300),
+                                      (5e-324, 1.0)])
+    def test_amplitudes_from_one_half_stay(self, a, b):
+        # Scaling down would round 5e-324 to zero.
+        config = ChoreoConfig(7, 3, a, b)
+        assert unit_scaled(config) == (config, 0)
+
+    @pytest.mark.parametrize("a, b", [(0.2, 0.1), (-1.2e-200, 1e-200), (1e-310, 5e-324),
+                                      (5e-324, -5e-324)])
+    def test_small_amplitudes_scale_up_exactly(self, a, b):
+        scaled, e = unit_scaled(ChoreoConfig(7, 3, a, b))
+        assert e < 0 and (scaled.N, scaled.p) == (7, 3)
+        assert 0.5 <= abs(scaled.a) + abs(scaled.b) < 1.0
+        assert (math.ldexp(scaled.a, e), math.ldexp(scaled.b, e)) == (a, b)
 
 
 class TestAnalyticAccel:
@@ -412,8 +436,8 @@ class TestSampleTrajectory:
         for t in (0.0, 1.1, 3.7):
             now = state_at(config, t)
             later = state_at(config, t + math.tau)
-            assert now.positions == pytest.approx(later.positions, abs=1e-12)
-            assert now.velocities == pytest.approx(later.velocities, abs=1e-12)
+            assert now.q[0] == pytest.approx(later.q[0], abs=1e-12)
+            assert now.v[0] == pytest.approx(later.v[0], abs=1e-12)
 
     def test_bad_ranges(self):
         config = ChoreoConfig(4, 2)
@@ -617,8 +641,8 @@ class TestArrayEvaluatorMatchesScalarReference:
         for t in REFERENCE_TIMES:
             state = state_at(config, t)
             pos, vel, _ = reference_bodies(config, t)
-            assert np.array_equal(state.positions, pos)
-            assert np.array_equal(state.velocities, vel)
+            assert np.array_equal(state.q[0], pos)
+            assert np.array_equal(state.v[0], vel)
 
     @pytest.mark.parametrize("config", REFERENCE_CONFIGS)
     def test_every_sample_trajectory_row(self, config):

@@ -6,7 +6,6 @@ import numpy as np
 
 from limachor.admissibility import is_admissible
 from limachor.coefficients import solve_couplings
-from limachor.constants import drift_report
 from limachor.kinematics import Trajectory
 
 # pi to 80 significant digits.
@@ -56,7 +55,6 @@ def tailed_couplings(n, p, tail):
     return solve_couplings(n, p, free)
 
 
-def measure(state, couplings):
-    """Conserved quantities of one SystemState: drift_report on a one-sample trajectory."""
-    one = Trajectory(np.array([state.t]), state.positions[None], state.velocities[None])
-    return drift_report(one, couplings)
+def one_state(q, v, t=0.0):
+    """The one-sample trajectory at time t of positions q and velocities v, each (N, 2)."""
+    return Trajectory(np.array([t]), q[None], v[None])
