@@ -35,6 +35,7 @@ from limachor.kinematics import (
     orbit_csv,
     sample_trajectory,
     state_at,
+    trajectory_blocks,
     trajectory_csv,
 )
 from limachor.dynamics import (

@@ -15,18 +15,14 @@ Identical argument vectors produce byte-identical output: floats are
 serialized in their shortest exact round-trip form and nothing here is
 randomized.
 
-A handler returns one of two payload kinds: a JSON-ready dict, or CSV
-text as an iterable of blocks (the RK4 export as one string, the
-analytic export one sample block at a time).  ``run`` writes either
-through one loop over blocks, to stdout or ``--out``, so the analytic
-export's whole text is never held.  JSON output is exactly
-``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline,
-written by a one-pass emitter (``_dumps``) because the stdlib's
-indented encoder runs in pure Python.
-A list of flat records (``collide``'s ratios and witnesses) reaches the
-emitter as columns (``_Records``): each distinct value of a long
-column is formatted once, and the records' text interleaves the column
-texts with the constant text between them.
+A handler returns one of two payload kinds: a JSON-ready dict, written
+as ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline, or
+text as an iterable of blocks.  The text blocks are the CSV exports,
+handed out one sample block at a time, and ``collide``'s report, whose
+long record lists (ratios and witnesses) are formatted by column
+(``_records``) into exactly the text json writes for them.  ``run``
+writes either kind through one loop over blocks, to stdout or
+``--out``, so an export's whole text is never held.
 """
 
 from __future__ import annotations
@@ -71,89 +67,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _Records:
-    """A list of flat records held by column, for ``_emit``.
-
-    json writes it as ``[{key: row i of column, ...} for each row i]``.
-    At least one column is given; each is an int64 or float64 array with
-    one row per record, of shape (M,) for a number or (M, w), w >= 1,
-    for a list of w numbers.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, **columns: np.ndarray):
-        self.columns = columns
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-_CONTAINERS = (dict, list, tuple, _Records)
-
-
-def _scalar(value) -> str:
-    """JSON text of a scalar, exactly as json.dumps writes it.
-
-    The checks run in json's order, so bool comes before int, and int
-    and float subclasses (np.float64) print as the plain type.
-    """
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(
-                f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _emit(value, pad: str, parts: list) -> None:
-    """Append the JSON text of ``value``, nested at indent ``pad``, to ``parts``.
-
-    No type is both a container and a scalar (their layouts conflict), so
-    testing for containers first keeps json's dispatch.
-    """
-    if isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if isinstance(item, _CONTAINERS):
-                parts.append(sep + _encode_str(key) + ": ")
-                _emit(item, inner, parts)
-            else:
-                parts.append(sep + _encode_str(key) + ": " + _scalar(item))
-            sep = "," + inner
-        parts.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = pad + "  "
-        sep = "[" + inner
-        for item in value:
-            if isinstance(item, _CONTAINERS):
-                parts.append(sep)
-                _emit(item, inner, parts)
-            else:
-                parts.append(sep + _scalar(item))
-            sep = "," + inner
-        parts.append(pad + "]")
-    elif isinstance(value, _Records):
-        _emit_records(value.columns, pad, parts)
-    else:
-        parts.append(_scalar(value))
-
-
 # Below this many values, np.unique's fixed cost exceeds what it saves.
 _UNIQUE_MIN = 64
 
@@ -173,18 +86,21 @@ def _texts(values: np.ndarray) -> np.ndarray:
     return texts[inverse.reshape(values.shape)]
 
 
-def _emit_records(columns: dict, pad: str, parts: list) -> None:
-    """Append the JSON text of the records ``columns`` holds, nested at indent ``pad``.
+def _records(pad: str, **columns: np.ndarray) -> str:
+    """``json.dumps(records, indent=2)``, nested at indent ``pad``, of records held by column.
 
-    The text before each value of a record is built once and each
-    column's values are formatted by ``_texts``; ``parts`` gets the two
-    interleaved, record after record.  A non-finite float raises json's
-    ValueError for the first one json would reach.
+    The records are ``[{key: row i of column, ...} for each row i]``.
+    At least one column is given; each is an int64 or float64 array
+    with one row per record, of shape (M,) for a number or (M, w),
+    w >= 1, for a list of w numbers.  The text before each value of a
+    record is built once and each column's values are formatted by
+    ``_texts``; the two are interleaved, record after record.  A
+    non-finite float raises json's ValueError for the first one json
+    would reach.
     """
     count = len(next(iter(columns.values())))
     if not count:
-        parts.append("[]")
-        return
+        return "[]"
     blocks = [column if column.ndim > 1 else column[:, None] for column in columns.values()]
     # Row-major order is json's order; an int is finite as a float too.
     merged = np.concatenate(blocks, axis=1, dtype=np.float64)
@@ -195,7 +111,7 @@ def _emit_records(columns: dict, pad: str, parts: list) -> None:
     inner, field, item = pad + "  ", pad + "    ", pad + "      "
     pieces, before = [], "{" + field
     for key, column in columns.items():
-        before += _encode_str(key) + ": "
+        before += json.encoder.encode_basestring_ascii(key) + ": "
         if column.ndim == 1:
             pieces.append(before)
             after = ""
@@ -209,19 +125,13 @@ def _emit_records(columns: dict, pad: str, parts: list) -> None:
     slots[0, 0] = "[" + inner + pieces[0]
     slots[1:, 0] = close + "," + inner + pieces[0]
     slots[:, 1::2] = np.concatenate([_texts(block) for block in blocks], axis=1)
-    parts += slots.ravel().tolist()
-    parts.append(close + pad + "]")
+    texts = slots.ravel().tolist()
+    texts.append(close + pad + "]")
+    return "".join(texts)
 
 
 def _dumps(payload) -> str:
-    """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"``, in one pass.
-
-    Dict keys must be str, as every payload's are.
-    """
-    parts: list[str] = []
-    _emit(payload, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 # numpy refuses an array of more bytes than this, naming no flag.
@@ -246,8 +156,8 @@ def _solve(args: argparse.Namespace) -> coefficients.CouplingVector:
     return coefficients.solve_couplings(args.N, args.p, free)
 
 
-# Each handler returns its payload (a JSON-ready dict, or CSV text
-# blocks) and its exit code.  Solving comes before building the
+# Each handler returns its payload (a JSON-ready dict, or text blocks)
+# and its exit code.  Solving comes before building the
 # configuration, so an inadmissible pair is reported ahead of a bad
 # amplitude.
 
@@ -307,7 +217,7 @@ def _cmd_simulate(args: argparse.Namespace):
     if args.engine == "rk4":
         traj = dynamics.rk4_integrate(kinematics.state_at(config, 0.0),
                                       couplings, args.dt, args.steps)
-        return [kinematics.trajectory_csv(traj)], EXIT_OK
+        return kinematics.trajectory_blocks(traj), EXIT_OK
     return kinematics.orbit_csv(config, 0.0, args.dt * args.steps,
                                 args.steps + 1), EXIT_OK
 
@@ -333,14 +243,18 @@ def _cmd_collide(args: argparse.Namespace):
     report = collisions.has_collision(config)
     ratios = collisions.collision_ratios(args.N, args.p)
     witnesses = report.witnesses
-    return {
-        "collides": report.collides,
-        "ratios": _Records(k=np.array([r.k for r in ratios], dtype=np.int64),
-                           ratio=np.array([r.ratio for r in ratios], dtype=np.float64)),
-        "witnesses": _Records(k=witnesses.k, t=witnesses.t, bodies=witnesses.bodies,
-                              point=witnesses.point, distance=witnesses.distance),
-        "suspects": report.suspects,
-    }, EXIT_OK
+    # The report's json.dumps(indent=2) text, its record lists by column.
+    return [
+        f'{{\n  "collides": {json.dumps(report.collides)},\n  "ratios": ',
+        _records("\n  ", k=np.array([r.k for r in ratios], dtype=np.int64),
+                 ratio=np.array([r.ratio for r in ratios], dtype=np.float64)),
+        ',\n  "witnesses": ',
+        _records("\n  ", k=witnesses.k, t=witnesses.t, bodies=witnesses.bodies,
+                 point=witnesses.point, distance=witnesses.distance),
+        ',\n  "suspects": ',
+        json.dumps(report.suspects, indent=2).replace("\n", "\n  "),
+        "\n}\n",
+    ], EXIT_OK
 
 
 def _cmd_constants(args: argparse.Namespace):

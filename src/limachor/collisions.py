@@ -163,13 +163,15 @@ def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
     distance is a trigonometric polynomial of degree |p| + 1, smooth on
     the scale of the grid, so its minimum lies within a step of the best
     sample.  This oracle is independent of the analytic collision
-    predicate.
+    predicate.  It runs on ``unit_scaled(config)`` and scales the
+    distance back, so the squares of tiny amplitudes do not underflow.
 
     Raises:
         IndexError: If k is outside [1, N-1].
     """
     if not 1 <= k <= config.N - 1:
         raise IndexError(f"separation {k} outside [1, {config.N - 1}]")
+    config, e = unit_scaled(config)
     ts = _PAIR_TIMES
     step = math.tau / _PAIR_GRID
     while True:
@@ -179,7 +181,7 @@ def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
             break
         ts = ts[best] + step * _ZOOM_OFFSETS
         step /= 32
-    return PairMinimum(math.sqrt(max(float(sq[best]), 0.0)),
+    return PairMinimum(math.ldexp(math.sqrt(max(float(sq[best]), 0.0)), e),
                        float(ts[best]) % math.tau)
 
 

@@ -9,13 +9,14 @@ motion value is a ``Trajectory`` of array samples: ``state_at`` gives
 the one-sample state that both dynamics engines start from, and
 ``sample_trajectory`` a uniform run.  ``unit_scaled`` rescales a
 curve exactly by a power of two, for the analyses (``verify``,
-``has_collision``) whose squares would underflow at tiny amplitudes.
+``has_collision``, ``min_pair_distance``) whose squares would underflow
+at tiny amplitudes.
 The equations-of-motion residual measures how well a given coupling
-vector reproduces those accelerations.  The analytic CSV export evaluates and
-formats each distinct curve angle once, since body k at time t sits at
-angle t + 2*pi*k/N and the bodies retrace the same points, and hands
-the text out one sample block at a time, so it is never held whole;
-any other trajectory is formatted row by row into one string.
+vector reproduces those accelerations.  Both CSV exports hand their
+text out one sample block at a time, so it is never held whole.  The
+analytic export evaluates and formats each distinct curve angle once,
+since body k at time t sits at angle t + 2*pi*k/N and the bodies
+retrace the same points; any other trajectory is formatted row by row.
 """
 
 from __future__ import annotations
@@ -309,19 +310,26 @@ def orbit_csv(config: ChoreoConfig, t0: float, t1: float, count: int) -> Iterato
     return _orbit_blocks(times, texts, inverse)
 
 
+def trajectory_blocks(traj: Trajectory) -> Iterator[str]:
+    """``trajectory_csv(traj)`` in blocks: the header, then each sample's N rows.
+
+    Each sample's block is its time joined between per-body pieces that
+    carry the body index, filled by one ``%`` with its 4N floats.  Only
+    one sample's floats and text are held at a time, beside ``traj``.
+    """
+    yield _CSV_HEADER
+    pieces = [""] + [f",{k},%r,%r,%r,%r\n" for k in range(traj.q.shape[1])]
+    for t, q, v in zip(traj.t.tolist(), traj.q, traj.v):
+        yield repr(t).join(pieces) % tuple(
+            np.concatenate((q, v), axis=1, dtype=np.float64).reshape(-1).tolist())
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV: t,body,x,y,vx,vy.
 
     One row per (sample, body), sorted by t then body.  Coordinates are
     formatted as float64 in the shortest representation that round-trips
-    exactly, row by row: each sample's block is its time joined between
-    per-body pieces that carry the body index, filled by one ``%`` with
-    its 4N floats.  Memory is O(S*N), the text itself; only one sample's
-    floats are held as Python objects at a time.  ``orbit_csv`` writes
+    exactly.  This is ``trajectory_blocks`` joined; ``orbit_csv`` writes
     the same bytes for an analytic trajectory without sampling it.
     """
-    pieces = [""] + [f",{k},%r,%r,%r,%r\n" for k in range(traj.q.shape[1])]
-    return "".join([_CSV_HEADER] + [
-        repr(t).join(pieces) % tuple(
-            np.concatenate((q, v), axis=1, dtype=np.float64).reshape(-1).tolist())
-        for t, q, v in zip(traj.t.tolist(), traj.q, traj.v)])
+    return "".join(trajectory_blocks(traj))

@@ -420,7 +420,22 @@ class TestCollideCommand:
             ratio *= 1.0 + 1e-9
         elif kind == "off":
             ratio = off_ratio
-        a, b = sign_a * ratio * b, sign_b * b
+        self.assert_stdout_matches_stdlib(capsys, n, p, sign_a * ratio * b, sign_b * b)
+
+    def test_stdout_matches_stdlib_with_every_list_empty(self, capsys):
+        # p = N: every pair's second sine vanishes, so no ratio exists.
+        want = self.assert_stdout_matches_stdlib(capsys, 4, 4, 1.2, 1.0)
+        assert want["ratios"] == want["witnesses"] == want["suspects"] == []
+
+    def test_stdout_matches_stdlib_with_suspects(self, capsys):
+        # 1e-9 off the sqrt(2) locus: suspects, and no witness.
+        want = self.assert_stdout_matches_stdlib(capsys, 4, 2, math.sqrt(2) + 1e-9, 1.0)
+        assert want["suspects"] == [1, 3]
+        assert want["ratios"] and not want["witnesses"]
+
+    @staticmethod
+    def assert_stdout_matches_stdlib(capsys, n, p, a, b):
+        """collide's whole stdout is json.dumps(indent=2) of its report as lists of dicts."""
         code, out, _ = run_cli(capsys, "collide", "--N", str(n), "--p", str(p),
                                f"--a={a!r}", f"--b={b!r}")
         report = collisions.has_collision(kinematics.ChoreoConfig(n, p, a, b))
@@ -429,7 +444,7 @@ class TestCollideCommand:
         assert keys == sorted(keys)
         want = {
             "collides": report.collides,
-            "ratios": [{"k": r.k, "ratio": r.ratio} for r in ratios],
+            "ratios": [{"k": r.k, "ratio": r.ratio} for r in collisions.collision_ratios(n, p)],
             "witnesses": [{"k": w.k, "t": w.t_star, "bodies": list(w.bodies),
                            "point": w.point.tolist(), "distance": w.min_distance}
                           for w in witnesses],
@@ -437,6 +452,7 @@ class TestCollideCommand:
         }
         assert code == 0
         assert lines(out) == lines(json.dumps(want, indent=2) + "\n")
+        return want
 
     def test_p_beyond_float_range_is_one_error_line(self, capsys):
         p = "1" + "0" * 200
@@ -869,7 +885,7 @@ _COLUMN_INTS = st.one_of(st.integers(-(2**63), 2**63 - 1),
 
 @st.composite
 def _record_columns(draw):
-    """Columns for ``cli._Records``, keyed as they are drawn.
+    """Columns for ``cli._records``, keyed as they are drawn.
 
     Each column picks its values from a few drawn ones, so repeats are
     common; the record count spans ``cli._UNIQUE_MIN``.
@@ -890,18 +906,23 @@ def _record_columns(draw):
 
 
 def as_records(columns):
-    """The list of dicts json writes for ``cli._Records(**columns)``."""
+    """The list of dicts whose text ``cli._records(pad, **columns)`` writes."""
     count = len(next(iter(columns.values())))
     return [{key: column[i].tolist() for key, column in columns.items()}
             for i in range(count)]
 
 
-_WRAPS = [lambda v: v, lambda v: {"ratios": v, "suspects": [1, 2]},
-          lambda v: [[v], {"w": v}]]
+def stdlib_records(pad, columns):
+    """``json.dumps(indent=2)`` of ``as_records(columns)``, nested at indent ``pad``."""
+    return json.dumps(as_records(columns), indent=2, allow_nan=False).replace("\n", pad)
+
+
+# Record lists at the top level, in a dict, and in a dict in a list.
+_PADS = ["\n", "\n  ", "\n    "]
 
 
 class TestJsonEmitter:
-    """``cli._dumps`` writes exactly what ``json.dumps(indent=2)`` writes."""
+    """``cli._dumps`` and ``cli._records`` write exactly what ``json.dumps(indent=2)`` writes."""
 
     @settings(max_examples=150, deadline=None)
     @given(value=_JSON_VALUES)
@@ -909,10 +930,10 @@ class TestJsonEmitter:
         assert cli._dumps(value) == stdlib_dumps(value)
 
     @settings(max_examples=300, deadline=None)
-    @given(columns=_record_columns(), wrap=st.sampled_from(_WRAPS))
-    def test_record_columns_match_stdlib(self, columns, wrap):
-        got = cli._dumps(wrap(cli._Records(**columns)))
-        assert lines(got) == lines(json.dumps(wrap(as_records(columns)), indent=2) + "\n")
+    @given(columns=_record_columns(), pad=st.sampled_from(_PADS))
+    def test_record_columns_match_stdlib(self, columns, pad):
+        got = cli._records(pad, **columns)
+        assert lines(got) == lines(stdlib_records(pad, columns))
 
     @pytest.mark.parametrize("count", [1, cli._UNIQUE_MIN // 3, 3 * cli._UNIQUE_MIN])
     def test_boundary_values_match_stdlib(self, count):
@@ -922,8 +943,8 @@ class TestJsonEmitter:
         columns = {"i": np.resize(ints, count), "x": np.resize(floats, count),
                    "pair": np.resize(floats[::-1], (count, 2)),
                    "ids": np.resize(ints, (count, 3))}
-        got = cli._dumps({"records": cli._Records(**columns)})
-        assert lines(got) == lines(stdlib_dumps({"records": as_records(columns)}))
+        for pad in _PADS:
+            assert lines(cli._records(pad, **columns)) == lines(stdlib_records(pad, columns))
 
     # Some cells of a float column are non-finite: json names the first
     # one in record order, then key order.
@@ -936,10 +957,11 @@ class TestJsonEmitter:
             column = columns[data.draw(st.sampled_from(floats))]
             cell = data.draw(st.integers(0, column.size - 1))
             column.flat[cell] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        pad = data.draw(st.sampled_from(_PADS))
         with pytest.raises(ValueError) as expected:
-            stdlib_dumps(as_records(columns))
+            stdlib_records(pad, columns)
         with pytest.raises(ValueError) as got:
-            cli._dumps(cli._Records(**columns))
+            cli._records(pad, **columns)
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("value", [

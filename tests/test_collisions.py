@@ -393,9 +393,13 @@ class TestMinPairDistance:
                 got = min_pair_distance(config, k).min_distance
                 assert got == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    # At 1e-160 the squared distances underflow unless the oracle
+    # scales the curve; (2, 6, 1.0000000019999999, 1.0) is just off
+    # the locus, a gap of about 1.7e-9.
+    @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e-160])
     def test_matches_complex_form_at_scale(self, scale):
-        for p, n, a, b in [(2, 5, 1.3, 0.8), (-3, 8, 1.3, 0.8), (2, 6, 1.0, 1.0)]:
+        for p, n, a, b in [(2, 5, 1.3, 0.8), (-3, 8, 1.3, 0.8), (2, 6, 1.0, 1.0),
+                           (2, 6, 1.0000000019999999, 1.0)]:
             config = ChoreoConfig(n, p, a * scale, b * scale)
             size = (abs(a) + abs(b)) * scale
             for k, gap in zip(range(1, n), relative_gaps(config)):

@@ -22,6 +22,7 @@ from limachor.kinematics import (
     orbit_csv,
     sample_trajectory,
     state_at,
+    trajectory_blocks,
     trajectory_csv,
     unit_scaled,
 )
@@ -545,6 +546,27 @@ class TestTrajectoryCsvMatchesReference:
             tracemalloc.stop()
         assert csv.count("\n") == 1 + 129 * 256
         assert peak < 32e6
+
+    def test_blocks_are_the_header_then_each_sample(self):
+        traj = rk4_export(16, 64)
+        blocks = list(trajectory_blocks(traj))
+        assert blocks[0] == "t,body,x,y,vx,vy\n"
+        assert len(blocks) == 1 + 65
+        assert all(block.count("\n") == 16 for block in blocks[1:])
+        assert "".join(blocks) == reference_csv(traj)
+
+    def test_blocks_hold_one_sample_at_a_time(self):
+        # The same 33,024 rows, about 3 MB of text; one sample's block
+        # is about 25 kB.
+        traj = rk4_export(256, 128)
+        tracemalloc.start()
+        try:
+            size = sum(map(len, trajectory_blocks(traj)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == len(trajectory_csv(traj))
+        assert peak < 1e6
 
 
 @st.composite
