@@ -26,9 +26,10 @@ from limachor.kinematics import ChoreoConfig, bodies_at, unit_scaled
 SUSPECT_TOL = 1e-8
 CERTIFY_TOL = 1e-10
 
-# min_pair_distance's first pass samples this grid over one period; each
-# later pass samples _ZOOM_OFFSETS times the current step around the best
-# sample, then divides the step by 32.
+# min_pair_distance's first pass samples this grid over one period.  Each
+# later pass samples _ZOOM_OFFSETS times a half-width: the current
+# spacing around the best sample, then the spacing / 32 around the
+# vertex of the parabola through the best sample and its neighbours.
 _PAIR_GRID = 1024
 _PAIR_TIMES = np.linspace(0.0, math.tau, _PAIR_GRID, endpoint=False)
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 65)
@@ -157,14 +158,21 @@ def _pair_sq_dist(config: ChoreoConfig, k: int, ts: np.ndarray) -> np.ndarray:
 def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
     """Numeric minimum of |q_0(t) - q_k(t)| over t in [0, 2*pi).
 
-    Samples the squared distance on a uniform grid, then repeatedly
-    resamples one grid step either side of the best sample on a grid
-    32 times finer, until the step is at most 1e-12 in t.  The squared
-    distance is a trigonometric polynomial of degree |p| + 1, smooth on
-    the scale of the grid, so its minimum lies within a step of the best
-    sample.  This oracle is independent of the analytic collision
-    predicate.  It runs on ``unit_scaled(config)`` and scales the
-    distance back, so the squares of tiny amplitudes do not underflow.
+    Samples the squared distance on a uniform grid, then resamples one
+    grid step either side of the best sample on a grid 32 times finer.
+    Each later pass centres its samples on the vertex of the parabola
+    through the best sample and its two neighbours, one spacing / 32
+    either side, so the spacing shrinks 1024-fold.  A narrowed pass
+    whose best sample lands on the window's edge is redone one spacing
+    either side of that sample, 32 times finer.  It stops once the
+    spacing is at most 1e-12 in t.  The squared distance is a
+    trigonometric polynomial of degree |p| + 1, smooth on the scale of
+    the grid, so its minimum lies within a step of the best sample;
+    the grid itself is not fitted, as it can alias the pair distance's
+    oscillation at large |p|.  This oracle is independent of the
+    analytic collision predicate.  It runs on ``unit_scaled(config)``
+    and scales the distance back, so the squares of tiny amplitudes do
+    not underflow.
 
     Raises:
         IndexError: If k is outside [1, N-1].
@@ -172,15 +180,30 @@ def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
     if not 1 <= k <= config.N - 1:
         raise IndexError(f"separation {k} outside [1, {config.N - 1}]")
     config, e = unit_scaled(config)
-    ts = _PAIR_TIMES
     step = math.tau / _PAIR_GRID
+    sq = _pair_sq_dist(config, k, _PAIR_TIMES)
+    ts = _PAIR_TIMES[int(np.argmin(sq))] + step * _ZOOM_OFFSETS
+    step /= 32  # the spacing of ts
+    narrowed = False
     while True:
         sq = _pair_sq_dist(config, k, ts)
         best = int(np.argmin(sq))
-        if step <= 1e-12:
+        inside = 0 < best < ts.size - 1
+        if narrowed and not inside:
+            step *= 1024  # the minimum may lie outside: redo the pass
+        elif step <= 1e-12:
             break
+        elif inside:
+            before, here, after = sq[best - 1:best + 2].tolist()
+            curvature = before - 2.0 * here + after
+            shift = 0.5 * (before - after) / curvature if curvature > 0.0 else 0.0
+            ts = ts[best] + shift * step + step / 32 * _ZOOM_OFFSETS
+            step /= 1024
+            narrowed = True
+            continue
         ts = ts[best] + step * _ZOOM_OFFSETS
         step /= 32
+        narrowed = False
     return PairMinimum(math.ldexp(math.sqrt(max(float(sq[best]), 0.0)), e),
                        float(ts[best]) % math.tau)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from limachor.admissibility import InadmissibleError, is_admissible
 from limachor.coefficients import CouplingVector
-from limachor.kinematics import ChoreoConfig, Trajectory, state_at
+from limachor.kinematics import ChoreoConfig, Trajectory, planar_norm, state_at
 
 # Coordinate rows per Laplacian product in _conserved: at N <= 12 a
 # (1024, N) @ (N, N + 1) product is small enough that BLAS runs it on
@@ -192,7 +192,7 @@ class ConservedSeries:
         kinetic, potential = self.kinetic, self.potential
         energy = kinetic + potential
         drift = {
-            "g": float(np.max(np.linalg.norm(g - g[0], axis=1))),
+            "g": float(np.max(planar_norm(g - g[0]))),
             "c": float(np.max(np.abs(c - c[0]))),
             "I": float(np.max(np.abs(inertia - inertia[0]))),
             "K": float(np.max(np.abs(kinetic - kinetic[0]))),

@@ -60,8 +60,8 @@ def verify(config: kinematics.ChoreoConfig, couplings: CouplingVector, dt: float
     propagated = dynamics.spectral_propagate(init, couplings, probes).q
     # An error whose square overflows is inf and fails its gate.
     with np.errstate(over="ignore"):
-        rk4_error = float(np.max(np.linalg.norm(final - reference[-1], axis=-1)))
-        spectral_error = float(np.max(np.linalg.norm(propagated - reference, axis=-1)))
+        rk4_error = float(np.max(kinematics.planar_norm(final - reference[-1])))
+        spectral_error = float(np.max(kinematics.planar_norm(propagated - reference)))
 
     # Checked after the last chunk, so that RK4 leaving the float range
     # is reported ahead of the quantities it overflows.

@@ -403,6 +403,20 @@ class TestCollideCommand:
         assert payload["collides"] is collides
         assert payload["suspects"] == suspects
 
+    def test_large_p_on_locus_certified(self, capsys):
+        # Separation 1's closed-form gap is 0.  The bodies' relative speed
+        # grows like |p| |b|, and a zoom that stopped at a fixed 1e-12
+        # step in t reported suspects [1, 4] here.
+        code, out, _ = run_cli(capsys, "collide", "--N", "5", "--p", "-1553",
+                               "--a", "-1.618033988749898", "--b", "1.0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["collides"] is True
+        assert payload["suspects"] == []
+        ks = [w["k"] for w in payload["witnesses"]]
+        # |p - 1| N events for each of the mirror pair {1, 4}.
+        assert (ks.count(1), ks.count(4), len(ks)) == (1554 * 5, 1554 * 5, 2 * 1554 * 5)
+
     # On the locus of a drawn separation, just off it (a suspect), or at
     # an arbitrary ratio.
     @settings(max_examples=60, deadline=None,

@@ -449,6 +449,119 @@ class TestMinPairDistance:
             pair_distance_closed_form(config, k, t), abs=1e-12)
 
 
+def on_locus_a(n, p, k, b):
+    """The a that puts separation k of (n, p) on the collision locus for this b."""
+    return b * math.sin(math.pi * p * k / n) / math.sin(math.pi * k / n)
+
+
+def counted_oracle(patch):
+    """Count min_pair_distance calls and their _pair_sq_dist evaluations.
+
+    Returns the list of (calls, evaluations) counters, updated in place,
+    and the list of each evaluation's window width in t.
+    """
+    counts, widths = [0, 0], []
+    oracle, sq_dist = collisions.min_pair_distance, collisions._pair_sq_dist
+
+    def counting_oracle(config, k):
+        counts[0] += 1
+        return oracle(config, k)
+
+    def counting_sq_dist(config, k, ts):
+        counts[1] += 1
+        widths.append(float(ts[-1] - ts[0]))
+        return sq_dist(config, k, ts)
+
+    patch.setattr(collisions, "min_pair_distance", counting_oracle)
+    patch.setattr(collisions, "_pair_sq_dist", counting_sq_dist)
+    return counts, widths
+
+
+class TestZoom:
+    """min_pair_distance's vertex-centred zoom: certification and cost."""
+
+    # The bodies' relative speed grows like |p| |b|; a zoom that stopped
+    # at a fixed 1e-12 step in t left its best sample above CERTIFY_TOL
+    # at large |p|, as at (5, -1553).
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(4, 64), p_mag=st.integers(2, 10_000),
+           p_sign=st.sampled_from([1, -1]), k_index=st.integers(0, 62),
+           b=st.floats(0.5, 2.0), sign_b=st.sampled_from([1.0, -1.0]))
+    @example(n=5, p_mag=1553, p_sign=-1, k_index=0, b=1.0, sign_b=1.0)
+    def test_on_locus_certified(self, n, p_mag, p_sign, k_index, b, sign_b):
+        p = p_sign * p_mag
+        ks = [k for k in range(1, n) if (p * k) % n]
+        assume(ks)
+        k = ks[k_index % len(ks)]
+        config = ChoreoConfig(n, p, on_locus_a(n, p, k, sign_b * b), sign_b * b)
+        scale = abs(config.a) + b
+        assert min_pair_distance(config, k).min_distance <= CERTIFY_TOL * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 64), p_mag=st.integers(2, 10_000),
+           p_sign=st.sampled_from([1, -1]), k_index=st.integers(0, 62),
+           b=st.floats(0.5, 2.0), sign_b=st.sampled_from([1.0, -1.0]))
+    def test_near_locus_at_ten_tolerances_never_certified(
+            self, n, p_mag, p_sign, k_index, b, sign_b):
+        p = p_sign * p_mag
+        ks = [k for k in range(1, n) if (p * k) % n]
+        assume(ks)
+        k = ks[k_index % len(ks)]
+        a = on_locus_a(n, p, k, sign_b * b)
+        # Widen |a| so separation k's gap is 10 CERTIFY_TOL (|a| + |b|).
+        a += math.copysign(10 * CERTIFY_TOL * (abs(a) + b) / (2 * math.sin(math.pi * k / n)), a)
+        config = ChoreoConfig(n, p, a, sign_b * b)
+        assert min_pair_distance(config, k).min_distance > CERTIFY_TOL * (abs(a) + b)
+
+    # The classes of the collision_scan benchmark: on the locus of a
+    # drawn separation, 1e-9 off it, or at an arbitrary ratio, where
+    # has_collision consults the oracle only for a separation that
+    # happens to lie near its locus.  Every call makes at least 5
+    # evaluations (the grid, the first pass and three 1024-fold
+    # passes), so the total bounds each call; the fixed 32-fold zoom
+    # made 8.
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 32), p_mag=st.integers(2, 9), p_sign=st.sampled_from([1, -1]),
+           k_index=st.integers(0, 30), kind=st.sampled_from(["on", "near", "off"]),
+           b=st.floats(0.5, 2.0), sign_a=st.sampled_from([1.0, -1.0]),
+           off_ratio=st.floats(0.1, 10.0))
+    def test_five_evaluations_per_oracle_call(self, n, p_mag, p_sign, k_index, kind, b,
+                                              sign_a, off_ratio):
+        p = p_sign * p_mag
+        ks = [k for k in range(1, n) if (p * k) % n]
+        assume(ks)
+        k = ks[k_index % len(ks)]
+        ratio = abs(on_locus_a(n, p, k, 1.0))
+        if kind == "off":
+            ratio = off_ratio
+        elif kind == "near":
+            ratio += 1e-9 * (ratio + 1.0) / (2.0 * math.sin(math.pi * k / n))
+        config = ChoreoConfig(n, p, sign_a * ratio * b, b)
+        with pytest.MonkeyPatch.context() as patch:
+            counts, _ = counted_oracle(patch)
+            has_collision(config)
+            if kind != "off":
+                assert counts[0] >= 1
+                collisions.min_pair_distance(config, k)
+        calls, evaluations = counts
+        assert evaluations <= 5 * calls
+
+    def test_edge_fallback(self):
+        # At |p| in the tens of thousands the parabola can miss the
+        # minimum by more than the narrowed window's half-width; that
+        # pass is redone around the edge sample, one spacing either side.
+        n, p, k = 10, -32167, 8
+        config = ChoreoConfig(n, p, on_locus_a(n, p, k, 1.0), 1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            counts, widths = counted_oracle(patch)
+            result = min_pair_distance(config, k)
+        # Grid, first pass, the missed narrowed pass, its redo, then
+        # three narrowed passes.
+        assert counts[1] == 7
+        assert any(later > earlier for earlier, later in zip(widths[1:], widths[2:]))
+        assert result.min_distance <= CERTIFY_TOL * (abs(config.a) + 1.0)
+
+
 class TestWitnessColumns:
     @pytest.mark.parametrize("config, count", [
         (ChoreoConfig(6, 2, 1.0, 1.0), 2 * 6),  # |p - 1| N events at k = 2 and k = 4

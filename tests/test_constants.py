@@ -23,6 +23,7 @@ from limachor.dynamics import _RK4_CHUNK, rk4_chunks, rk4_integrate
 from limachor.kinematics import (
     ChoreoConfig,
     Trajectory,
+    planar_norm,
     sample_trajectory,
     state_at,
 )
@@ -491,3 +492,29 @@ class TestOverflowingTrajectory:
     def test_inertia_rate_names_times(self):
         with pytest.raises(ValueError, match=r"inertia rate overflows .*t in \[0\.0, 1\.5\]"):
             inertia_rate_max(self.huge_trajectory())
+
+
+class TestPlanarNorm:
+    """planar_norm is np.linalg.norm(axis=-1) over the 2-long coordinate axis, bit for bit."""
+
+    @staticmethod
+    def rk4_g_series():
+        config, couplings = ChoreoConfig(7, 3, 1.2, 1.0), solve_couplings(7, 3)
+        traj = rk4_integrate(state_at(config, 0.0), couplings, 0.01, 3000)
+        series = ConservedSeries(couplings, traj.t.size)
+        series.add(traj)
+        return series
+
+    def test_bits_match_linalg_norm_with_inf_and_nan(self):
+        series = self.rk4_g_series()
+        g = series.g - series.g[0]
+        g[[5, 9, 13, 17, 21, 25]] = [[np.inf, 1.0], [np.nan, 0.0], [-np.inf, np.nan],
+                                     [1e200, -1e200], [-np.inf, -np.inf], [0.0, -0.0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in (g, g[:3000].reshape(60, 50, 2)):
+                assert planar_norm(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+    def test_drift_of_g_matches_linalg_norm(self):
+        series = self.rk4_g_series()
+        want = float(np.max(np.linalg.norm(series.g - series.g[0], axis=1)))
+        assert series.report().drift["g"] == want
