@@ -11,6 +11,7 @@ about it.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -26,13 +27,32 @@ from limachor.kinematics import ChoreoConfig, bodies_at, unit_scaled
 SUSPECT_TOL = 1e-8
 CERTIFY_TOL = 1e-10
 
-# min_pair_distance's first pass samples this grid over one period.  Each
-# later pass samples _ZOOM_OFFSETS times a half-width: the current
-# spacing around the best sample, then the spacing / 32 around the
-# vertex of the parabola through the best sample and its neighbours.
+# min_pair_distance's first pass samples a uniform grid of
+# min(_PAIR_GRID, 64 (|p| + 1)) points over one period.  The squared pair
+# distance is a trigonometric polynomial of degree at most |p| + 1, so
+# that is at least 64 samples per oscillation, as many as the 1024-point
+# grid gives at |p| = 15; more only cost time.  From |p| = 15 on the cap
+# holds, and every larger |p| samples np.linspace(0, 2 pi, 1024,
+# endpoint=False) bit for bit, the grid its verdicts were established
+# on.  64 * 3 = 192 points are enough for the first pass and three
+# 1024-fold passes to reach a spacing of 1e-12.  Each later pass samples
+# _ZOOM_OFFSETS times a half-width: the current spacing around the best
+# sample, then the spacing / 32 around the vertex of the parabola through
+# the best sample and its neighbours.
 _PAIR_GRID = 1024
-_PAIR_TIMES = np.linspace(0.0, math.tau, _PAIR_GRID, endpoint=False)
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 65)
+# A zoom window's edge sample within this relative margin of its best
+# interior sample ties with it, to rounding.
+_TIE_RTOL = 16 * np.finfo(float).eps
+
+
+# At most 14 sizes, 192, 256, ..., 1024, each built on first use.
+@functools.cache
+def _pair_times(size: int) -> np.ndarray:
+    """The first pass's uniform grid of size points on [0, 2*pi), read-only."""
+    times = np.linspace(0.0, math.tau, size, endpoint=False)
+    times.flags.writeable = False
+    return times
 
 
 @dataclass(frozen=True)
@@ -158,18 +178,23 @@ def _pair_sq_dist(config: ChoreoConfig, k: int, ts: np.ndarray) -> np.ndarray:
 def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
     """Numeric minimum of |q_0(t) - q_k(t)| over t in [0, 2*pi).
 
-    Samples the squared distance on a uniform grid, then resamples one
-    grid step either side of the best sample on a grid 32 times finer.
-    Each later pass centres its samples on the vertex of the parabola
-    through the best sample and its two neighbours, one spacing / 32
-    either side, so the spacing shrinks 1024-fold.  A narrowed pass
-    whose best sample lands on the window's edge is redone one spacing
-    either side of that sample, 32 times finer.  It stops once the
-    spacing is at most 1e-12 in t.  The squared distance is a
-    trigonometric polynomial of degree |p| + 1, smooth on the scale of
-    the grid, so its minimum lies within a step of the best sample;
-    the grid itself is not fitted, as it can alias the pair distance's
-    oscillation at large |p|.  This oracle is independent of the
+    Samples the squared distance on a uniform grid of
+    min(1024, 64 (|p| + 1)) points, then resamples one grid step either
+    side of the best sample on a grid 32 times finer.  Each later pass
+    centres its samples on the vertex of the parabola through the best
+    sample and its two neighbours, one spacing / 32 either side, so the
+    spacing shrinks 1024-fold.  A narrowed pass whose best sample lands
+    on the window's edge is redone one spacing either side of that
+    sample, 32 times finer, unless the best interior sample ties with it
+    to 16 ulps, as in a window flat to rounding.  It stops once the
+    spacing is at most 1e-12 in t, which takes 5 evaluations when no
+    pass is redone, from the smallest grid (192 points at |p| = 2) as
+    from the largest.  The squared distance is a trigonometric
+    polynomial of degree at most |p| + 1, so the grid takes at least 64
+    samples per oscillation and the minimum lies within a step of the
+    best sample; from |p| = 15 on it is the same 1024-point grid at
+    every |p|.  The grid itself is not fitted, as it can alias the pair
+    distance's oscillation at large |p|.  This oracle is independent of the
     analytic collision predicate.  It runs on ``unit_scaled(config)``
     and scales the distance back, so the squares of tiny amplitudes do
     not underflow.
@@ -180,14 +205,21 @@ def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
     if not 1 <= k <= config.N - 1:
         raise IndexError(f"separation {k} outside [1, {config.N - 1}]")
     config, e = unit_scaled(config)
-    step = math.tau / _PAIR_GRID
-    sq = _pair_sq_dist(config, k, _PAIR_TIMES)
-    ts = _PAIR_TIMES[int(np.argmin(sq))] + step * _ZOOM_OFFSETS
+    size = min(_PAIR_GRID, 64 * (abs(config.p) + 1))
+    grid = _pair_times(size)
+    step = math.tau / size
+    sq = _pair_sq_dist(config, k, grid)
+    ts = grid[int(np.argmin(sq))] + step * _ZOOM_OFFSETS
     step /= 32  # the spacing of ts
     narrowed = False
     while True:
         sq = _pair_sq_dist(config, k, ts)
         best = int(np.argmin(sq))
+        if best in (0, ts.size - 1):
+            # An edge sample that ties with the best interior one is noise.
+            interior = 1 + int(np.argmin(sq[1:-1]))
+            if sq[interior] - sq[best] <= _TIE_RTOL * sq[best]:
+                best = interior
         inside = 0 < best < ts.size - 1
         if narrowed and not inside:
             step *= 1024  # the minimum may lie outside: redo the pass

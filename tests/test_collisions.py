@@ -458,9 +458,9 @@ def counted_oracle(patch):
     """Count min_pair_distance calls and their _pair_sq_dist evaluations.
 
     Returns the list of (calls, evaluations) counters, updated in place,
-    and the list of each evaluation's window width in t.
+    and the list of each evaluation's sample times.
     """
-    counts, widths = [0, 0], []
+    counts, samples = [0, 0], []
     oracle, sq_dist = collisions.min_pair_distance, collisions._pair_sq_dist
 
     def counting_oracle(config, k):
@@ -469,12 +469,12 @@ def counted_oracle(patch):
 
     def counting_sq_dist(config, k, ts):
         counts[1] += 1
-        widths.append(float(ts[-1] - ts[0]))
+        samples.append(ts.copy())
         return sq_dist(config, k, ts)
 
     patch.setattr(collisions, "min_pair_distance", counting_oracle)
     patch.setattr(collisions, "_pair_sq_dist", counting_sq_dist)
-    return counts, widths
+    return counts, samples
 
 
 class TestZoom:
@@ -513,15 +513,68 @@ class TestZoom:
         config = ChoreoConfig(n, p, a, sign_b * b)
         assert min_pair_distance(config, k).min_distance > CERTIFY_TOL * (abs(a) + b)
 
+    # At 2 <= |p| <= 14 the first pass samples 64 (|p| + 1) < 1024
+    # points: on-locus draws are still certified in 5 evaluations, and
+    # draws 10 CERTIFY_TOL off the locus are not.
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(4, 64), p_mag=st.integers(2, 14), p_sign=st.sampled_from([1, -1]),
+           k_index=st.integers(0, 62), on=st.booleans(),
+           b=st.floats(0.5, 2.0), sign_b=st.sampled_from([1.0, -1.0]))
+    def test_sized_grid_certifies_on_locus_only(self, n, p_mag, p_sign, k_index, on, b,
+                                                sign_b):
+        p = p_sign * p_mag
+        ks = [k for k in range(1, n) if (p * k) % n]
+        assume(ks)
+        k = ks[k_index % len(ks)]
+        a = on_locus_a(n, p, k, sign_b * b)
+        if not on:
+            # Separation k's gap is 10 CERTIFY_TOL (|a| + |b|).
+            a += math.copysign(10 * CERTIFY_TOL * (abs(a) + b)
+                               / (2 * math.sin(math.pi * k / n)), a)
+        config = ChoreoConfig(n, p, a, sign_b * b)
+        with pytest.MonkeyPatch.context() as patch:
+            counts, _ = counted_oracle(patch)
+            result = min_pair_distance(config, k)
+        assert (result.min_distance <= CERTIFY_TOL * (abs(a) + b)) is on
+        if on:
+            assert counts[1] == 5
+
+    # 64 samples per oscillation of the degree-(|p| + 1) squared
+    # distance, capped at the 1024-point grid from |p| = 15 on.
+    @pytest.mark.parametrize("p", [2, -2, 5, -9, 14, 15, -15, 16, -1553, 10_000])
+    def test_first_pass_grid(self, p):
+        n, k = 11, 1
+        config = ChoreoConfig(n, p, on_locus_a(n, p, k, 1.0), 1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            _, samples = counted_oracle(patch)
+            min_pair_distance(config, k)
+        size = min(1024, 64 * (abs(p) + 1))
+        grid = np.linspace(0.0, math.tau, size, endpoint=False)
+        assert samples[0].tobytes() == grid.tobytes()
+        if abs(p) >= 15:
+            capped = np.linspace(0.0, math.tau, 1024, endpoint=False)
+            assert samples[0].tobytes() == capped.tobytes()
+
+    def test_flat_window_edge_ties_with_interior(self):
+        # Far off the locus the narrowed windows are flat to rounding,
+        # and np.argmin could pick an edge sample that ties with the best
+        # interior one.  Redoing that pass on noise would take 8
+        # evaluations.
+        config = ChoreoConfig(4, 5, -12.187955345087255, 1.5920475468595336)
+        with pytest.MonkeyPatch.context() as patch:
+            counts, _ = counted_oracle(patch)
+            min_pair_distance(config, 2)
+        assert counts[1] == 5
+
     # The classes of the collision_scan benchmark: on the locus of a
     # drawn separation, 1e-9 off it, or at an arbitrary ratio, where
     # has_collision consults the oracle only for a separation that
     # happens to lie near its locus.  Every call makes at least 5
     # evaluations (the grid, the first pass and three 1024-fold
     # passes), so the total bounds each call; the fixed 32-fold zoom
-    # made 8.
+    # made 8.  |p| up to 20 spans the grid's cap at |p| = 15.
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(4, 32), p_mag=st.integers(2, 9), p_sign=st.sampled_from([1, -1]),
+    @given(n=st.integers(4, 32), p_mag=st.integers(2, 20), p_sign=st.sampled_from([1, -1]),
            k_index=st.integers(0, 30), kind=st.sampled_from(["on", "near", "off"]),
            b=st.floats(0.5, 2.0), sign_a=st.sampled_from([1.0, -1.0]),
            off_ratio=st.floats(0.1, 10.0))
@@ -553,11 +606,12 @@ class TestZoom:
         n, p, k = 10, -32167, 8
         config = ChoreoConfig(n, p, on_locus_a(n, p, k, 1.0), 1.0)
         with pytest.MonkeyPatch.context() as patch:
-            counts, widths = counted_oracle(patch)
+            counts, samples = counted_oracle(patch)
             result = min_pair_distance(config, k)
         # Grid, first pass, the missed narrowed pass, its redo, then
         # three narrowed passes.
         assert counts[1] == 7
+        widths = [float(ts[-1] - ts[0]) for ts in samples]
         assert any(later > earlier for earlier, later in zip(widths[1:], widths[2:]))
         assert result.min_distance <= CERTIFY_TOL * (abs(config.a) + 1.0)
 
