@@ -241,13 +241,12 @@ def _cmd_verify(args: argparse.Namespace):
 def _cmd_collide(args: argparse.Namespace):
     config = _config(args)
     report = collisions.has_collision(config)
-    ratios = collisions.collision_ratios(args.N, args.p)
+    ks, ratios = collisions.collision_ratios(args.N, args.p)
     witnesses = report.witnesses
     # The report's json.dumps(indent=2) text, its record lists by column.
     return [
         f'{{\n  "collides": {json.dumps(report.collides)},\n  "ratios": ',
-        _records("\n  ", k=np.array([r.k for r in ratios], dtype=np.int64),
-                 ratio=np.array([r.ratio for r in ratios], dtype=np.float64)),
+        _records("\n  ", k=ks, ratio=ratios),
         ',\n  "witnesses": ',
         _records("\n  ", k=witnesses.k, t=witnesses.t, bodies=witnesses.bodies,
                  point=witnesses.point, distance=witnesses.distance),

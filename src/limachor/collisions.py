@@ -55,14 +55,6 @@ def _pair_times(size: int) -> np.ndarray:
     return times
 
 
-@dataclass(frozen=True)
-class CollisionRatio:
-    """One dangerous value of a/b, tagged by the separation that causes it."""
-
-    k: int
-    ratio: float
-
-
 class CollisionWitness(NamedTuple):
     """One collision event: who meets whom, when, and where."""
 
@@ -118,40 +110,48 @@ class PairMinimum:
     argmin_t: float
 
 
-def collision_ratios(N: int, p: int) -> list[CollisionRatio]:
-    """All a/b values at which some body pair can collide.
+def collision_ratios(N: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """All a/b values at which some body pair can collide, as (k, ratio) columns.
 
-    For each separation k the dangerous quotient is
-    +- sin(pi p k / N) / sin(pi k / N); exact zeros are excluded (they
-    would require a = 0) and values repeated across separations are
-    deduplicated, keeping the smallest k.  Separation N - k mirrors k
-    exactly, so only k <= N/2 is evaluated.  At most 2(N - 1) values.
+    For each separation k <= N/2 (N - k mirrors k exactly) the dangerous
+    quotients are +- sin(pi p k / N) / sin(pi k / N), unless the numerator
+    is exactly 0 (they would need a = 0).  Taken in order of k, + before -,
+    a value within 1e-12 of one already taken is dropped, so a repeated
+    value keeps its smallest k.  At most 2(N - 1) values, as an int64
+    column k and a float64 column ratio, sorted by (k, ratio).
 
     Raises:
         ValueError: If |p| < 2 or N < 4, as ChoreoConfig does.
     """
-    # With a = b = 1 the pair amplitudes are the two sines themselves.
-    unit = ChoreoConfig(N, p, 1.0, 1.0)
-    found: list[CollisionRatio] = []
-    # The ratios in found by floor(ratio * 1e12): values within 1e-12 of
-    # each other have keys at most 2 apart, the products' rounding included.
-    accepted: dict[int, list[float]] = {}
-    for k in range(1, N // 2 + 1):
-        first, second = _pair_amplitudes(unit, k)
-        if second == 0.0:
-            continue  # sine vanishes exactly: no finite a/b
-        magnitude = abs(second / first)
-        for value in (magnitude, -magnitude):
-            key = math.floor(value * 1e12)
-            # The membership tests skip the scan when no key is near.
-            if (key - 2 in accepted or key - 1 in accepted or key in accepted
-                    or key + 1 in accepted or key + 2 in accepted) and any(
-                        abs(near - value) <= 1e-12 for bucket in range(key - 2, key + 3)
-                        for near in accepted.get(bucket, ())):
-                continue
-            accepted.setdefault(key, []).append(value)
-            found.append(CollisionRatio(k, value))
-    return sorted(found, key=lambda r: (r.k, r.ratio))
+    unit = ChoreoConfig(N, p, 1.0, 1.0)  # its pair amplitudes are the two sines
+    first, second = np.array([_pair_amplitudes(unit, k) for k in range(1, N // 2 + 1)]).T
+    k = second.nonzero()[0]  # a vanishing sine has no finite a/b
+    # Candidate i, of separation k[i // 2] + 1, is -|ratio| for even i and
+    # +|ratio| for odd i; taken + before -, its turn is i ^ 1.
+    ratio = (np.abs(second[k] / first[k])[:, None] * (-1.0, 1.0)).ravel()
+    order = ratio.argsort()  # ndarray methods: this runs on every collide
+    turns, values = order ^ 1, ratio[order]
+    # Runs of gaps <= 1e-12, values[start:end], lie more than 1e-12 apart: a run
+    # that spans at most 1e-12 keeps its first turn, and a longer one replays the rule.
+    padded = np.concatenate(([-np.inf], values, [np.inf]))
+    breaks = (padded[1:] - padded[:-1] > 1e-12).nonzero()[0]
+    starts, ends = breaks[:-1], breaks[1:]
+    tight = values[ends - 1] - values[starts] <= 1e-12
+    keep = np.zeros(ratio.size, dtype=bool)
+    keep[np.minimum.reduceat(turns, starts)[tight] ^ 1] = True
+    for start, end in zip(starts[~tight].tolist(), ends[~tight].tolist()):
+        run, blocked = values[start:end].tolist(), np.zeros(end - start, dtype=bool)
+        for j in turns[start:end].argsort().tolist():
+            if not blocked[j]:
+                keep[turns[start + j] ^ 1] = True
+                lo, hi = j, j + 1  # to the stretch of values within 1e-12 of run[j]
+                while lo > 0 and run[j] - run[lo - 1] <= 1e-12:
+                    lo -= 1
+                while hi < len(run) and run[hi] - run[j] <= 1e-12:
+                    hi += 1
+                blocked[lo:hi] = True
+    kept = keep.nonzero()[0]
+    return k[kept // 2] + 1, ratio[kept]
 
 
 def _pair_amplitudes(config: ChoreoConfig, k: int) -> tuple[float, float]:

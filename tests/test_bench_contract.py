@@ -65,7 +65,7 @@ def test_collision_counts_read_the_report(n, p):
     # The traced run reports collisions.witnesses and certified_ratio
     # from these counts.
     counts = load_tracing()._collision_counts
-    a = collision_ratios(n, p)[0].ratio
+    a = collision_ratios(n, p)[1][0]
     # The separations on the locus of a/b, from the phasor magnitudes.
     certified = sum(
         (p * k) % n != 0 and abs(abs(a * math.sin(math.pi * k / n))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -417,6 +418,18 @@ class TestCollideCommand:
         # |p - 1| N events for each of the mirror pair {1, 4}.
         assert (ks.count(1), ks.count(4), len(ks)) == (1554 * 5, 1554 * 5, 2 * 1554 * 5)
 
+    # SHA-256 of stdout as printed when collision_ratios kept one object
+    # per ratio and deduplicated through a dict of 1e-12 buckets.  At
+    # (2580, 4391) close ratios chain over more than 1e-12.
+    @pytest.mark.parametrize("n, p, digest", [
+        (2580, 4391, "957eb2a67e9d507a55ea0e095901f8c915e5863ae1d34ae24a2567da0239b186"),
+        (100000, 3, "a346e317b19f4649ecde611236bea1ffc3a701cc909f03f471e0d1befb95ba79"),
+    ])
+    def test_stdout_digest_pinned(self, capsys, n, p, digest):
+        code, out, err = run_cli(capsys, "collide", "--N", str(n), "--p", str(p))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # On the locus of a drawn separation, just off it (a suspect), or at
     # an arbitrary ratio.
     @settings(max_examples=60, deadline=None,
@@ -428,8 +441,8 @@ class TestCollideCommand:
     def test_stdout_matches_stdlib_on_plain_payload(self, capsys, n, p_mag, p_sign, k_index,
                                                     kind, b, sign_a, sign_b, off_ratio):
         p = p_sign * p_mag
-        ratios = collisions.collision_ratios(n, p)
-        ratio = abs(ratios[k_index % len(ratios)].ratio) if ratios else off_ratio
+        ratios = collisions.collision_ratios(n, p)[1].tolist()
+        ratio = abs(ratios[k_index % len(ratios)]) if ratios else off_ratio
         if kind == "near":
             ratio *= 1.0 + 1e-9
         elif kind == "off":
@@ -453,12 +466,13 @@ class TestCollideCommand:
         code, out, _ = run_cli(capsys, "collide", "--N", str(n), "--p", str(p),
                                f"--a={a!r}", f"--b={b!r}")
         report = collisions.has_collision(kinematics.ChoreoConfig(n, p, a, b))
+        ks, ratios = collisions.collision_ratios(n, p)
         witnesses = list(report.witnesses)
         keys = [(w.k, w.t_star, w.bodies) for w in witnesses]
         assert keys == sorted(keys)
         want = {
             "collides": report.collides,
-            "ratios": [{"k": r.k, "ratio": r.ratio} for r in collisions.collision_ratios(n, p)],
+            "ratios": [{"k": k, "ratio": ratio} for k, ratio in zip(ks.tolist(), ratios.tolist())],
             "witnesses": [{"k": w.k, "t": w.t_star, "bodies": list(w.bodies),
                            "point": w.point.tolist(), "distance": w.min_distance}
                           for w in witnesses],

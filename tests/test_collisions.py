@@ -9,7 +9,6 @@ from limachor import collisions
 from limachor.collisions import (
     CERTIFY_TOL,
     SUSPECT_TOL,
-    CollisionRatio,
     collision_ratios,
     has_collision,
     min_pair_distance,
@@ -37,7 +36,7 @@ def relative_gaps(config):
 
 
 def collision_ratios_quadratic(n, p):
-    """collision_ratios with each new value tested against every accepted one."""
+    """collision_ratios' (k, ratio) rows, each new value tested against every accepted one."""
     found = []
     for k in range(1, n // 2 + 1):
         first = math.sin(math.pi * k / n)
@@ -46,9 +45,16 @@ def collision_ratios_quadratic(n, p):
             continue
         magnitude = abs(second / first)
         for value in (magnitude, -magnitude):
-            if not any(abs(value - r.ratio) <= 1e-12 for r in found):
-                found.append(CollisionRatio(k, value))
-    return sorted(found, key=lambda r: (r.k, r.ratio))
+            if not any(abs(value - ratio) <= 1e-12 for _, ratio in found):
+                found.append((k, value))
+    return sorted(found)
+
+
+def ratio_rows(n, p):
+    """collision_ratios(n, p)'s two columns as a list of (k, ratio) rows."""
+    ks, ratios = collision_ratios(n, p)
+    assert (ks.dtype, ratios.dtype, ks.shape) == (np.int64, np.float64, ratios.shape)
+    return list(zip(ks.tolist(), ratios.tolist()))
 
 
 def has_collision_every_k(config):
@@ -74,32 +80,33 @@ def has_collision_every_k(config):
 
 class TestCollisionRatios:
     def test_four_bodies_p2(self):
-        values = sorted(r.ratio for r in collision_ratios(4, 2))
+        values = sorted(collision_ratios(4, 2)[1].tolist())
         assert values == pytest.approx([-math.sqrt(2), math.sqrt(2)])
 
     def test_six_bodies_p2_includes_unity(self):
-        values = [r.ratio for r in collision_ratios(6, 2)]
+        values = collision_ratios(6, 2)[1].tolist()
         assert any(abs(v - 1.0) <= 1e-12 for v in values)
 
     def test_sign_symmetry_in_p(self):
         for n, p in [(7, 3), (9, 4), (11, 5)]:
-            plus = sorted(abs(r.ratio) for r in collision_ratios(n, p))
-            minus = sorted(abs(r.ratio) for r in collision_ratios(n, -p))
+            plus = sorted(np.abs(collision_ratios(n, p)[1]).tolist())
+            minus = sorted(np.abs(collision_ratios(n, -p)[1]).tolist())
             assert plus == pytest.approx(minus, abs=1e-12)
 
     def test_count_bound(self):
         for n in range(4, 21):
             for mag in range(2, 8):
                 for p in (mag, -mag):
-                    assert len(collision_ratios(n, p)) <= 2 * (n - 1)
+                    assert len(ratio_rows(n, p)) <= 2 * (n - 1)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(4, 599), mag=st.integers(2, 12), sign=st.sampled_from([1, -1]))
     def test_bound_mirror_and_distinct_entries(self, n, mag, sign):
-        ratios = collision_ratios(n, sign * mag)
-        assert len(ratios) <= 2 * (n - 1)
-        assert all(r.k <= n / 2 for r in ratios)
-        values = sorted(r.ratio for r in ratios)
+        rows = ratio_rows(n, sign * mag)
+        assert len(rows) <= 2 * (n - 1)
+        assert rows == sorted(rows)
+        assert all(k <= n / 2 for k, _ in rows)
+        values = sorted(ratio for _, ratio in rows)
         for low, high in zip(values, values[1:]):
             assert high - low > 1e-9 * max(abs(low), abs(high))
 
@@ -107,18 +114,22 @@ class TestCollisionRatios:
     @given(n=st.integers(4, 800), mag=st.integers(2, 40), sign=st.sampled_from([1, -1]))
     @example(n=370, mag=11, sign=1)
     @example(n=397, mag=11, sign=1)
+    # Neighbours at most 1e-12 apart chain over more than 1e-12 here:
+    # two runs of 10 values at (2580, 4391), 96 of up to 150 at (2000, 2000001).
+    @example(n=2580, mag=4391, sign=1)
+    @example(n=2580, mag=4391, sign=-1)
+    @example(n=2000, mag=2000001, sign=1)
     def test_matches_quadratic_reference(self, n, mag, sign):
-        assert collision_ratios(n, sign * mag) == collision_ratios_quadratic(n, sign * mag)
+        assert ratio_rows(n, sign * mag) == collision_ratios_quadratic(n, sign * mag)
 
     def test_mirror_duplicates_dropped_at_370_11(self):
         # 362 distinct values; separations k and N - k used to add two more.
-        assert len(collision_ratios(370, 11)) == 362
+        assert len(ratio_rows(370, 11)) == 362
 
     def test_mirror_of_first_separation_dropped_at_397_11(self):
         # k = 396 gives |ratio| 10.986228537980477, 1.3e-12 away from k = 1.
-        ratios = collision_ratios(397, 11)
-        near = [(r.k, r.ratio) for r in ratios
-                if abs(abs(r.ratio) - 10.986228537979132) <= 1e-9]
+        near = [(k, ratio) for k, ratio in ratio_rows(397, 11)
+                if abs(abs(ratio) - 10.986228537979132) <= 1e-9]
         assert near == [(1, -10.986228537979132), (1, 10.986228537979132)]
 
     def test_rejects_degenerate_inputs(self):
@@ -212,8 +223,8 @@ class TestCollisionSymmetries:
            s=st.floats(0.5, 2.0), s_sign=st.sampled_from([1.0, -1.0]))
     def test_every_ratio_collides(self, n, p_mag, p_sign, s, s_sign):
         p = p_sign * p_mag
-        for r in collision_ratios(n, p):
-            assert has_collision(ChoreoConfig(n, p, r.ratio * s_sign * s, s_sign * s)).collides
+        for ratio in collision_ratios(n, p)[1].tolist():
+            assert has_collision(ChoreoConfig(n, p, ratio * s_sign * s, s_sign * s)).collides
 
     # (a, b) -> (-a, -b) negates the curve at the same time, and
     # (a, b) -> (-a, (-1)^p b) is the same curve half a period later.
@@ -225,9 +236,9 @@ class TestCollisionSymmetries:
     def test_report_follows_amplitude_sign_flips(
             self, n, p_mag, p_sign, k_index, offset, b, sign_a, sign_b, mirror):
         p = p_sign * p_mag
-        ratios = collision_ratios(n, p)
+        ratios = collision_ratios(n, p)[1].tolist()
         assume(ratios)
-        ratio = abs(ratios[k_index % len(ratios)].ratio) * (1.0 + offset)
+        ratio = abs(ratios[k_index % len(ratios)]) * (1.0 + offset)
         a, b = sign_a * ratio * b, sign_b * b
         base = has_collision(ChoreoConfig(n, p, a, b))
         if mirror:
@@ -255,9 +266,9 @@ class TestCollisionSymmetries:
     def test_report_closed_under_separation_mirror(
             self, n, p_mag, p_sign, k_index, offset, b, sign_a):
         p = p_sign * p_mag
-        ratios = collision_ratios(n, p)
+        ratios = collision_ratios(n, p)[1].tolist()
         assume(ratios)
-        ratio = abs(ratios[k_index % len(ratios)].ratio) * (1.0 + offset)
+        ratio = abs(ratios[k_index % len(ratios)]) * (1.0 + offset)
         report = has_collision(ChoreoConfig(n, p, sign_a * ratio * b, b))
         certified = {w.k for w in report.witnesses}
         assert certified == {n - k for k in certified}
@@ -276,9 +287,9 @@ class TestCollisionSymmetries:
     def test_one_oracle_run_per_mirror_pair(
             self, half, odd, p_mag, p_sign, k_index, offset, b, sign_a):
         n, p = 2 * half + odd, p_sign * p_mag
-        ratios = collision_ratios(n, p)
+        ratios = collision_ratios(n, p)[1].tolist()
         assume(ratios)
-        ratio = abs(ratios[k_index % len(ratios)].ratio) * (1.0 + offset)
+        ratio = abs(ratios[k_index % len(ratios)]) * (1.0 + offset)
         config = ChoreoConfig(n, p, sign_a * ratio * b, b)
         want, every_k = has_collision_every_k(config)
         calls = []
@@ -354,9 +365,9 @@ class TestWitnessBits:
     def test_on_locus_witnesses_match_per_event_reference(
             self, n, p_mag, p_sign, k_index, b, sign_a, sign_b):
         p = p_sign * p_mag
-        ratios = collision_ratios(n, p)
+        ratios = collision_ratios(n, p)[1].tolist()
         assume(ratios)
-        ratio = abs(ratios[k_index % len(ratios)].ratio)
+        ratio = abs(ratios[k_index % len(ratios)])
         assert_witnesses_bit_identical(ChoreoConfig(n, p, sign_a * ratio * b, sign_b * b))
 
     # On these, a row-wise norm (np.linalg.norm(diff, axis=-1), or

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from limachor import dynamics
-from limachor.coefficients import CouplingVector, solve_couplings
+from limachor.coefficients import CouplingVector, solve_couplings, solve_restricted
 from limachor.dynamics import (
     _RK4_BLOCK,
     _RK4_CHUNK,
@@ -176,6 +176,27 @@ class TestDefaultChoreographyIsStable:
                     if (j, n) not in sin_sq:
                         sin_sq[j, n] = _decimal_sin(pi * j / n) ** 2
                 assert p * p * sin_sq[1, n] > sin_sq[k, n], (p, n)
+
+
+class TestRestrictedEvenChoreographyIsStable:
+    # For even N, p = N/2 mod N, the restricted couplings give every bin
+    # but 0 and N/2 stiffness exactly 1, and bin N/2 stiffness p^2
+    # (README, "Linear stability").  A sweep of N <= 1024 peaked at 0.49
+    # of this tolerance.
+
+    @settings(max_examples=100, deadline=None)
+    @given(half=st.integers(2, 512), turns=st.integers(-40, 40))
+    def test_spectrum_is_one_except_the_diametral_bin(self, half, turns):
+        n = 2 * half
+        p = half + turns * n
+        assume(abs(p) >= 2)
+        couplings = solve_restricted(n, p).expand(n)
+        lam = build_interaction(couplings)
+        scale = sum(abs(coupling) for _, coupling in couplings.bonds())
+        tol = n * np.finfo(float).eps * scale
+        assert lam[0] == 0.0
+        assert np.all(np.abs(lam[1:half] - 1.0) <= tol)
+        assert abs(lam[half] - p * p) <= tol
 
 
 def _refuse(*args, **kwargs):
