@@ -8,7 +8,9 @@ and for composite N = m*n, conserved sub-sums over each Z_m subgroup
 orbit of the body indices.
 
 One kernel, ``_conserved``, evaluates the quantities per sample from
-the couplings' Laplacian (``CouplingVector.laplacian``).  A
+the couplings' Laplacian (``CouplingVector.laplacian``).  It reads each
+coordinate of a trajectory as an (N, S) matrix, the layout in which
+RK4's chunks store it with the samples contiguous.  A
 ``ConservedSeries`` folds a trajectory into them piece by piece, keeping
 only the per-sample values; ``drift_report`` folds a whole trajectory
 as one piece, and ``verify`` folds RK4's chunks as they come.
@@ -23,12 +25,13 @@ import numpy as np
 
 from limachor.admissibility import InadmissibleError, is_admissible
 from limachor.coefficients import CouplingVector
+from limachor.dynamics import _RK4_CHUNK
 from limachor.kinematics import ChoreoConfig, Trajectory, planar_norm, state_at
 
-# Coordinate rows per Laplacian product in _conserved: at N <= 12 a
-# (1024, N) @ (N, N + 1) product is small enough that BLAS runs it on
-# one thread, which costs less CPU than a threaded product over every row.
-_CONSERVED_BLOCK = 1024
+# Samples per Laplacian product in _conserved: one RK4 chunk, so that
+# the products over RK4's chunks group their columns as one product
+# over the whole run would.
+_CONSERVED_BLOCK = _RK4_CHUNK
 
 
 @dataclass(frozen=True)
@@ -98,46 +101,37 @@ class PartialSumReport:
     predicted: dict[str, float] = field(default_factory=dict)
 
 
-def _kernel(laplacian: np.ndarray) -> np.ndarray:
-    """[L | 1] for a Laplacian L = D - K: an (N, N + 1) matrix."""
-    n = laplacian.shape[0]
-    kernel = np.empty((n, n + 1))
-    kernel[:, :n] = laplacian
-    kernel[:, n] = 1.0
-    return kernel
+def _inertia(q: np.ndarray) -> np.ndarray:
+    """Moment of inertia per sample of (2, N, S) coordinate rows."""
+    return np.einsum("cks,cks->s", q, q)
 
 
-def _inertia(qt: np.ndarray) -> np.ndarray:
-    """Moment of inertia per sample of (S, 2, N) coordinate rows."""
-    return np.einsum("sck,sck->s", qt, qt)
-
-
-def _conserved(pos: np.ndarray, vel: np.ndarray, kernel: np.ndarray):
+def _conserved(pos: np.ndarray, vel: np.ndarray, laplacian: np.ndarray):
     """First moment, angular momentum, inertia, kinetic and potential energy per sample.
 
-    ``pos`` and ``vel`` are (S, N, 2) and ``kernel`` is ``_kernel`` of
-    the Laplacian; each quantity comes back with leading dimension S.
-    The potential, half the sum over unordered pairs of
+    ``pos`` and ``vel`` are (S, N, 2) and ``laplacian`` is the N x N
+    L = D - K; each quantity comes back with leading dimension S.  The
+    potential, half the sum over unordered pairs of
     kappa_jl |q_j - q_l|^2, is evaluated as the Laplacian quadratic form
-    1/2 sum_c q_c^T (D - K) q_c, so memory stays O(S*N).  The work is
-    coordinate-major: the (2S, N) coordinate rows (for an RK4 trajectory,
-    views of its state rows) times [D - K | 1] give (D - K) q and the
-    first moment, in blocks of _CONSERVED_BLOCK rows.
+    1/2 sum_c q_c^T L q_c, so memory stays O(S*N).  The work is
+    coordinate-major: it views each coordinate as an (N, S) matrix (for
+    an RK4 trajectory, rows of its state array with the samples
+    contiguous).  L q is one stacked product per _CONSERVED_BLOCK
+    samples; the first moment is the sum over bodies, and the other
+    quantities are sums over bodies of products of sample rows.  Each
+    sample's value is computed alone, whatever the other samples.
     """
-    s, n = pos.shape[0], pos.shape[1]
-    qt = pos.transpose(0, 2, 1)
-    vt = vel.transpose(0, 2, 1)
-    q_rows = qt.reshape(2 * s, n)
-    lq = np.empty((2 * s, n + 1))
-    for start in range(0, 2 * s, _CONSERVED_BLOCK):
-        stop = start + _CONSERVED_BLOCK
-        np.matmul(q_rows[start:stop], kernel, out=lq[start:stop])
-    g = lq[:, n].reshape(s, 2)
-    c = np.einsum("sk,sk->s", qt[:, 0], vt[:, 1]) \
-        - np.einsum("sk,sk->s", qt[:, 1], vt[:, 0])
-    kinetic = 0.5 * np.einsum("sck,sck->s", vt, vt)
-    potential = 0.5 * np.einsum("sck,sck->s", qt, lq[:, :n].reshape(s, 2, n))
-    return g, c, _inertia(qt), kinetic, potential
+    q = pos.transpose(2, 1, 0)
+    v = vel.transpose(2, 1, 0)
+    potential = np.empty(pos.shape[0])
+    for start in range(0, potential.size, _CONSERVED_BLOCK):
+        block = q[:, :, start:start + _CONSERVED_BLOCK]
+        np.einsum("cks,cks->s", block, laplacian @ block,
+                  out=potential[start:start + _CONSERVED_BLOCK])
+    g = q.sum(axis=1).T
+    c = np.einsum("ks,ks->s", q[0], v[1]) - np.einsum("ks,ks->s", q[1], v[0])
+    kinetic = 0.5 * np.einsum("cks,cks->s", v, v)
+    return g, c, _inertia(q), kinetic, 0.5 * potential
 
 
 class ConservedSeries:
@@ -149,15 +143,15 @@ class ConservedSeries:
     Once the last piece is in, ``report`` and ``inertia_rate_max`` read
     the stored values, so the rate reuses the inertia of the fold.
 
-    Each piece is one _conserved call, whose blocks of _CONSERVED_BLOCK
-    coordinate rows (two per sample) count from the piece's first
-    sample.  ``rk4_chunks``' chunks start on multiples of 2048 samples,
-    four whole blocks, so for them every stored value has the bits of
-    one _conserved call on the whole run.
+    Each piece is one _conserved call, whose Laplacian products of
+    _CONSERVED_BLOCK samples count from the piece's first sample.
+    ``rk4_chunks``' chunks start on multiples of _RK4_CHUNK samples, so
+    each of their products is one of the whole run's, and every stored
+    value has the bits of one _conserved call on the whole run.
     """
 
     def __init__(self, couplings: CouplingVector, samples: int):
-        self._kernel = _kernel(couplings.laplacian())
+        self._laplacian = couplings.laplacian()
         self.t = np.empty(samples)
         self.g = np.empty((samples, 2))
         self.c, self.inertia, self.kinetic, self.potential = (
@@ -169,7 +163,7 @@ class ConservedSeries:
         """Fold in the next piece; an overflow is stored, and ``report`` raises on it."""
         start, stop = self._stored, self._stored + piece.t.size
         self.t[start:stop] = piece.t
-        values = _conserved(piece.q, piece.v, self._kernel)
+        values = _conserved(piece.q, piece.v, self._laplacian)
         for series, value in zip(
                 (self.g, self.c, self.inertia, self.kinetic, self.potential), values):
             series[start:stop] = value
@@ -301,8 +295,7 @@ def partial_sums(config: ChoreoConfig, m: int, n: int, ell: int,
     # Unit coupling between every pair of the orbit, Laplacian m I - J:
     # its potential is half the sum of squared separations.
     g, ang, inertia, kin, half_pair_sq = _conserved(
-        state.q[:, idx], state.v[:, idx],
-        _kernel(m * np.eye(m) - np.ones((m, m))))
+        state.q[:, idx], state.v[:, idx], m * np.eye(m) - np.ones((m, m)))
 
     first_moment_full = (n * p) % config.N == 0
     subgroup_constant = (n * (p - 1)) % config.N != 0
@@ -376,5 +369,5 @@ def inertia_rate_max(traj: Trajectory) -> float:
         ValueError: With fewer than 3 samples, or if a rate overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        inertia = _inertia(traj.q.transpose(0, 2, 1))
+        inertia = _inertia(traj.q.transpose(2, 1, 0))
     return _rate_max(traj.t, inertia)

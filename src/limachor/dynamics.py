@@ -12,7 +12,10 @@ couplings, and each builds its own operator from the couplings; they
 share no force code, which is what makes their agreement a meaningful
 oracle.  RK4 yields its run in bounded chunks (``rk4_chunks``), so a
 caller that reduces each chunk never holds the whole trajectory;
-``rk4_integrate`` joins them.
+``rk4_integrate`` joins them.  RK4 stores its state coordinate-major,
+each coordinate a (2N, samples) matrix with the samples contiguous, so
+a block of samples advances in one stacked product and a reduction
+over bodies reads whole sample rows.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from limachor.coefficients import CouplingVector
 from limachor.kinematics import Trajectory
 
 # Samples per RK4 block: each block after the first is one product
-# with R^64 (see rk4_chunks).
-_RK4_BLOCK = 64
-# Samples per RK4 chunk after the first: 32 blocks.  Each chunk costs a
-# fixed number of numpy calls, so shorter chunks cost time per run.
-_RK4_CHUNK = 32 * _RK4_BLOCK
+# with R^128 (see rk4_chunks).
+_RK4_BLOCK = 128
+# Samples per RK4 chunk: 16 blocks.  Each chunk costs a fixed number of
+# numpy calls, so shorter chunks cost time per run.
+_RK4_CHUNK = 16 * _RK4_BLOCK
 
 
 def build_interaction(couplings: CouplingVector) -> np.ndarray:
@@ -82,22 +85,26 @@ def rk4_chunks(initial: Trajectory, couplings: CouplingVector,
 
     The system y' = A y, y = (q, v), is linear, so one RK4 step is
     exactly y <- R(dt A) y with the RK4 stability polynomial
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and B steps are exactly
-    y <- R(dt A)^B y.  R(dt A) is built once from the couplings'
-    Laplacian (no eigenbasis).  The first B = 64 samples are taken one
-    step at a time; every later block of B samples is then the block
-    before it times R^B, one matrix product per block.  Each product
-    has 2B rows, few enough that BLAS runs it on one thread at small
-    N.  Deterministic for fixed inputs.
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and k steps are exactly
+    y <- R(dt A)^k y.  R(dt A) is built once from the couplings'
+    Laplacian (no eigenbasis).  The first B = 128 samples come from 7
+    doubling products: samples [k, 2k) are R^k times samples [0, k),
+    for k = 1, 2, 4, ..., 64, each power the square of the last.  Every
+    later block of B samples is then R^B times the block before it.
+
+    Each chunk is coordinate-major: one (2, 2N, samples) array, whose
+    coordinate c is the (2N, samples) matrix of state columns (q_c, v_c)
+    with the samples contiguous; ``q`` and ``v`` are (S, N, 2) views of
+    it.  So each block is one stacked product over both coordinates.
+    Deterministic for fixed inputs.
 
     Chunk i holds samples [i * _RK4_CHUNK, (i + 1) * _RK4_CHUNK), and
-    the last one runs through sample ``steps``.  Each chunk's products
-    end on a block boundary, one sample past the chunk: that sample
-    opens the next chunk.  So each product groups its rows as one
-    whole-run array would, and the samples have the same bits whatever
-    the chunking.  Each chunk is a new array (the B samples before its
-    products are copied in front of them), so a chunk the caller keeps
-    never changes.  Memory is O(_RK4_CHUNK * N + N^2).
+    the last one runs through sample ``steps`` (2 to _RK4_CHUNK + 1
+    samples).  Chunks start on block boundaries, so each product
+    groups its columns as one whole-run array would, and the samples
+    have the same bits whatever the chunking.  Each chunk is a new
+    array (the B samples before it are kept as a copy), so a chunk the
+    caller keeps never changes.  Memory is O(_RK4_CHUNK * N + N^2).
 
     Raises:
         ValueError: If dt is not finite and positive, steps < 1, or
@@ -111,63 +118,55 @@ def rk4_chunks(initial: Trajectory, couplings: CouplingVector,
         raise ValueError(f"need at least one step, got {steps}")
     n = couplings.N
     t0, q0, v0 = _start(initial, n)
-    step_t = _rk4_step(couplings, dt).T
-    if steps > _RK4_BLOCK:
-        with np.errstate(over="ignore", invalid="ignore"):
-            jump = np.linalg.matrix_power(step_t, _RK4_BLOCK)
-
+    jump = _rk4_step(couplings, dt)
     tail = None   # the last _RK4_BLOCK samples computed so far
-    start, stop = 0, min(_RK4_CHUNK + 1, steps + 1)
-    while start <= steps:
-        # Sample, coordinate, state entry: a run of consecutive samples
-        # is one contiguous (2 * rows, 2N) matrix, advanced by right
-        # products.  y computes samples [start, stop) after `lead`
-        # samples copied from the ones before.
-        lead = 0 if tail is None else _RK4_BLOCK
-        y = np.empty((lead + stop - start, 2, 2 * n))
-        rows = y.reshape(-1, 2 * n)
+    # Every chunk array has room for the longest chunk, so the allocator
+    # can give each chunk the memory the one before it freed.
+    room = min(_RK4_CHUNK + 1, steps + 1)
+    for start in range(0, steps, _RK4_CHUNK):
+        # The last chunk takes the final sample too, so none holds one.
+        stop = start + _RK4_CHUNK if start + _RK4_CHUNK < steps else steps + 1
+        size = stop - start
+        y = np.empty((2, 2 * n, room))[:, :, :size]
         with np.errstate(over="ignore", invalid="ignore"):
             if tail is None:
-                y[0, :, :n] = q0.T
-                y[0, :, n:] = v0.T
-                for i in range(min(_RK4_BLOCK, steps)):
-                    np.matmul(y[i], step_t, out=y[i + 1])
-                first = _RK4_BLOCK + 1
+                y[:, :n, 0] = q0.T
+                y[:, n:, 0] = v0.T
+                # Doubling; on exit jump is R^_RK4_BLOCK if a block follows.
+                k = 1
+                while k < min(_RK4_BLOCK, size):
+                    np.matmul(jump, y[:, :, :min(k, size - k)], out=y[:, :, k:2 * k])
+                    if 2 * k < size:
+                        jump = jump @ jump
+                    k *= 2
             else:
-                y[:lead] = tail
-                first = lead
-            for block in range(first, len(y), _RK4_BLOCK):
-                end = min(block + _RK4_BLOCK, len(y))
-                np.matmul(rows[2 * (block - _RK4_BLOCK):2 * (end - _RK4_BLOCK)],
-                          jump, out=rows[2 * block:2 * end])
-        # Chunk i starts at sample i * _RK4_CHUNK: every chunk but the
-        # last leaves the last sample it computed to open the next.
-        begin = max(start - 1, 0)
-        piece = y[max(lead - 1, 0):len(y) - (stop <= steps)]
-        if not np.isfinite(piece).all():
+                np.matmul(jump, tail[:, :, :size], out=y[:, :, :_RK4_BLOCK])
+            for block in range(_RK4_BLOCK, size, _RK4_BLOCK):
+                np.matmul(jump, y[:, :, block - _RK4_BLOCK:min(block, size - _RK4_BLOCK)],
+                          out=y[:, :, block:block + _RK4_BLOCK])
+        if not np.isfinite(y).all():
             raise ValueError(
                 f"RK4 left the finite float range with dt={dt}, steps={steps}: "
                 f"the step is beyond RK4's stability limit or the motion "
                 f"outgrows float64")
-        tail = y[-_RK4_BLOCK:].copy()
-        state = piece.transpose(0, 2, 1)
-        yield Trajectory(t0 + np.arange(begin, begin + len(piece)) * dt,
-                         state[:, :n], state[:, n:])
+        if stop <= steps:
+            tail = y[:, :, -_RK4_BLOCK:].copy()
+        state = y.transpose(2, 1, 0)
+        yield Trajectory(t0 + np.arange(start, stop) * dt, state[:, :n], state[:, n:])
         # The caller's reference is then the only one, so a chunk the
         # caller drops is freed before the next one is allocated.
-        del y, rows, piece, state
-        start, stop = stop, min(stop + _RK4_CHUNK, steps + 1)
+        del y, state
 
 
 def rk4_integrate(initial: Trajectory, couplings: CouplingVector,
                   dt: float, steps: int) -> Trajectory:
     """The whole RK4 run of ``rk4_chunks``, as one trajectory.
 
-    The samples are the chunks' samples, in one (steps + 1, 2, 2N)
-    array (sample, coordinate, state entry) of which ``q`` and ``v``
-    are views: the chunks' own layout, so that a kernel run over the
-    whole trajectory sees the strides it sees over the chunks.  It is
-    allocated after the first chunk, so a size numpy refuses fails early.
+    The samples are the chunks' samples, in one (2, 2N, steps + 1)
+    array of which ``q`` and ``v`` are views: the chunks' own layout,
+    so that a kernel run over the whole trajectory sees the strides it
+    sees over the chunks.  It is allocated after the first chunk, so a
+    size numpy refuses fails early.
 
     Raises:
         ValueError: As ``rk4_chunks``.
@@ -175,13 +174,14 @@ def rk4_integrate(initial: Trajectory, couplings: CouplingVector,
     n, start = couplings.N, 0
     for chunk in rk4_chunks(initial, couplings, dt, steps):
         if start == 0:   # the first chunk has passed the input checks
-            state = np.empty((steps + 1, 2, 2 * n)).transpose(0, 2, 1)
+            state = np.empty((2, 2 * n, steps + 1)).transpose(2, 1, 0)
             times = np.empty(steps + 1)
         stop = start + chunk.t.size
         times[start:stop] = chunk.t
         state[start:stop, :n] = chunk.q
         state[start:stop, n:] = chunk.v
         start = stop
+        del chunk   # freed before the next chunk is allocated
     return Trajectory(times, state[:, :n], state[:, n:])
 
 

@@ -6,7 +6,8 @@ inertia rate are measured.  Gates scale with the amplitudes, and the
 pipeline runs on the curve scaled by a power of two (``unit_scaled``),
 so the verdict does not depend on the curve's size down to the
 smallest amplitudes, whose squares underflow.  RK4 is folded chunk by
-chunk into per-sample conserved quantities, so memory is
+chunk into per-sample conserved quantities, read in place from each
+chunk's coordinate-major sample rows, so memory is
 O(chunk * N + N^2 + samples), never the whole trajectory.
 """
 

@@ -11,7 +11,6 @@ from limachor.constants import (
     _CONSERVED_BLOCK,
     ConservedSeries,
     _conserved,
-    _kernel,
     closed_form_constants,
     drift_report,
     inertia_rate_max,
@@ -96,67 +95,110 @@ class TestMeasure:
         assert abs(report.drift["V"] - want) <= 2e-12 * max(s for _, s in reference)
 
 
-def conserved_reference(pos, vel, pair):
-    """Reference g, c, I, K, V per sample from explicit per-body terms,
-    each as (value, sum of the terms' magnitudes)."""
-    def summed(terms, axes):
-        return terms.sum(axis=axes), np.abs(terms).sum(axis=axes)
+def per_body_reference(pos, vel, pair):
+    """Reference g, c, I, K, V per sample from plain per-body formulas,
+    each as (value, sum of the terms' magnitudes).
 
-    diff = pos[:, :, None, :] - pos[:, None, :, :]
-    pair_terms = 0.25 * pair * np.einsum("sjlc,sjlc->sjl", diff, diff)
+    ``pos`` and ``vel`` are (S, N, 2) in any memory layout.  V is
+    1/2 sum over unordered pairs j < l of kappa_jl |q_j - q_l|^2, one
+    pair at a time: no Laplacian.
+    """
+    def summed(terms):
+        return sum(terms), sum(np.abs(term) for term in terms)
+
+    n = pos.shape[1]
+    x, y, vx, vy = pos[..., 0], pos[..., 1], vel[..., 0], vel[..., 1]
+    pair_terms = []
+    for j in range(n):
+        for ell in range(j + 1, n):
+            dx, dy = x[:, j] - x[:, ell], y[:, j] - y[:, ell]
+            pair_terms.append(0.5 * pair[j, ell] * (dx * dx + dy * dy))
     return {
-        "g": summed(pos, 1),
-        "c": summed(pos[:, :, 0] * vel[:, :, 1] - pos[:, :, 1] * vel[:, :, 0], 1),
-        "I": summed(pos * pos, (1, 2)),
-        "K": summed(0.5 * vel * vel, (1, 2)),
-        "V": summed(pair_terms, (1, 2)),
+        "g": summed([pos[:, k] for k in range(n)]),
+        "c": summed([x[:, k] * vy[:, k] for k in range(n)]
+                    + [-y[:, k] * vx[:, k] for k in range(n)]),
+        "I": summed([x[:, k] * x[:, k] + y[:, k] * y[:, k] for k in range(n)]),
+        "K": summed([0.5 * (vx[:, k] * vx[:, k] + vy[:, k] * vy[:, k])
+                     for k in range(n)]),
+        "V": summed(pair_terms),
     }
 
 
-class TestBlockedKernel:
-    """The conserved-quantity kernel against explicit per-body sums.
+def assert_matches_reference(got, pos, vel, pair):
+    """``got``, the g, c, I, K, V of ``_conserved``, to 1e-13 of each term scale."""
+    for key, value in zip("gcIKV", got):
+        want, scale = per_body_reference(pos, vel, pair)[key]
+        assert value.shape == want.shape, key
+        assert np.all(np.abs(value - want) <= 1e-13 * scale), key
 
-    The sample counts put 2S coordinate rows below, on, just past and
-    well past the kernel's 1024-row product blocks, so full and partial
-    last blocks are both covered.
+
+class TestBlockedKernel:
+    """The conserved-quantity kernel against plain per-body formulas.
+
+    The kernel reads each coordinate as an (N, S) matrix.  It must give
+    the same values on every layout it is handed: RK4's coordinate-major
+    chunks, C-ordered (S, N, 2) analytic trajectories, and the
+    fancy-indexed copies of ``partial_sums``.  The sample counts end
+    below, on and past the kernel's 2048-sample Laplacian products, so
+    full and partial last products are both covered.
     """
 
-    SAMPLES = [2, 511, 512, 513, 1025, 8193]
-
-    def check(self, traj, couplings):
-        pair = pair_matrix(couplings)
-        got = dict(zip("gcIKV", _conserved(traj.q, traj.v, _kernel(couplings.laplacian()))))
-        for key, (value, scale) in conserved_reference(traj.q, traj.v, pair).items():
-            assert got[key].shape == value.shape
-            assert np.all(np.abs(got[key] - value) <= 1e-12 * scale), key
+    SAMPLES = [2, 2047, 2048, 2049, 4097]
 
     @pytest.mark.parametrize("tail", ["zero", "random", "diametral"])
     @pytest.mark.parametrize("n, p", [(4, 2), (5, 2), (7, 2), (12, 5), (64, 7)])
-    def test_kernel_keeps_the_pair_matrix_bits(self, n, p, tail):
+    def test_laplacian_keeps_the_pair_matrix_bits(self, n, p, tail):
         # The reference builds D - K from the pair matrix K itself.
         couplings = tailed_couplings(n, p, tail)
         pair = pair_matrix(couplings)
-        old = np.hstack((np.diag(pair.sum(axis=1)) - pair, np.ones((n, 1))))
-        got = _kernel(couplings.laplacian())
+        old = np.diag(pair.sum(axis=1)) - pair
+        got = couplings.laplacian()
         assert np.array_equal(got, old)
         assert np.array_equal(np.signbit(got), np.signbit(old))
 
     @pytest.mark.parametrize("samples", SAMPLES)
-    @pytest.mark.parametrize("p, n, tail", [(2, 5, None), (-3, 7, [0.25]), (5, 12, None)])
+    @pytest.mark.parametrize("p, n, tail", [(2, 5, None), (-3, 7, [0.25]), (5, 12, None),
+                                            (7, 64, None)])
     def test_rk4_trajectory(self, samples, p, n, tail):
         config = ChoreoConfig(n, p, 1.2, 0.7)
         couplings = solve_couplings(n, p, tail)
-        # RK4's q and v are strided views of its (S, 2, 2N) state array.
-        traj = rk4_integrate(state_at(config, 0.0), couplings, math.tau / 8192, samples - 1)
-        assert not traj.q.flags.c_contiguous
-        self.check(traj, couplings)
+        laplacian, pair = couplings.laplacian(), pair_matrix(couplings)
+        for chunk in rk4_chunks(state_at(config, 0.0), couplings, math.tau / 8192,
+                                samples - 1):
+            # RK4's q and v are views of its (2, 2N, S) chunk array.
+            assert chunk.q.strides[0] == chunk.q.itemsize
+            assert_matches_reference(_conserved(chunk.q, chunk.v, laplacian),
+                                     chunk.q, chunk.v, pair)
 
     @pytest.mark.parametrize("samples", SAMPLES)
     def test_contiguous_trajectory(self, samples):
         config = ChoreoConfig(9, 4, 0.8, 1.3)
+        couplings = solve_couplings(9, 4)
         traj = sample_trajectory(config, 0.0, math.tau, samples)
         assert traj.q.flags.c_contiguous
-        self.check(traj, solve_couplings(9, 4))
+        assert_matches_reference(_conserved(traj.q, traj.v, couplings.laplacian()),
+                                 traj.q, traj.v, pair_matrix(couplings))
+
+    @pytest.mark.parametrize("m, n", factorizations(12))
+    def test_partial_sums_orbit_copies(self, m, n):
+        # partial_sums hands the kernel fancy-indexed copies of one
+        # orbit's bodies, with unit couplings between all of them.
+        config = ChoreoConfig(12, 5, 1.1, 0.6)
+        traj = sample_trajectory(config, 0.0, math.tau, 65)
+        pair = np.ones((m, m)) - np.eye(m)
+        for ell in range(n):
+            idx = ell + n * np.arange(m)
+            pos, vel = traj.q[:, idx], traj.v[:, idx]
+            assert_matches_reference(_conserved(pos, vel, m * np.eye(m) - np.ones((m, m))),
+                                     pos, vel, pair)
+            report = partial_sums(config, m, n, ell, 0.83)
+            state = state_at(config, 0.83)
+            want = per_body_reference(state.q[:, idx], state.v[:, idx], pair)
+            for got, key in ((report.first_moment, "g"), (report.angular_momentum, "c"),
+                             (report.moment_of_inertia, "I"), (report.kinetic, "K"),
+                             (report.pair_sq_sum / 2.0, "V")):
+                value, scale = want[key]
+                assert np.all(np.abs(got - value[0]) <= 1e-13 * scale[0]), key
 
 
 class TestClosedFormConstants:
@@ -373,7 +415,7 @@ class TestChunkedFold:
 
     Step counts end a run just before, on, just past and well past RK4
     chunk boundaries.  N = 16 and 64 are included because there the
-    Laplacian product rounds differently when its rows are grouped
+    Laplacian product rounds differently when its columns are grouped
     differently.
     """
 
@@ -387,10 +429,10 @@ class TestChunkedFold:
 
     def test_rk4_chunks_are_whole_kernel_blocks(self):
         # ConservedSeries folds each chunk in one _conserved call, whose
-        # blocks (two coordinate rows per sample) count from the chunk's
-        # first sample; they are the whole run's blocks only if every
-        # chunk starts on one.
-        assert _RK4_CHUNK % (_CONSERVED_BLOCK // 2) == 0
+        # Laplacian products of _CONSERVED_BLOCK samples count from the
+        # chunk's first sample; they are the whole run's products only
+        # if every chunk starts on one.
+        assert _RK4_CHUNK % _CONSERVED_BLOCK == 0
 
     @pytest.mark.parametrize("steps", [2, 2047, 2048, 2049, 2113, 4095, 4096, 4161, 8192])
     @pytest.mark.parametrize("n, p, tail", [
@@ -402,7 +444,7 @@ class TestChunkedFold:
         for chunk in rk4_chunks(init, couplings, self.DT, steps):
             series.add(chunk)
         traj = rk4_integrate(init, couplings, self.DT, steps)
-        whole = _conserved(traj.q, traj.v, _kernel(couplings.laplacian()))
+        whole = _conserved(traj.q, traj.v, couplings.laplacian())
         assert np.array_equal(series.t, traj.t)
         for got, expected in zip((series.g, series.c, series.inertia,
                                   series.kinetic, series.potential), whole):

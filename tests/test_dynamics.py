@@ -398,11 +398,12 @@ class TestRk4:
 
     @pytest.mark.parametrize("perturbed", [False, True])
     @pytest.mark.parametrize("N, p", [(4, 2), (7, 2), (12, 5), (64, 7)])
-    @pytest.mark.parametrize("steps", [1, 2, 63, 64, 65, 128, 129, 1000])
+    @pytest.mark.parametrize("steps", [1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000])
     def test_block_boundaries_match_staged_reference(self, steps, N, p,
                                                      perturbed):
-        # Samples past the first 64 come from 64-sample blocks, so runs
-        # that end inside, on and just past a block edge all count.
+        # The first 128 samples come from doubling products and later
+        # ones from 128-sample blocks, so runs that end inside, on and
+        # just past a doubling or block edge all count.
         initial = state_at(ChoreoConfig(N, p, 1.2, 0.7), 0.0)
         if perturbed:
             rng = np.random.default_rng(N)
@@ -441,31 +442,32 @@ class TestRk4:
 
 
 def whole_run_rk4(initial, couplings, dt, steps):
-    """Reference: RK4's block products over one (steps + 1, 2, 2N) array.
+    """Reference: RK4's doubling and block products over one (2, 2N, steps + 1) array.
 
-    The same step matrix and the same row groups as rk4_chunks, with
+    The same step matrix, powers and column groups as rk4_chunks, with
     nothing chunked, so the two must agree bit for bit.
     """
     n = couplings.N
-    step_t = _rk4_step(couplings, dt).T
-    y = np.empty((steps + 1, 2, 2 * n))
-    y[0, :, :n] = initial.q[0].T
-    y[0, :, n:] = initial.v[0].T
-    rows = y.reshape(2 * (steps + 1), 2 * n)
-    for i in range(min(_RK4_BLOCK, steps)):
-        np.matmul(y[i], step_t, out=y[i + 1])
-    if steps > _RK4_BLOCK:
-        jump = np.linalg.matrix_power(step_t, _RK4_BLOCK)
-        for start in range(_RK4_BLOCK + 1, steps + 1, _RK4_BLOCK):
-            stop = min(start + _RK4_BLOCK, steps + 1)
-            np.matmul(rows[2 * (start - _RK4_BLOCK):2 * (stop - _RK4_BLOCK)],
-                      jump, out=rows[2 * start:2 * stop])
-    state = y.transpose(0, 2, 1)
+    step = _rk4_step(couplings, dt)
+    y = np.empty((2, 2 * n, steps + 1))
+    y[:, :n, 0] = initial.q[0].T
+    y[:, n:, 0] = initial.v[0].T
+    k = 1
+    while k < min(_RK4_BLOCK, steps + 1):
+        stop = min(2 * k, steps + 1)
+        np.matmul(np.linalg.matrix_power(step, k), y[:, :, :stop - k], out=y[:, :, k:stop])
+        k *= 2
+    jump = np.linalg.matrix_power(step, _RK4_BLOCK)
+    for start in range(_RK4_BLOCK, steps + 1, _RK4_BLOCK):
+        stop = min(start + _RK4_BLOCK, steps + 1)
+        np.matmul(jump, y[:, :, start - _RK4_BLOCK:stop - _RK4_BLOCK], out=y[:, :, start:stop])
+    state = y.transpose(2, 1, 0)
     return initial.t + np.arange(steps + 1) * dt, state[:, :n], state[:, n:]
 
 
 class TestRk4Chunks:
-    STEPS = [1, 2, 63, 64, 65, 2047, 2048, 2049, 2112, 2113, 2114, 4095, 4096, 4161, 8192]
+    STEPS = [1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 2047, 2048, 2049, 2112, 2113,
+             2114, 4095, 4096, 4161, 8192]
 
     @pytest.mark.parametrize("steps", STEPS)
     @pytest.mark.parametrize("N, p", [(5, 2), (9, 2), (12, 5), (64, 7)])
