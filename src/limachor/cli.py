@@ -68,6 +68,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Below this many values, np.unique's fixed cost exceeds what it saves.
+# Columns of distinct values keep it too (about 0.1 s on 10^6 ratios): one
+# repr per value made collision_scan slower and an on-locus 262144-witness
+# collide peak at 331 MB max RSS instead of 207 MB.
 _UNIQUE_MIN = 64
 
 

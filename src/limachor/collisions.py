@@ -123,8 +123,8 @@ def collision_ratios(N: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     Raises:
         ValueError: If |p| < 2 or N < 4, as ChoreoConfig does.
     """
-    unit = ChoreoConfig(N, p, 1.0, 1.0)  # its pair amplitudes are the two sines
-    first, second = np.array([_pair_amplitudes(unit, k) for k in range(1, N // 2 + 1)]).T
+    ChoreoConfig(N, p, 1.0, 1.0)  # only for its checks
+    first, second = _sines(N, p)
     k = second.nonzero()[0]  # a vanishing sine has no finite a/b
     # Candidate i, of separation k[i // 2] + 1, is -|ratio| for even i and
     # +|ratio| for odd i; taken + before -, its turn is i ^ 1.
@@ -154,18 +154,16 @@ def collision_ratios(N: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return k[kept // 2] + 1, ratio[kept]
 
 
-def _pair_amplitudes(config: ChoreoConfig, k: int) -> tuple[float, float]:
-    """Signed phasor amplitudes of q_0 - q_k: (a sin(pi k/N), b sin(pi p k/N)).
+def _sines(N: int, p: int) -> np.ndarray:
+    """sin(pi q k / N) for q in (1, p), k = 1 .. N // 2, as a (2, N // 2) float64 array.
 
-    The second sine is zeroed exactly when p*k is a multiple of N.
+    Times 2a and 2b, the rows are q_0 - q_k's signed phasor amplitudes, exactly 0.0
+    where N divides q k.  Preallocated, so an N // 2 that no memory holds fails at once.
     """
-    n, p = config.N, config.p
-    first = config.a * math.sin(math.pi * k / n)
-    if (p * k) % n == 0:
-        second = 0.0
-    else:
-        second = config.b * math.sin(math.pi * p * k / n)
-    return first, second
+    n = N // 2
+    return np.fromiter((0.0 if q * k % N == 0 else math.sin(math.pi * q * k / N)
+                        for q in (1, p) for k in range(1, n + 1)),
+                       dtype=float, count=2 * n).reshape(2, n)
 
 
 def _pair_sq_dist(config: ChoreoConfig, k: int, ts: np.ndarray) -> np.ndarray:
@@ -189,11 +187,9 @@ def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
     to 16 ulps, as in a window flat to rounding.  It stops once the
     spacing is at most 1e-12 in t, which takes 5 evaluations when no
     pass is redone, from the smallest grid (192 points at |p| = 2) as
-    from the largest.  The squared distance is a trigonometric
-    polynomial of degree at most |p| + 1, so the grid takes at least 64
-    samples per oscillation and the minimum lies within a step of the
-    best sample; from |p| = 15 on it is the same 1024-point grid at
-    every |p|.  The grid itself is not fitted, as it can alias the pair
+    from the largest.  The grid takes at least 64 samples per oscillation
+    (see _PAIR_GRID), so the minimum lies within a step of the best
+    sample.  The grid itself is not fitted, as it can alias the pair
     distance's oscillation at large |p|.  This oracle is independent of the
     analytic collision predicate.  It runs on ``unit_scaled(config)``
     and scales the distance back, so the squares of tiny amplitudes do
@@ -256,10 +252,11 @@ def _witnesses_for(config: ChoreoConfig, k: int) -> tuple[np.ndarray, ...]:
             f"separation k={k} with N={n}, p={p} has |p - 1| N = {events} "
             f"collision events, whose positions ({32 * events} bytes) are more "
             f"than numpy can allocate ({np.iinfo(np.intp).max} bytes)")
-    first, second = _pair_amplitudes(config, k)
-    # Bodies 0 and k meet when the two rotating terms of their
-    # difference anti-align: (p-1) t + pi (p-1) k / N = phase0 mod 2*pi.
-    phase0 = math.pi if first * second > 0 else 0.0
+    # Bodies 0 and k meet when the rotating terms of their difference
+    # anti-align: (p-1) t + pi (p-1) k / N = phase0 mod 2*pi, phase0 = pi if
+    # a and b sin(pi p k/N) (> 0 iff p k mod 2N < N) have the same sign.
+    same_sign = (config.a > 0) == (config.b > 0)
+    phase0 = math.pi if same_sign == ((p * k) % (2 * n) < n) else 0.0
     base = (phase0 - math.pi * (p - 1) * k / n) / (p - 1)
     roots = (base + math.tau * np.arange(abs(p - 1)) / (p - 1)) % math.tau
     # Bodies j and j + k meet 2*pi*j/N earlier than bodies 0 and k.
@@ -287,7 +284,8 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     """Decide whether the choreography collides, with explicit witnesses.
 
     A separation k is a candidate when the two phasor magnitudes of
-    q_0 - q_k agree to within SUSPECT_TOL * (|a| + |b|); candidates are
+    q_0 - q_k, read from ``_sines``' table, agree to within
+    SUSPECT_TOL * (|a| + |b|) and the second is not 0.  Candidates are
     certified by the refined numeric oracle at CERTIFY_TOL * (|a| + |b|)
     and expanded into the full set of colliding body pairs.  Candidates
     the oracle cannot certify are reported as suspects.  Both tolerances
@@ -307,13 +305,11 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     n = config.N
     scale = abs(config.a) + abs(config.b)
     suspect_tol, certify_tol = SUSPECT_TOL * scale, CERTIFY_TOL * scale
+    first, second = 2.0 * np.abs(_sines(n, config.p) * [[config.a], [config.b]])
+    candidates = ((np.abs(first - second) <= suspect_tol) & (second != 0.0)).nonzero()[0] + 1
     found = []
     suspects: list[int] = []
-    for k in range(1, n // 2 + 1):
-        first, second = _pair_amplitudes(config, k)
-        gap = abs(2.0 * abs(first) - 2.0 * abs(second))
-        if gap > suspect_tol or second == 0.0:
-            continue
+    for k in candidates.tolist():
         pair = (k,) if 2 * k == n else (k, n - k)
         if min_pair_distance(config, k).min_distance <= certify_tol:
             found.extend(_witnesses_for(config, j) for j in pair)

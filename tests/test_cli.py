@@ -705,28 +705,18 @@ class TestStepAndCountFlags:
         (("simulate", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
         (("verify", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
         (("constants", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
+        # collide's per-separation sine table, before any witness.
+        (("collide", "--N", str(2**60 - 2), "--p", "5"), "Unable to allocate"),
+        (("collide", "--N", str(2**60 - 2), "--p", "2"), "Unable to allocate"),
         # The largest --grid whose 2N(grid + 1) values fit the byte limit.
         (("verify", "--N", "4", "--p", "2", "--grid", str(2**57 - 2)), "Unable to allocate"),
         (("constants", "--N", "4", "--p", "2", "--grid", str(2**57 - 2)), "Unable to allocate"),
     ])
     def test_counts_within_bound_fail_at_once(self, capsys, argv, message):
-        # Nothing this large is really allocated.  collide is checked
-        # below: its witnesses are refused before they are allocated.
+        # Nothing this large is really allocated.
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("p", [5, 2])
-    def test_collide_events_beyond_byte_range_name_their_inputs(self, capsys, p):
-        # Separation 1 is certified at once; its |p - 1| N witnesses
-        # would need 32 bytes each.
-        n = 2**60 - 2
-        code, out, err = run_cli(capsys, "collide", "--N", str(n), "--p", str(p))
-        assert (code, out) == (1, "")
-        assert err == (f"error: separation k=1 with N={n}, p={p} has |p - 1| N = "
-                       f"{abs(p - 1) * n} collision events, whose positions "
-                       f"({32 * abs(p - 1) * n} bytes) are more than numpy can "
-                       f"allocate ({2**63 - 1} bytes)\n")
 
     def test_smallest_counts_run(self, capsys):
         assert run_cli(capsys, "verify", "--N", "4", "--p", "2", "--steps", "2")[0] == 0

@@ -61,11 +61,12 @@ def has_collision_every_k(config):
     """has_collision's (collides, witnesses, suspects) with the oracle run on
     every candidate k, the witnesses as a list sorted by (k, t, bodies),
     and the ks it ran on."""
-    n = config.N
+    n, p = config.N, config.p
     scale = abs(config.a) + abs(config.b)
     witnesses, suspects, calls = [], [], []
     for k in range(1, n):
-        first, second = collisions._pair_amplitudes(config, k)
+        first = config.a * math.sin(math.pi * k / n)
+        second = 0.0 if (p * k) % n == 0 else config.b * math.sin(math.pi * p * k / n)
         gap = abs(2.0 * abs(first) - 2.0 * abs(second))
         if gap > SUSPECT_TOL * scale or second == 0.0:
             continue
@@ -376,6 +377,9 @@ class TestWitnessBits:
     @pytest.mark.parametrize("n, p, a, b", [
         (6, -2, 1.0, 1.0),
         (7, -6, 0.7 * abs(math.sin(math.pi * -6 / 7) / math.sin(math.pi / 7)), 0.7),
+        # 15540 events at a large phase p k: the sign rule in integers
+        # against the float product of the two amplitudes.
+        (5, -1553, -1.618033988749898, 1.0),
     ])
     def test_pinned_configs(self, n, p, a, b):
         assert_witnesses_bit_identical(ChoreoConfig(n, p, a, b))
@@ -643,3 +647,15 @@ class TestWitnessColumns:
             assert (column.shape, column.dtype) == (shape, dtype), name
         for w, k, pair in zip(witnesses, witnesses.k.tolist(), witnesses.bodies.tolist()):
             assert (type(w.k), w.k, type(w.bodies), w.bodies) == (int, k, tuple, tuple(pair))
+
+    @pytest.mark.parametrize("p", [5, 2])
+    def test_events_beyond_byte_range_name_their_inputs(self, p):
+        # |p - 1| N witnesses would need 32 bytes each; refused before
+        # anything is allocated.
+        n = 2**60 - 2
+        with pytest.raises(ValueError) as err:
+            collisions._witnesses_for(ChoreoConfig(n, p), 1)
+        assert str(err.value) == (
+            f"separation k=1 with N={n}, p={p} has |p - 1| N = {abs(p - 1) * n} "
+            f"collision events, whose positions ({32 * abs(p - 1) * n} bytes) are "
+            f"more than numpy can allocate ({2**63 - 1} bytes)")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from limachor import dynamics
+from limachor.admissibility import is_admissible_restricted
 from limachor.coefficients import CouplingVector, solve_couplings, solve_restricted
 from limachor.dynamics import (
     _RK4_BLOCK,
@@ -17,7 +18,15 @@ from limachor.dynamics import (
     spectral_propagate,
 )
 from limachor.kinematics import ChoreoConfig, Trajectory, bodies_at, state_at
-from util import PI_80, admissible_pairs, one_state, pair_matrix, tailed_couplings
+from util import (
+    PI_80,
+    admissible_pairs,
+    decimal_cos,
+    decimal_sin,
+    one_state,
+    pair_matrix,
+    tailed_couplings,
+)
 
 
 def staged_rk4(initial, couplings, dt, steps):
@@ -131,21 +140,6 @@ class TestBuildInteraction:
             assert got[0] == 0.0
 
 
-def _decimal_sin(x):
-    """sin x at the current precision: the recipe of the decimal module's docs."""
-    with decimal.localcontext() as ctx:
-        ctx.prec += 2
-        i, lasts, s, fact, num, sign = 1, 0, x, 1, x, 1
-        while s != lasts:
-            lasts = s
-            i += 2
-            fact *= i * (i - 1)
-            num *= x * x
-            sign *= -1
-            s += num / fact * sign
-    return +s
-
-
 # Every admissible pair with N <= 300 and |p| <= 60.
 STABILITY_PAIRS = admissible_pairs(60, 300)
 
@@ -174,7 +168,7 @@ class TestDefaultChoreographyIsStable:
                 k = min(p % n, -p % n)
                 for j in (1, k):
                     if (j, n) not in sin_sq:
-                        sin_sq[j, n] = _decimal_sin(pi * j / n) ** 2
+                        sin_sq[j, n] = decimal_sin(pi * j / n) ** 2
                 assert p * p * sin_sq[1, n] > sin_sq[k, n], (p, n)
 
 
@@ -197,6 +191,52 @@ class TestRestrictedEvenChoreographyIsStable:
         assert lam[0] == 0.0
         assert np.all(np.abs(lam[1:half] - 1.0) <= tol)
         assert abs(lam[half] - p * p) <= tol
+
+
+# Every restricted-admissible pair with odd 7 <= N <= 61 and 2 <= p <= 30;
+# p and -p give the same couplings.
+ODD_RESTRICTED_PAIRS = [(p, n) for n in range(7, 62, 2) for p in range(2, 31)
+                        if is_admissible_restricted(p, n).admissible]
+
+
+def decimal_restricted_spectrum(n, p, cosines):
+    """Bins 1 .. N // 2 of odd N's restricted spectrum and sum |w kappa|, in decimal.
+
+    Solves the folded 2 x 2 balance system (odd separations into kappa_o,
+    even into kappa_e) by the adjugate formula; ``cosines[j]`` is
+    cos(2 pi j / N).  Odd N has no diametral bond, so every weight is 1.
+    """
+    half = n // 2
+    fold = [[sum(2 * (cosines[ell * q % n] - 1) for ell in range(first, half + 1, 2))
+             for first in (1, 2)] for q in (1, p)]
+    rhs = (-1, -p * p)
+    det = fold[0][0] * fold[1][1] - fold[0][1] * fold[1][0]
+    kappa_o = (fold[1][1] * rhs[0] - fold[0][1] * rhs[1]) / det
+    kappa_e = (fold[0][0] * rhs[1] - fold[1][0] * rhs[0]) / det
+    kappas = [kappa_o if ell % 2 else kappa_e for ell in range(1, half + 1)]
+    lam = [sum(2 * kappa * (1 - cosines[ell * m % n]) for ell, kappa in enumerate(kappas, 1))
+           for m in range(1, half + 1)]
+    return lam, sum(abs(kappa) for kappa in kappas)
+
+
+class TestRestrictedOddChoreographyIsUnstable:
+    # Conjecture (README, "Linear stability"): for odd N >= 7 the
+    # restricted couplings leave some bin of negative stiffness.  On
+    # these pairs the least negative minimum is -0.0365 sum |w kappa|.
+
+    def test_negative_bin_in_forty_digits(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            bound, tables = decimal.Decimal("-0.03"), {}
+            for p, n in ODD_RESTRICTED_PAIRS:
+                if n not in tables:
+                    tables[n] = [decimal_cos(2 * PI_80 * min(j, n - j) / n) for j in range(n)]
+                lam, scale = decimal_restricted_spectrum(n, p, tables[n])
+                assert min(lam) < bound * scale, (p, n)
+
+    def test_float_spectrum_goes_negative(self):
+        for p, n in ODD_RESTRICTED_PAIRS:
+            assert build_interaction(solve_restricted(n, p).expand(n)).min() < 0.0, (p, n)
 
 
 def _refuse(*args, **kwargs):

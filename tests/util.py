@@ -13,6 +13,31 @@ PI_80 = decimal.Decimal(
     "3.1415926535897932384626433832795028841971693993751058209749445923078164062862090")
 
 
+def _taylor(x, i, s):
+    """The decimal module docs' sine (i = 1, s = x) or cosine (i = 0, s = 1) recipe."""
+    with decimal.localcontext() as ctx:
+        ctx.prec += 2
+        lasts, fact, num, sign = 0, 1, s, 1
+        while s != lasts:
+            lasts = s
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign *= -1
+            s += num / fact * sign
+    return +s
+
+
+def decimal_sin(x):
+    """sin x of a Decimal x at the current precision."""
+    return _taylor(x, 1, x)
+
+
+def decimal_cos(x):
+    """cos x of a Decimal x at the current precision."""
+    return _taylor(x, 0, 1)
+
+
 def admissible_pairs(max_abs_p: int, max_n: int, min_n: int = 4):
     """All admissible (p, N) with 2 <= |p| <= max_abs_p, min_n <= N <= max_n."""
     pairs = []
