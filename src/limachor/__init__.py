@@ -57,7 +57,6 @@ from limachor.constants import (
 from limachor.collisions import (
     CollisionReport,
     CollisionWitness,
-    PairMinimum,
     WitnessColumns,
     collision_ratios,
     has_collision,

@@ -313,7 +313,8 @@ def _add_tail_arg(parser):
                         help="free couplings kappa_3.. (default all zero)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and its subcommand parsers, by subcommand name."""
     parser = _Parser(prog="limachor",
                      description="N-body choreographies on p-limacon curves")
     grid = _count("grid points", 1)
@@ -371,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     for sub_cmd in sub.choices.values():
         sub_cmd.add_argument("--out", default=None,
                              help="write output here instead of stdout")
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
 
 
 _HANDLERS = {
@@ -387,17 +392,29 @@ _HANDLERS = {
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built on first use, not at import, and shared by every run():
-    # parsing leaves no state on the parser.
-    return build_parser()
+    # parsing leaves no state on a parser.
+    return _build()
 
 
 def run(argv) -> int:
-    """Execute one CLI invocation and return its exit code."""
-    parser = _parser()
+    """Execute one CLI invocation and return its exit code.
+
+    An argv that starts with a subcommand's name is parsed once, by that
+    subcommand's parser; the top-level parser would classify every token
+    and then hand the rest to the same parser.  Any other argv (empty,
+    ``--help``, an unknown command) goes through the top-level parser.
+    Both paths give the same namespace, output and exit code.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
+            args.command = argv[0]
     except _UsageError as err:
         sys.stderr.write(f"error: {err}\n")
         parser.print_usage(sys.stderr)

@@ -102,14 +102,6 @@ class CollisionReport:
     suspects: list[int] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class PairMinimum:
-    """Numeric minimum of |q_0(t) - q_k(t)| over one period."""
-
-    min_distance: float
-    argmin_t: float
-
-
 def collision_ratios(N: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """All a/b values at which some body pair can collide, as (k, ratio) columns.
 
@@ -167,16 +159,29 @@ def _sines(N: int, p: int) -> np.ndarray:
 
 
 def _pair_sq_dist(config: ChoreoConfig, k: int, ts: np.ndarray) -> np.ndarray:
-    """Squared distance between bodies 0 and k at times ts."""
-    pos = bodies_at(config, np.array([0, k]), ts[:, None], 1)[0]
-    dx, dy = (pos[:, 0] - pos[:, 1]).T
+    """Squared distance between bodies 0 and k at the 1-D times ts.
+
+    Each body's position is ``bodies_at``'s expression, the same
+    operations in the same order (theta = ts + 2 pi k / N, then p theta,
+    a cos theta + b cos p theta and a sin theta + b sin p theta), so every
+    value is bit-identical to the squared difference of its positions.
+    It skips ``bodies_at``'s finiteness check: ChoreoConfig refuses |p|
+    beyond about 1.34e154, where N (a^2 + p^2 b^2) no longer fits a float,
+    and the oracle's times stay within a few periods of 0, so p theta is
+    always finite.
+    """
+    a, b, p = config.a, config.b, config.p
+    theta0, theta = ts + 0.0, ts + (math.tau * k) / config.N
+    tp0, tp = p * theta0, p * theta
+    dx = (a * np.cos(theta0) + b * np.cos(tp0)) - (a * np.cos(theta) + b * np.cos(tp))
+    dy = (a * np.sin(theta0) + b * np.sin(tp0)) - (a * np.sin(theta) + b * np.sin(tp))
     return dx * dx + dy * dy
 
 
-def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
-    """Numeric minimum of |q_0(t) - q_k(t)| over t in [0, 2*pi).
+def min_pair_distance(config: ChoreoConfig, k: int) -> float:
+    """Numeric minimum of |q_0(t) - q_k(t)| over t in [0, 2*pi), as a float.
 
-    Samples the squared distance on a uniform grid of
+    Samples the squared distance (``_pair_sq_dist``) on a uniform grid of
     min(1024, 64 (|p| + 1)) points, then resamples one grid step either
     side of the best sample on a grid 32 times finer.  Each later pass
     centres its samples on the vertex of the parabola through the best
@@ -232,8 +237,7 @@ def min_pair_distance(config: ChoreoConfig, k: int) -> PairMinimum:
         ts = ts[best] + step * _ZOOM_OFFSETS
         step /= 32
         narrowed = False
-    return PairMinimum(math.ldexp(math.sqrt(max(float(sq[best]), 0.0)), e),
-                       float(ts[best]) % math.tau)
+    return math.ldexp(math.sqrt(max(float(sq[best]), 0.0)), e)
 
 
 def _witnesses_for(config: ChoreoConfig, k: int) -> tuple[np.ndarray, ...]:
@@ -311,7 +315,7 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     suspects: list[int] = []
     for k in candidates.tolist():
         pair = (k,) if 2 * k == n else (k, n - k)
-        if min_pair_distance(config, k).min_distance <= certify_tol:
+        if min_pair_distance(config, k) <= certify_tol:
             found.extend(_witnesses_for(config, j) for j in pair)
         else:
             suspects.extend(pair)

@@ -120,10 +120,11 @@ class Trajectory:
 def bodies_at(config: ChoreoConfig, k, t, count: int = 3):
     """Position, velocity, acceleration of body k at time t, elementwise.
 
-    The only evaluator of the curve.  Returns the first ``count`` of the
-    three: 1 gives ``(pos,)``, 2 gives ``(pos, vel)`` and 3 (the
-    default) ``(pos, vel, acc)``; each array is bit-identical whatever
-    the count.  ``k`` and ``t`` broadcast against each other, and each
+    The curve's evaluator; only the collision oracle's pair kernel
+    repeats its position expression, bit for bit.  Returns the first
+    ``count`` of the three: 1 gives ``(pos,)``, 2 gives ``(pos, vel)``
+    and 3 (the default) ``(pos, vel, acc)``; each array is bit-identical
+    whatever the count.  ``k`` and ``t`` broadcast against each other, and each
     result has shape ``broadcast(k, t).shape + (2,)``; e.g.
     ``k = np.arange(N)`` and ``t`` of shape (S, 1) give (S, N, 2).
     Indices are not checked: every k must lie in [0, N).

@@ -245,7 +245,7 @@ def test_criterion_8_collisions():
 
     miss = has_collision(ChoreoConfig(4, 2, 1.0, 1.0))
     assert not miss.collides
-    best = min(min_pair_distance(ChoreoConfig(4, 2, 1.0, 1.0), k).min_distance
+    best = min(min_pair_distance(ChoreoConfig(4, 2, 1.0, 1.0), k)
                for k in range(1, 4))
     assert best >= 0.1
 
@@ -263,7 +263,7 @@ def test_criterion_8_collisions():
                 for ab in (0.5, 1.0, math.sqrt(2.0), 2.0):
                     config = ChoreoConfig(n, p, ab, 1.0)
                     oracle = min(
-                        min_pair_distance(config, k).min_distance
+                        min_pair_distance(config, k)
                         for k in range(1, n))
                     assert has_collision(config).collides == (oracle <= 1e-8)
                     checked += 1

@@ -619,6 +619,58 @@ class TestParserReuse:
         assert first[0] == 0 and collided[0] == 0
 
 
+# {out} stands for a path under a missing directory.
+PARSE_CORPUS = [
+    # One valid argv per subcommand.
+    ("admissible", "--p", "2", "--N", "4", "--restricted"),
+    ("scan", "--p", "6", "--max-N", "12"),
+    ("coeffs", "--N", "6", "--p", "2", "--tail", "0.5", "-1e-3"),
+    ("restricted", "--N", "6", "--p", "3"),
+    ("simulate", "--N", "4", "--p", "2", "--dt", "0.5", "--steps", "3", "--engine", "rk4"),
+    ("verify", "--N", "4", "--p", "2", "--dt", str(math.tau / 256), "--steps", "256",
+     "--grid", "8"),
+    ("collide", "--N", "6", "--p", "2", "--a", "1", "--b", "1"),
+    ("constants", "--N", "5", "--p", "2", "--grid", "8", "--b=-5e-05"),
+    # Help, at the top level and on a subcommand.
+    ("--help",),
+    ("-h",),
+    ("collide", "--help"),
+    ("verify", "--N", "4", "-h"),
+    # No command, an unknown one, and a flag before the command.
+    (),
+    ("frobnicate",),
+    ("--N", "4", "collide"),
+    # Unknown flags, extra arguments and missing ones.
+    ("collide", "--N", "6", "--p", "2", "--bogus"),
+    ("coeffs", "--N", "6", "--p", "2", "extra"),
+    ("collide", "--N", "6", "--p", "2", "--", "extra"),
+    ("collide", "--N", "6"),
+    ("collide", "--N", "6", "--p"),
+    # Count bounds.
+    ("collide", "--N", "3", "--p", "2"),
+    ("verify", "--N", "4", "--p", "2", "--steps", "0"),
+    ("collide", "--N", "4.5", "--p", "2"),
+    # Abbreviated and joined flags.
+    ("collide", "--N=6", "--p=2", "--ou", "{out}"),
+    ("collide", "--N", "6", "--p", "2", "--out", "{out}"),
+]
+
+
+class TestParseOnce:
+    """A subcommand's argv parsed by its own parser, against the top-level parse."""
+
+    def test_every_command_has_its_parser(self):
+        assert set(cli._parsers()[1]) == set(cli._HANDLERS)
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "empty")
+    def test_matches_top_level_parse(self, capsys, monkeypatch, tmp_path, argv):
+        argv = [arg.format(out=tmp_path / "missing" / "out.json") for arg in argv]
+        once = run_cli(capsys, *argv)
+        parser = cli._parsers()[0]
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+        assert run_cli(capsys, *argv) == once
+
+
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "admissible", "--p", "2")

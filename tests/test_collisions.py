@@ -13,7 +13,7 @@ from limachor.collisions import (
     has_collision,
     min_pair_distance,
 )
-from limachor.kinematics import ChoreoConfig, bodies_at, body_state
+from limachor.kinematics import ChoreoConfig, bodies_at, body_state, unit_scaled
 from util import admissible_pairs
 
 
@@ -71,7 +71,7 @@ def has_collision_every_k(config):
         if gap > SUSPECT_TOL * scale or second == 0.0:
             continue
         calls.append(k)
-        if min_pair_distance(config, k).min_distance <= CERTIFY_TOL * scale:
+        if min_pair_distance(config, k) <= CERTIFY_TOL * scale:
             witnesses.extend(collisions.WitnessColumns(*collisions._witnesses_for(config, k)))
         else:
             suspects.append(k)
@@ -212,7 +212,7 @@ class TestHasCollision:
         for p, n in admissible_pairs(5, 10):
             for ab in (0.5, 1.0, math.sqrt(2), 2.0):
                 config = ChoreoConfig(n, p, ab, 1.0)
-                best = min(min_pair_distance(config, k).min_distance
+                best = min(min_pair_distance(config, k)
                            for k in range(1, n))
                 assert has_collision(config).collides == (best <= 1e-8)
 
@@ -387,14 +387,11 @@ class TestWitnessBits:
 
 class TestMinPairDistance:
     def test_known_collision(self):
-        result = min_pair_distance(ChoreoConfig(6, 2, 1.0, 1.0), 2)
-        assert result.min_distance <= 1e-10
         # Bodies 0 and 2 meet where the curve crosses itself.
-        assert result.argmin_t == pytest.approx(2 * math.pi / 3, abs=1e-6)
+        assert min_pair_distance(ChoreoConfig(6, 2, 1.0, 1.0), 2) <= 1e-10
 
     def test_known_separation(self):
-        result = min_pair_distance(ChoreoConfig(4, 2, 1.0, 1.0), 1)
-        assert result.min_distance >= 0.1
+        assert min_pair_distance(ChoreoConfig(4, 2, 1.0, 1.0), 1) >= 0.1
 
     def test_matches_phasor_magnitude_formula(self):
         # Minimum distance is |A - B| with A = 2|a| sin(pi k/N),
@@ -405,7 +402,7 @@ class TestMinPairDistance:
                 a_mag = 2 * abs(1.3 * math.sin(math.pi * k / n))
                 b_mag = 2 * abs(0.8 * math.sin(math.pi * p * k / n))
                 expected = abs(a_mag - b_mag)
-                got = min_pair_distance(config, k).min_distance
+                got = min_pair_distance(config, k)
                 assert got == pytest.approx(expected, abs=1e-9)
 
     # At 1e-160 the squared distances underflow unless the oracle
@@ -418,11 +415,8 @@ class TestMinPairDistance:
             config = ChoreoConfig(n, p, a * scale, b * scale)
             size = (abs(a) + abs(b)) * scale
             for k, gap in zip(range(1, n), relative_gaps(config)):
-                result = min_pair_distance(config, k)
-                assert result.min_distance == pytest.approx(
-                    pair_distance_closed_form(config, k, result.argmin_t),
-                    abs=1e-12 * size)
-                assert result.min_distance == pytest.approx(gap * size, abs=1e-9 * size)
+                assert min_pair_distance(config, k) == pytest.approx(gap * size,
+                                                                     abs=1e-9 * size)
 
     def test_bad_separation_rejected(self):
         with pytest.raises(IndexError):
@@ -448,8 +442,8 @@ class TestMinPairDistance:
         config = ChoreoConfig(n, p, sign_a * ratio * b, b)
         scale = abs(config.a) + b
         for j in range(1, n // 2 + 1):
-            here = min_pair_distance(config, j).min_distance
-            mirror = min_pair_distance(config, n - j).min_distance
+            here = min_pair_distance(config, j)
+            mirror = min_pair_distance(config, n - j)
             assert abs(here - mirror) <= 1e-12 * scale
             assert (here <= CERTIFY_TOL * scale) == (mirror <= CERTIFY_TOL * scale)
 
@@ -462,6 +456,62 @@ class TestMinPairDistance:
         direct = float(np.linalg.norm(pos_0 - pos_k))
         assert direct == pytest.approx(
             pair_distance_closed_form(config, k, t), abs=1e-12)
+
+
+# The largest |p| ChoreoConfig accepts: p * p must still convert to a float.
+P_MAX = math.isqrt(int(np.finfo(float).max))
+
+
+def pair_sq_dist_reference(config, k, ts):
+    """|q_0 - q_k|^2 at the 1-D times ts, from bodies_at on a (T, 2) grid."""
+    pos = bodies_at(config, np.array([0, k]), ts[:, None], 1)[0]
+    dx, dy = (pos[:, 0] - pos[:, 1]).T
+    return dx * dx + dy * dy
+
+
+@st.composite
+def oracle_times(draw):
+    """Times the oracle samples: a first-pass grid, a zoom window, or arbitrary ones."""
+    kind = draw(st.sampled_from(["grid", "zoom", "any"]))
+    if kind == "grid":
+        return collisions._pair_times(draw(st.sampled_from(range(192, 1025, 64))))
+    if kind == "zoom":
+        centre = draw(st.floats(-math.tau, 3 * math.tau))
+        return centre + draw(st.floats(1e-14, 0.1)) * collisions._ZOOM_OFFSETS
+    return np.array(draw(st.lists(st.floats(-2 * math.tau, 4 * math.tau), min_size=1,
+                                  max_size=40)))
+
+
+class TestPairSqDist:
+    """The oracle's direct kernel against the squared difference of bodies_at's positions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(4, 64),
+           p_mag=st.one_of(st.integers(2, 64), st.integers(2, P_MAX), st.just(P_MAX)),
+           p_sign=st.sampled_from([1, -1]),
+           a=st.floats(1e-160, 1e3), b=st.floats(1e-160, 1e3),
+           sign_a=st.sampled_from([1.0, -1.0]), sign_b=st.sampled_from([1.0, -1.0]),
+           tiny_b=st.booleans(), ts=oracle_times())
+    def test_bit_identical_to_bodies_at(self, n, p_mag, p_sign, a, b, sign_a, sign_b,
+                                        tiny_b, ts):
+        p = p_sign * p_mag
+        if tiny_b:  # N p^2 b^2 stays finite up to P_MAX
+            b = min(b, 1.0 / p_mag)
+        try:
+            config = ChoreoConfig(n, p, sign_a * a, sign_b * b)
+        except ValueError:
+            assume(False)
+        curves = [config]
+        try:
+            curves.append(unit_scaled(config)[0])
+        except ValueError:  # scaled up, N p^2 b^2 can overflow at huge |p|
+            pass
+        for curve in curves:
+            for k in range(1, n):
+                got = collisions._pair_sq_dist(curve, k, ts)
+                want = pair_sq_dist_reference(curve, k, ts)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def on_locus_a(n, p, k, b):
@@ -510,7 +560,7 @@ class TestZoom:
         k = ks[k_index % len(ks)]
         config = ChoreoConfig(n, p, on_locus_a(n, p, k, sign_b * b), sign_b * b)
         scale = abs(config.a) + b
-        assert min_pair_distance(config, k).min_distance <= CERTIFY_TOL * scale
+        assert min_pair_distance(config, k) <= CERTIFY_TOL * scale
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(4, 64), p_mag=st.integers(2, 10_000),
@@ -526,7 +576,7 @@ class TestZoom:
         # Widen |a| so separation k's gap is 10 CERTIFY_TOL (|a| + |b|).
         a += math.copysign(10 * CERTIFY_TOL * (abs(a) + b) / (2 * math.sin(math.pi * k / n)), a)
         config = ChoreoConfig(n, p, a, sign_b * b)
-        assert min_pair_distance(config, k).min_distance > CERTIFY_TOL * (abs(a) + b)
+        assert min_pair_distance(config, k) > CERTIFY_TOL * (abs(a) + b)
 
     # At 2 <= |p| <= 14 the first pass samples 64 (|p| + 1) < 1024
     # points: on-locus draws are still certified in 5 evaluations, and
@@ -550,7 +600,7 @@ class TestZoom:
         with pytest.MonkeyPatch.context() as patch:
             counts, _ = counted_oracle(patch)
             result = min_pair_distance(config, k)
-        assert (result.min_distance <= CERTIFY_TOL * (abs(a) + b)) is on
+        assert (result <= CERTIFY_TOL * (abs(a) + b)) is on
         if on:
             assert counts[1] == 5
 
@@ -628,7 +678,7 @@ class TestZoom:
         assert counts[1] == 7
         widths = [float(ts[-1] - ts[0]) for ts in samples]
         assert any(later > earlier for earlier, later in zip(widths[1:], widths[2:]))
-        assert result.min_distance <= CERTIFY_TOL * (abs(config.a) + 1.0)
+        assert result <= CERTIFY_TOL * (abs(config.a) + 1.0)
 
 
 class TestWitnessColumns:
