@@ -375,10 +375,6 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
-
-
 _HANDLERS = {
     "admissible": _cmd_admissible,
     "scan": _cmd_scan,

@@ -10,9 +10,10 @@ solve trusts is_admissible's exact decision; its one guard is det == 0.
 All arithmetic is real: each matrix entry is a 2(cos x - 1) form,
 evaluated as -4 sin^2(x/2) so that it keeps its relative accuracy at
 the small angles of large N, and no complex numbers are ever
-materialized.  Entries depend on p only through ell * p reduced to
-[0, N/2] in integers, which makes every solve exactly symmetric under
-p -> -p.
+materialized.  The entries, like the collision analysis, read
+``sine_table``, which reduces each phase ell * p to [0, N/2] in
+integers: every entry is exactly the same under p -> p + j N and
+p -> -p, and every solve exactly symmetric under p -> -p.
 
 A ``CouplingVector`` is read by separation, ``bonds()``, or whole as
 its dense N x N Laplacian D - K, ``laplacian()``.
@@ -98,15 +99,20 @@ def _rhs(p: int) -> np.ndarray:
     return np.array([-1.0, -float(p * p)])
 
 
-def _chord(k: int, N: int) -> float:
-    """2(cos(2*pi*k/N) - 1), evaluated as -4 sin^2(pi*k/N).
+def sine_table(N: int, p: int) -> np.ndarray:
+    """|sin(pi q k / N)| for q in (1, p), k = 1 .. N // 2, as a (2, N // 2) float64 array.
 
-    The sine form has no cancellation for small angles, and reducing k
-    in integers to [0, N/2] first keeps the angle at most pi/2.
+    Each phase q k is reduced to m = q k mod N in integers and folded to
+    min(m, N - m), so every angle is at most pi/2, the table is bit for
+    bit the same under p -> p + j N and p -> -p, and an entry is exactly
+    0.0 where N divides q k.  Preallocated, so an N // 2 that no memory
+    holds fails at once.
     """
-    k %= N
-    s = math.sin(math.pi * min(k, N - k) / N)
-    return -4.0 * s * s
+    n = N // 2
+    # m steps through q, 2q, .., n q; q = 0 stands as N, whose multiples reduce to 0.
+    return np.fromiter((math.sin(math.pi * (m if (m := j % N) <= n else N - m) / N)
+                        for q in (1, p % N or N) for j in range(q, q * n + 1, q)),
+                       dtype=float, count=2 * n).reshape(2, n)
 
 
 def build_matrix(N: int, p: int) -> np.ndarray:
@@ -122,13 +128,11 @@ def build_matrix(N: int, p: int) -> np.ndarray:
     """
     if N < 4:
         raise ValueError(f"balance matrix needs N >= 4, got {N}")
-    n = N // 2
-    # Preallocated, so an n that no memory holds fails at once.
-    entries = np.fromiter((_chord(ell * q, N) for q in (1, p) for ell in range(1, n + 1)),
-                          dtype=float, count=2 * n).reshape(2, n)
+    s = sine_table(N, p)
+    entries = -4.0 * s * s
     if N % 2 == 0:
         # Diametral bond: single term, half the generic pair value.
-        entries[:, n - 1] /= 2.0
+        entries[:, -1] /= 2.0
     return entries
 
 

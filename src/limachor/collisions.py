@@ -4,9 +4,11 @@ Bodies 0 and k stay at squared distance
 A^2 + B^2 + 2AB cos((p - 1)t + phase) with A = 2|a| sin(pi k / N) and
 B = 2|b sin(pi p k / N)|, so the pair can meet exactly when A = B, and
 only at the |p - 1| instants per period where the two rotating terms
-anti-align.  The analytic predicate built on that condition is
-cross-checked by a numeric minimum-distance oracle that knows nothing
-about it.
+anti-align.  The dangerous ratios and the predicate's candidates read A
+and B off the balance matrix's ``coefficients.sine_table``, which
+reduces p k mod N in integers, so both are exactly the same under
+p -> p + j N and p -> -p.  The analytic predicate is cross-checked by
+a numeric minimum-distance oracle that knows nothing about it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from limachor.coefficients import sine_table
 from limachor.kinematics import ChoreoConfig, bodies_at, unit_scaled
 
 # Relative to |a| + |b|: a configuration this close to the ratio locus
@@ -107,20 +110,23 @@ def collision_ratios(N: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     For each separation k <= N/2 (N - k mirrors k exactly) the dangerous
     quotients are +- sin(pi p k / N) / sin(pi k / N), unless the numerator
-    is exactly 0 (they would need a = 0).  Taken in order of k, + before -,
-    a value within 1e-12 of one already taken is dropped, so a repeated
-    value keeps its smallest k.  At most 2(N - 1) values, as an int64
-    column k and a float64 column ratio, sorted by (k, ratio).
+    is exactly 0 (they would need a = 0).  Both sines come from
+    ``sine_table``: the columns are bit for bit the same under
+    p -> p + j N and p -> -p, and exactly equal quotients are equal
+    floats.  Taken in order of k, + before -, a value within 1e-12 of one
+    already taken is dropped, so a repeated value keeps its smallest k.
+    At most 2(N - 1) values, as an int64 column k and a float64 column
+    ratio, sorted by (k, ratio).
 
     Raises:
         ValueError: If |p| < 2 or N < 4, as ChoreoConfig does.
     """
     ChoreoConfig(N, p, 1.0, 1.0)  # only for its checks
-    first, second = _sines(N, p)
+    first, second = sine_table(N, p)
     k = second.nonzero()[0]  # a vanishing sine has no finite a/b
     # Candidate i, of separation k[i // 2] + 1, is -|ratio| for even i and
     # +|ratio| for odd i; taken + before -, its turn is i ^ 1.
-    ratio = (np.abs(second[k] / first[k])[:, None] * (-1.0, 1.0)).ravel()
+    ratio = ((second[k] / first[k])[:, None] * (-1.0, 1.0)).ravel()
     order = ratio.argsort()  # ndarray methods: this runs on every collide
     turns, values = order ^ 1, ratio[order]
     # Runs of gaps <= 1e-12, values[start:end], lie more than 1e-12 apart: a run
@@ -144,18 +150,6 @@ def collision_ratios(N: int, p: int) -> tuple[np.ndarray, np.ndarray]:
                 blocked[lo:hi] = True
     kept = keep.nonzero()[0]
     return k[kept // 2] + 1, ratio[kept]
-
-
-def _sines(N: int, p: int) -> np.ndarray:
-    """sin(pi q k / N) for q in (1, p), k = 1 .. N // 2, as a (2, N // 2) float64 array.
-
-    Times 2a and 2b, the rows are q_0 - q_k's signed phasor amplitudes, exactly 0.0
-    where N divides q k.  Preallocated, so an N // 2 that no memory holds fails at once.
-    """
-    n = N // 2
-    return np.fromiter((0.0 if q * k % N == 0 else math.sin(math.pi * q * k / N)
-                        for q in (1, p) for k in range(1, n + 1)),
-                       dtype=float, count=2 * n).reshape(2, n)
 
 
 def _pair_sq_dist(config: ChoreoConfig, k: int, ts: np.ndarray) -> np.ndarray:
@@ -288,15 +282,17 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     """Decide whether the choreography collides, with explicit witnesses.
 
     A separation k is a candidate when the two phasor magnitudes of
-    q_0 - q_k, read from ``_sines``' table, agree to within
-    SUSPECT_TOL * (|a| + |b|) and the second is not 0.  Candidates are
-    certified by the refined numeric oracle at CERTIFY_TOL * (|a| + |b|)
-    and expanded into the full set of colliding body pairs.  Candidates
-    the oracle cannot certify are reported as suspects.  Both tolerances
-    scale with the curve, and the analysis runs on ``unit_scaled(config)``
-    (its witness points and distances scaled back), so the verdict does
-    not depend on the curve's size down to the smallest amplitudes,
-    whose squared distances underflow.
+    q_0 - q_k, 2 |a| and 2 |b| times the rows of ``sine_table``, agree to
+    within SUSPECT_TOL * (|a| + |b|) and the second is not 0.  The table
+    reduces p k mod N in integers, so the candidates are exactly the same
+    under p -> p + j N and p -> -p.  Candidates are certified by the
+    refined numeric oracle at CERTIFY_TOL * (|a| + |b|) and expanded into
+    the full set of colliding body pairs.  Candidates the oracle cannot
+    certify are reported as suspects.  Both tolerances scale with the
+    curve, and the analysis runs on ``unit_scaled(config)`` (its witness
+    points and distances scaled back), so the verdict does not depend on
+    the curve's size down to the smallest amplitudes, whose squared
+    distances underflow.
 
     Only k <= N/2 is examined, and the oracle runs once per mirror pair
     {k, N - k}: bodies 0 and N - k are bodies k and 0 shifted in index,
@@ -309,7 +305,7 @@ def has_collision(config: ChoreoConfig) -> CollisionReport:
     n = config.N
     scale = abs(config.a) + abs(config.b)
     suspect_tol, certify_tol = SUSPECT_TOL * scale, CERTIFY_TOL * scale
-    first, second = 2.0 * np.abs(_sines(n, config.p) * [[config.a], [config.b]])
+    first, second = 2.0 * np.abs(sine_table(n, config.p) * [[config.a], [config.b]])
     candidates = ((np.abs(first - second) <= suspect_tol) & (second != 0.0)).nonzero()[0] + 1
     found = []
     suspects: list[int] = []

@@ -91,7 +91,7 @@ class TestScanCommand:
         assert f"argument {flag}:" in err
 
     def test_bounds_themselves_parse(self):
-        args = cli.build_parser().parse_args(
+        args = cli._build()[0].parse_args(
             ["scan", "--p", str(-(10**12)), "--max-N", str(10**6)])
         assert (args.p, args.max_n) == (-(10**12), 10**6)
 
@@ -418,12 +418,12 @@ class TestCollideCommand:
         # |p - 1| N events for each of the mirror pair {1, 4}.
         assert (ks.count(1), ks.count(4), len(ks)) == (1554 * 5, 1554 * 5, 2 * 1554 * 5)
 
-    # SHA-256 of stdout as printed when collision_ratios kept one object
-    # per ratio and deduplicated through a dict of 1e-12 buckets.  At
-    # (2580, 4391) close ratios chain over more than 1e-12.
+    # SHA-256 of stdout, every ratio read off the integer-reduced sine
+    # table.  At (2580, 4391) exactly equal ratios print once, as 2562
+    # rows; unreduced phases printed 2564, in chains over 1e-12.
     @pytest.mark.parametrize("n, p, digest", [
-        (2580, 4391, "957eb2a67e9d507a55ea0e095901f8c915e5863ae1d34ae24a2567da0239b186"),
-        (100000, 3, "a346e317b19f4649ecde611236bea1ffc3a701cc909f03f471e0d1befb95ba79"),
+        (2580, 4391, "080f62ffe3d7fab675930def0580405a758acfd9b4f1659a7d5ea4fd80b6fad3"),
+        (100000, 3, "ad7d5f8aaaf46070e7bbaf536005b50d54bc3f6e11c92f23db72c5b77fa157f5"),
     ])
     def test_stdout_digest_pinned(self, capsys, n, p, digest):
         code, out, err = run_cli(capsys, "collide", "--N", str(n), "--p", str(p))
@@ -603,9 +603,6 @@ class TestNegativeExponentValues:
 
 
 class TestParserReuse:
-    def test_build_parser_returns_a_fresh_parser(self):
-        assert cli.build_parser() is not cli.build_parser()
-
     def test_runs_do_not_leak_into_each_other(self, capsys):
         verify = ("verify", "--N", "5", "--p", "2", "--b", "-0.5",
                   "--dt", str(math.tau / 512), "--steps", "512")
@@ -991,7 +988,7 @@ def stdlib_records(pad, columns):
 _PADS = ["\n", "\n  ", "\n    "]
 
 
-class TestJsonEmitter:
+class TestJsonMatchesStdlib:
     """``cli._dumps`` and ``cli._records`` write exactly what ``json.dumps(indent=2)`` writes."""
 
     @settings(max_examples=150, deadline=None)

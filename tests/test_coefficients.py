@@ -16,6 +16,7 @@ from limachor.coefficients import (
     leading_det,
     residual,
     restricted_from_mass_charge,
+    sine_table,
     solve_couplings,
     solve_restricted,
 )
@@ -94,6 +95,20 @@ class TestBuildMatrix:
 
     def test_diametral_column(self):
         assert build_matrix(6, 2)[:, 2] == pytest.approx([-2.0, 0.0])
+
+    # Every phase ell p is reduced mod N in integers before the sine.
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 300), p=st.integers(-10**9, 10**9),
+           j=st.integers(-10**12, 10**12))
+    def test_exact_under_period_shift_and_sign(self, n, p, j):
+        entries = build_matrix(n, p).tobytes()
+        assert build_matrix(n, p + j * n).tobytes() == entries
+        assert build_matrix(n, -p).tobytes() == entries
+
+    def test_multiple_of_n_gives_a_zero_row(self):
+        table = sine_table(7, 21)
+        assert table[1].tobytes() == np.zeros(3).tobytes()
+        assert table[0].tobytes() == sine_table(7, 1)[1].tobytes()
 
 
 class TestLeadingDet:

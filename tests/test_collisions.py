@@ -1,4 +1,6 @@
+import bisect
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from limachor import collisions
+from limachor.coefficients import sine_table
 from limachor.collisions import (
     CERTIFY_TOL,
     SUSPECT_TOL,
@@ -14,7 +17,7 @@ from limachor.collisions import (
     min_pair_distance,
 )
 from limachor.kinematics import ChoreoConfig, bodies_at, body_state, unit_scaled
-from util import admissible_pairs
+from util import PI_80, admissible_pairs, decimal_sin
 
 
 def pair_distance_closed_form(config, k, t):
@@ -35,19 +38,69 @@ def relative_gaps(config):
             / (abs(a) + abs(b)) for k in range(1, n)]
 
 
-def collision_ratios_quadratic(n, p):
-    """collision_ratios' (k, ratio) rows, each new value tested against every accepted one."""
+def folded_phase(n, q, k):
+    """q k reduced mod n in integers and folded to min(m, n - m) in [0, n/2]."""
+    m = q * k % n
+    return min(m, n - m)
+
+
+def reduced_sin(n, q, k):
+    """|sin(pi q k / n)| from the folded integer phase."""
+    return math.sin(math.pi * folded_phase(n, q, k) / n)
+
+
+def dedupe_quadratic(candidates):
+    """(k, value) candidates in turn order, each tested against every accepted one."""
     found = []
-    for k in range(1, n // 2 + 1):
-        first = math.sin(math.pi * k / n)
-        second = 0.0 if (p * k) % n == 0 else math.sin(math.pi * p * k / n)
-        if second == 0.0:
-            continue
-        magnitude = abs(second / first)
-        for value in (magnitude, -magnitude):
-            if not any(abs(value - ratio) <= 1e-12 for _, ratio in found):
-                found.append((k, value))
+    for k, value in candidates:
+        if not any(abs(value - ratio) <= 1e-12 for _, ratio in found):
+            found.append((k, value))
     return sorted(found)
+
+
+def table_candidates(table):
+    """(k, +-|ratio|) in turn order from a (2, n) sine table's columns."""
+    return [(k, sign * second / first)
+            for k, (first, second) in enumerate(zip(*table.tolist()), start=1)
+            if second != 0.0 for sign in (1.0, -1.0)]
+
+
+def collision_ratios_quadratic(n, p):
+    """collision_ratios' (k, ratio) rows from reduced phases, deduplicated quadratically."""
+    candidates = []
+    for k in range(1, n // 2 + 1):
+        second = reduced_sin(n, p, k)
+        if second != 0.0:
+            magnitude = second / reduced_sin(n, 1, k)
+            candidates += [(k, magnitude), (k, -magnitude)]
+    return dedupe_quadratic(candidates)
+
+
+def decimal_ratio_ks(n, p):
+    """The separations of collision_ratios' rows, from 40-digit ratios, sorted.
+
+    The same rule as collision_ratios (in order of k, + before -, a
+    value within 1e-12 of one already taken is dropped), applied to
+    ratios whose rounding error is far below any gap the rule decides,
+    with a sorted list of the values taken.
+    """
+    tol = decimal.Decimal("1e-12")
+    taken, ks = [], []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for k in range(1, n // 2 + 1):
+            m = folded_phase(n, p, k)
+            if m == 0:
+                continue
+            magnitude = decimal_sin(PI_80 * m / n) / decimal_sin(PI_80 * k / n)
+            for value in (magnitude, -magnitude):
+                i = bisect.bisect_left(taken, value)
+                if (i < len(taken) and taken[i] - value <= tol) or (
+                        i > 0 and value - taken[i - 1] <= tol):
+                    continue
+                taken.insert(i, value)
+                ks.append(k)
+    return sorted(ks)
 
 
 def ratio_rows(n, p):
@@ -65,8 +118,8 @@ def has_collision_every_k(config):
     scale = abs(config.a) + abs(config.b)
     witnesses, suspects, calls = [], [], []
     for k in range(1, n):
-        first = config.a * math.sin(math.pi * k / n)
-        second = 0.0 if (p * k) % n == 0 else config.b * math.sin(math.pi * p * k / n)
+        first = config.a * reduced_sin(n, 1, k)
+        second = config.b * reduced_sin(n, p, k)
         gap = abs(2.0 * abs(first) - 2.0 * abs(second))
         if gap > SUSPECT_TOL * scale or second == 0.0:
             continue
@@ -115,13 +168,74 @@ class TestCollisionRatios:
     @given(n=st.integers(4, 800), mag=st.integers(2, 40), sign=st.sampled_from([1, -1]))
     @example(n=370, mag=11, sign=1)
     @example(n=397, mag=11, sign=1)
-    # Neighbours at most 1e-12 apart chain over more than 1e-12 here:
-    # two runs of 10 values at (2580, 4391), 96 of up to 150 at (2000, 2000001).
+    # Many exactly equal ratios, which the sines of unreduced phases
+    # spread into chains over more than 1e-12.
     @example(n=2580, mag=4391, sign=1)
     @example(n=2580, mag=4391, sign=-1)
     @example(n=2000, mag=2000001, sign=1)
     def test_matches_quadratic_reference(self, n, mag, sign):
         assert ratio_rows(n, sign * mag) == collision_ratios_quadratic(n, sign * mag)
+
+    # The sine table reduces p k mod N in integers: p + j N and -p give
+    # the same bits, at any |p|.
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 400), mag=st.integers(2, 10**6), sign=st.sampled_from([1, -1]),
+           j=st.integers(-10**12, 10**12))
+    @example(n=1000, mag=7, sign=1, j=10**6)  # 10^9 + 7
+    @example(n=2000, mag=2000001, sign=1, j=-999)  # every ratio +-1
+    def test_exact_under_period_shift_and_sign(self, n, mag, sign, j):
+        p = sign * mag
+        assume(abs(p + j * n) >= 2)
+        ks, ratios = collision_ratios(n, p)
+        for other in (p + j * n, -p):
+            other_ks, other_ratios = collision_ratios(n, other)
+            assert np.array_equal(other_ks, ks)
+            assert other_ratios.tobytes() == ratios.tobytes()
+
+    # Against the same rule on 40-digit ratios: exactly equal ratios
+    # print once, and distinct ones are kept.
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 300), p=st.integers(-10**9, 10**9))
+    def test_rows_match_decimal_dedupe(self, n, p):
+        assume(abs(p) >= 2)
+        assert collision_ratios(n, p)[0].tolist() == decimal_ratio_ks(n, p)
+
+    @pytest.mark.parametrize("n, p, rows", [
+        (160, 4215, 150), (300, 4864, 292), (2580, 4391, 2562),
+        (2000, 2000001, 2), (12, 13, 2), (1000, 10**9 + 7, 994),
+    ])
+    def test_exact_row_counts(self, n, p, rows):
+        ks = collision_ratios(n, p)[0].tolist()
+        assert len(ks) == rows
+        assert ks == decimal_ratio_ks(n, p)
+
+    def test_close_distinct_values_keep_first_turn(self):
+        # Two separations whose distinct ratios lie 4.9e-14 apart: of
+        # each sign, only the smaller separation's value is kept, and
+        # nothing else is dropped.
+        n, p = 223723, -258358
+        first, second = sine_table(n, p)
+        ratio = second / first
+        k_first, k_later = (np.abs(ratio - 0.67021024535824) <= 1e-12).nonzero()[0] + 1
+        assert 0 < abs(ratio[k_first - 1] - ratio[k_later - 1]) <= 1e-12
+        rows = set(ratio_rows(n, p))
+        assert len(rows) == 2 * (n // 2) - 2
+        for sign in (1.0, -1.0):
+            assert (k_first, sign * ratio[k_first - 1]) in rows
+            assert (k_later, sign * ratio[k_later - 1]) not in rows
+
+    def test_chains_replay_the_rule(self, monkeypatch):
+        # No (N, p) found chains distinct values over more than 1e-12, so
+        # a crafted table does: ratios 1 + 0.6e-12 i in shuffled order of
+        # k, a chain spanning 5.4e-12, and a tight run near 3.
+        rng = np.random.default_rng(7)
+        second = np.concatenate((1.0 + 0.6e-12 * rng.permutation(10),
+                                 3.0 + np.array([0.0, 0.3e-12, 0.5e-12]), [2.0]))
+        table = np.stack((np.ones_like(second), second))
+        monkeypatch.setattr(collisions, "sine_table", lambda n, p: table)
+        rows = ratio_rows(28, 3)
+        assert rows == dedupe_quadratic(table_candidates(table))
+        assert len(rows) < 2 * 14 - 2  # the chain and the tight run drop values
 
     def test_mirror_duplicates_dropped_at_370_11(self):
         # 362 distinct values; separations k and N - k used to add two more.
