@@ -207,10 +207,10 @@ def fold_matrix(N: int, p: int) -> np.ndarray:
     second; rows of the result always sum to -N when N does not divide p.
     """
     entries = build_matrix(N, p)
-    folded = np.zeros((2, 2))
-    for ell in range(1, N // 2 + 1):
-        folded[:, (ell - 1) % 2] += entries[:, ell - 1]
-    return folded
+    # Running sums in ascending ell, added to 0.0 so that a parity whose
+    # entries are all -0.0 (N | 2p) sums to +0.0, as a fold from zeros does.
+    return 0.0 + np.column_stack([np.cumsum(entries[:, parity::2], axis=1)[:, -1]
+                                  for parity in (0, 1)])
 
 
 def solve_restricted(N: int, p: int) -> RestrictedCoupling:

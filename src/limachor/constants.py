@@ -4,8 +4,9 @@ On a solved system the first moment of mass vanishes and the angular
 momentum, moment of inertia, kinetic and potential energies are all
 constant, with simple closed forms in a, b, p, N.  The cyclic symmetry
 yields further constants: the per-separation parts of the potential,
-and for composite N = m*n, conserved sub-sums over each Z_m subgroup
-orbit of the body indices.
+which read the balance matrix's integer-reduced ``sine_table``, and for
+composite N = m*n, conserved sub-sums over each Z_m subgroup orbit of
+the body indices.
 
 One kernel, ``_conserved``, evaluates the quantities per sample from
 the couplings' Laplacian (``CouplingVector.laplacian``).  It reads each
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from limachor.admissibility import InadmissibleError, is_admissible
-from limachor.coefficients import CouplingVector
+from limachor.coefficients import CouplingVector, build_matrix, sine_table
 from limachor.dynamics import _RK4_CHUNK
 from limachor.kinematics import ChoreoConfig, Trajectory, planar_norm, state_at
 
@@ -240,7 +241,8 @@ def closed_form_constants(config: ChoreoConfig) -> ConservedReport:
 def potential_parts(config: ChoreoConfig, ell: int) -> PotentialParts:
     """Closed-form separation-ell parts of the potential.
 
-    v_-+ = 2N (a^2 (1 -+ cos(2 pi ell / N)) + b^2 (1 -+ cos(2 pi p ell / N))).
+    v_-+ = 2N (a^2 (1 -+ cos(2 pi ell / N)) + b^2 (1 -+ cos(2 pi p ell / N))),
+    read from column ell of ``sine_table`` as v_- = 4N (a^2 s_1^2 + b^2 s_p^2).
 
     Raises:
         IndexError: If ell is outside [1, floor(N/2)].
@@ -249,27 +251,23 @@ def potential_parts(config: ChoreoConfig, ell: int) -> PotentialParts:
     if not 1 <= ell <= n_half:
         raise IndexError(f"separation {ell} outside [1, {n_half}]")
     a2, b2 = config.a ** 2, config.b ** 2
-    ca = math.cos(math.tau * ell / config.N)
-    cb = math.cos(math.tau * config.p * ell / config.N)
-    v_minus = 2.0 * config.N * (a2 * (1.0 - ca) + b2 * (1.0 - cb))
-    v_plus = 2.0 * config.N * (a2 * (1.0 + ca) + b2 * (1.0 + cb))
-    return PotentialParts(ell, v_minus, v_plus)
+    s1, sp = sine_table(config.N, config.p)[:, ell - 1].tolist()
+    v_minus = 4.0 * config.N * (a2 * s1 * s1 + b2 * sp * sp)
+    return PotentialParts(ell, v_minus, 4.0 * config.N * (a2 + b2) - v_minus)
 
 
 def potential_from_parts(config: ChoreoConfig, couplings: CouplingVector) -> float:
     """Assemble the potential from its per-separation closed forms.
 
-    Each of the couplings' ``bonds()`` weights its part, so the
-    diametral part of even N counts half: each such bond exists once.
+    Half of sum_ell w kappa_ell v_-(ell) is -(N/2) (a^2, b^2) . (M kappa) for
+    M = ``build_matrix(N, p)``, whose entries -4 w s^2 halve the diametral column.
     """
     if couplings.N != config.N:
         raise ValueError(
             f"couplings sized for N={couplings.N}, config has N={config.N}"
         )
-    total = 0.0
-    for ell, coupling in couplings.bonds():
-        total += coupling * potential_parts(config, ell).v_minus
-    return 0.5 * total
+    rows = build_matrix(config.N, config.p) @ couplings.kappas
+    return float(-0.5 * config.N * (config.a ** 2 * rows[0] + config.b ** 2 * rows[1]))
 
 
 def partial_sums(config: ChoreoConfig, m: int, n: int, ell: int,

@@ -502,6 +502,15 @@ class TestConstantsCommand:
         assert payload["potential_from_parts"] == pytest.approx(10.88)
         assert all(v <= 1e-10 for v in payload["drift"].values())
 
+    def test_large_p_potential_from_parts_is_the_closed_form(self, capsys):
+        # The parts' phases are reduced in integers; the float phase
+        # 2 pi p ell / N read 5.366e30 here, 7 % off.
+        code, out, _ = run_cli(capsys, "constants", "--N", "10", "--p", "1000000000000007")
+        assert code == 0
+        payload = json.loads(out)
+        expected = payload["closed_form"]["V"]
+        assert abs(payload["potential_from_parts"] - expected) <= 1e-15 * expected
+
 
 class TestUnstableRk4Step:
     @pytest.mark.filterwarnings("error::RuntimeWarning")

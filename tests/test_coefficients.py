@@ -222,7 +222,31 @@ class TestSolveCouplings:
         assert both == pytest.approx(du + dv, abs=1e-9 * (1 + abs(u) + abs(v)))
 
 
+def column_fold(N, p):
+    """Reference fold_matrix: each column of build_matrix added, in ascending ell, to zeros."""
+    folded = [[0.0, 0.0], [0.0, 0.0]]
+    for row, entries in zip(folded, build_matrix(N, p).tolist()):
+        for ell, entry in enumerate(entries, 1):
+            row[(ell - 1) % 2] += entry
+    return np.array(folded)
+
+
 class TestFoldMatrix:
+    def test_bit_identical_to_column_fold(self):
+        # Log-uniform 4 <= N < 1200 with signed |p| up to 10^15, and the
+        # p with N | p or N | 2p, whose all-zero parities must read +0.0.
+        rng = np.random.default_rng(20261022)
+        pairs = set()
+        for _ in range(2000):
+            n = int(math.exp(rng.uniform(math.log(4), math.log(1200))))
+            p = int(rng.integers(-10**15, 10**15))
+            pairs |= {(n, p), (n, int(rng.integers(-40, 41))), (n, n * int(rng.integers(-3, 4)))}
+            if n % 2 == 0:
+                pairs.add((n, n // 2 + n * int(rng.integers(-3, 4))))
+        assert len(pairs) >= 5000
+        for n, p in pairs:
+            assert fold_matrix(n, p).tobytes() == column_fold(n, p).tobytes(), (n, p)
+
     def test_n4_equals_full_matrix(self):
         assert np.array_equal(fold_matrix(4, 2), build_matrix(4, 2))
 

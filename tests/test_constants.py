@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limachor.admissibility import InadmissibleError, is_admissible
-from limachor.coefficients import CouplingVector, solve_couplings
+from limachor.coefficients import CouplingVector, sine_table, solve_couplings
 from limachor.constants import (
     _CONSERVED_BLOCK,
     ConservedSeries,
@@ -27,7 +28,8 @@ from limachor.kinematics import (
     state_at,
 )
 from limachor.verification import verify
-from util import admissible_pairs, one_state, pair_matrix, tailed_couplings
+from util import (PI_80, admissible_pairs, decimal_cos, one_state, pair_matrix,
+                  tailed_couplings)
 
 
 def pairwise_potential(positions, pair):
@@ -243,7 +245,90 @@ class TestClosedFormConstants:
                     predicted.potential, abs=1e-10)
 
 
+def decimal_potential_parts(config, ell):
+    """v_- and v_+ of separation ell in 40 digits, from the unreduced phase.
+
+    2 pi p ell / N is formed to 80 digits and reduced by 2 pi in decimal,
+    so no integer reduction of p ell is shared with the library.
+    """
+    n, p = config.N, config.p
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        angles = [(2 * PI_80 * q * ell / n).remainder_near(2 * PI_80) for q in (1, p)]
+        ctx.prec = 40
+        ca, cb = (decimal_cos(x) for x in angles)
+        a2, b2 = decimal.Decimal(config.a) ** 2, decimal.Decimal(config.b) ** 2
+        return (2 * n * (a2 * (1 - ca) + b2 * (1 - cb)),
+                2 * n * (a2 * (1 + ca) + b2 * (1 + cb)))
+
+
+# (N, p, a, b) with signed |p| up to 10^15 and N of either parity.
+LARGE_P_CONFIGS = st.builds(
+    lambda n, p, a, b: ChoreoConfig(n, p, a, b), st.integers(4, 300),
+    st.integers(-10**15, 10**15).filter(lambda p: abs(p) >= 2),
+    st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+
+
 class TestPotentialParts:
+    EPS = np.finfo(float).eps
+
+    @settings(max_examples=100, deadline=None)
+    @given(LARGE_P_CONFIGS, st.integers(-10**6, 10**6), st.data())
+    def test_exact_under_period_shift_and_sign(self, config, j, data):
+        n, p = config.N, config.p
+        shifted = [ChoreoConfig(n, q, config.a, config.b) for q in (p + j * n, -p)
+                   if abs(q) >= 2]
+        kappas = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n // 2,
+                                    max_size=n // 2))
+        couplings = CouplingVector(n, kappas)
+        ell = data.draw(st.integers(1, n // 2))
+        for other in shifted:
+            assert potential_parts(other, ell) == potential_parts(config, ell)
+            assert (potential_from_parts(other, couplings)
+                    == potential_from_parts(config, couplings))
+
+    def test_reads_the_sine_table(self):
+        config = ChoreoConfig(11, 7 + 11 * 10**14, 1.2, 0.7)
+        a2, b2 = 1.2 ** 2, 0.7 ** 2
+        for ell, (s1, sp) in enumerate(sine_table(11, 7).T.tolist(), 1):
+            v_minus = 44.0 * (a2 * s1 * s1 + b2 * sp * sp)
+            part = potential_parts(config, ell)
+            assert part.v_minus == v_minus
+            assert part.v_plus == 44.0 * (a2 + b2) - v_minus
+
+    @settings(max_examples=60, deadline=None)
+    @given(LARGE_P_CONFIGS, st.integers(0, 2**32 - 1))
+    def test_matches_forty_digit_reference(self, config, seed):
+        # Each part is at most 4N(a^2 + b^2); from it, the potential sums
+        # N/2 weighted parts.  Over 300 seeded draws the worst errors were
+        # 0.16 (parts) and 0.011 (potential) of these bounds.
+        n = config.N
+        scale = 4 * n * (config.a ** 2 + config.b ** 2)
+        weights = [0.5 if 2 * ell == n else 1.0 for ell in range(1, n // 2 + 1)]
+        couplings = CouplingVector(n, np.random.default_rng(seed).normal(size=n // 2))
+        total, size = decimal.Decimal(0), 0.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            for ell, (kappa, w) in enumerate(zip(couplings.kappas.tolist(), weights), 1):
+                v_minus, v_plus = decimal_potential_parts(config, ell)
+                part = potential_parts(config, ell)
+                assert abs(part.v_minus - float(v_minus)) <= 16 * self.EPS * scale, ell
+                assert abs(part.v_plus - float(v_plus)) <= 16 * self.EPS * scale, ell
+                total += decimal.Decimal(kappa * w) * v_minus
+                size += abs(kappa * w) * scale
+        assert (abs(potential_from_parts(config, couplings) - float(total / 2))
+                <= (n + 16) * self.EPS * size)
+
+    # Small admissible N, whose solved couplings stay near 1 in size; the
+    # general rounding bound is the forty-digit test's.
+    @pytest.mark.parametrize("n", [5, 10, 11, 16])
+    @pytest.mark.parametrize("p", [10**9 + 7, -(10**9 + 7), 10**15 + 7, -(10**15 + 7)])
+    def test_large_p_solved_potential_is_the_closed_form(self, n, p):
+        config = ChoreoConfig(n, p, 1.2, 0.7)
+        expected = closed_form_constants(config).potential
+        value = potential_from_parts(config, solve_couplings(n, p))
+        assert abs(value - expected) <= 1e-15 * expected
+
     def test_closed_form_value(self):
         part = potential_parts(ChoreoConfig(4, 2, 1.2, 1.0), 2)
         assert part.v_minus == pytest.approx(23.04, abs=1e-12)

@@ -200,11 +200,12 @@ ODD_RESTRICTED_PAIRS = [(p, n) for n in range(7, 62, 2) for p in range(2, 31)
 
 
 def decimal_restricted_spectrum(n, p, cosines):
-    """Bins 1 .. N // 2 of odd N's restricted spectrum and sum |w kappa|, in decimal.
+    """Bins 1 .. N // 2 of odd N's restricted spectrum, sum |w kappa|, kappa_o and kappa_e.
 
-    Solves the folded 2 x 2 balance system (odd separations into kappa_o,
-    even into kappa_e) by the adjugate formula; ``cosines[j]`` is
-    cos(2 pi j / N).  Odd N has no diametral bond, so every weight is 1.
+    In decimal: solves the folded 2 x 2 balance system (odd separations
+    into kappa_o, even into kappa_e) by the adjugate formula;
+    ``cosines[j]`` is cos(2 pi j / N).  Odd N has no diametral bond, so
+    every weight is 1.
     """
     half = n // 2
     fold = [[sum(2 * (cosines[ell * q % n] - 1) for ell in range(first, half + 1, 2))
@@ -216,7 +217,18 @@ def decimal_restricted_spectrum(n, p, cosines):
     kappas = [kappa_o if ell % 2 else kappa_e for ell in range(1, half + 1)]
     lam = [sum(2 * kappa * (1 - cosines[ell * m % n]) for ell, kappa in enumerate(kappas, 1))
            for m in range(1, half + 1)]
-    return lam, sum(abs(kappa) for kappa in kappas)
+    return lam, sum(abs(kappa) for kappa in kappas), kappa_o, kappa_e
+
+
+@pytest.fixture(scope="class")
+def odd_restricted_spectra():
+    """decimal_restricted_spectrum of every ODD_RESTRICTED_PAIRS pair, in 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        tables = {n: [decimal_cos(2 * PI_80 * min(j, n - j) / n) for j in range(n)]
+                  for n in {n for _, n in ODD_RESTRICTED_PAIRS}}
+        return {(p, n): decimal_restricted_spectrum(n, p, tables[n])
+                for p, n in ODD_RESTRICTED_PAIRS}
 
 
 class TestRestrictedOddChoreographyIsUnstable:
@@ -224,15 +236,22 @@ class TestRestrictedOddChoreographyIsUnstable:
     # restricted couplings leave some bin of negative stiffness.  On
     # these pairs the least negative minimum is -0.0365 sum |w kappa|.
 
-    def test_negative_bin_in_forty_digits(self):
-        with decimal.localcontext() as ctx:
-            ctx.prec = 40
-            bound, tables = decimal.Decimal("-0.03"), {}
-            for p, n in ODD_RESTRICTED_PAIRS:
-                if n not in tables:
-                    tables[n] = [decimal_cos(2 * PI_80 * min(j, n - j) / n) for j in range(n)]
-                lam, scale = decimal_restricted_spectrum(n, p, tables[n])
-                assert min(lam) < bound * scale, (p, n)
+    def test_negative_bin_in_forty_digits(self, odd_restricted_spectra):
+        bound = decimal.Decimal("-0.03")
+        for (p, n), (lam, scale, _, _) in odd_restricted_spectra.items():
+            assert min(lam) < bound * scale, (p, n)
+
+    def test_named_bin_in_forty_digits(self, odd_restricted_spectra):
+        # With M = (N - 1) / 2, bin M is negative exactly when
+        # kappa_o <= kappa_e, and bin M - 1 exactly when kappa_o > kappa_e.
+        # Both stay at least 0.0364 sum |w kappa| from zero here, so the
+        # 40-digit rounding cannot flip a sign.
+        floor = decimal.Decimal("0.03")
+        for (p, n), (lam, scale, kappa_o, kappa_e) in odd_restricted_spectra.items():
+            top, below = lam[-1], lam[-2]
+            assert (top < 0) == (kappa_o <= kappa_e), (p, n)
+            assert (below < 0) == (kappa_o > kappa_e), (p, n)
+            assert min(abs(top), abs(below)) > floor * scale, (p, n)
 
     def test_float_spectrum_goes_negative(self):
         for p, n in ODD_RESTRICTED_PAIRS:
